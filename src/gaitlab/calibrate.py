@@ -1,6 +1,6 @@
 """Per-user calibration: body parameters, sensor angle biases, online RLS.
 
-The step-length model is linear in the body parameters:
+The step-length model (`gaitlab.core`) is linear in the body parameters:
 
     D = h . w,   h = [sin(a_f) - sin(a_b),
                       sin(a_f - b_f) + sin(b_b - a_b),
@@ -9,8 +9,8 @@ The step-length model is linear in the body parameters:
 
 so the offline fit against reference step lengths is a bounded-variable
 linear least squares problem (each parameter is constrained within 10% of
-its hand-measured nominal). With three variables the exact solution is
-found by sweeping all 27 active-set combinations of the box faces.
+its hand-measured nominal), solved exactly by bounded-variable least
+squares (BVLS; Stark & Parker, Computational Statistics 10, 1995).
 
 Angle biases are fitted second, holding the parameters fixed: one additive
 offset per event angle, each constrained within 10% of the magnitude of
@@ -19,30 +19,37 @@ squares. The fitted bias is the correction to ADD to measured angles (equivalent
 fitted mean angle minus observed mean angle), so injecting a +2 degree
 sensor error on an angle is recovered as a -2 degree bias.
 
-The online path is a standard recursive least squares update with a
-forgetting factor, warm-started at the nominal parameters.
+The online path is a recursive least squares update with a forgetting
+factor, warm-started at the nominal parameters. An innovation that is large
+against its predicted spread resets the covariance (Goodwin & Sin 1984), so
+the estimate follows a parameter jump instead of averaging it with old data.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, lsq_linear
 
-from .core import EventAngles, Side, StaticParams, StepMeasurement
+from .core import (
+    EventAngles, Side, StaticParams, StepMeasurement, angle_matrix, step_features, step_length
+)
 from .errors import CalibrationError, GaitInputError
 
 PARAM_BOX_FRACTION = 0.10
 BIAS_BOX_FRACTION = 0.10
-BIAS_SSE_TOL = 1e-6
-BIAS_MAX_SWEEPS = 500
+BIAS_MAX_NFEV = 2000
 
 DEFAULT_RLS_LAMBDA = 0.98
 DEFAULT_RLS_P0 = 1000.0
+# RLS resets P when e^2 > this * (lambda + h'Ph): a 3 cm innovation once the
+# estimate has settled (h'Ph near 0).
+RLS_RESET_INNOVATION_CM2 = 9.0
+
+_UNIT_PARAMS = StaticParams(1.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -73,18 +80,14 @@ class FeatureVector:
 
 def feature_vector(angles: EventAngles) -> FeatureVector:
     """Linear-model features of one step; h . (l1, l2, d5) equals the model."""
-    af = math.radians(angles.alpha_f)
-    bf = math.radians(angles.beta_f)
-    ab = math.radians(angles.alpha_b)
-    bb = math.radians(angles.beta_b)
-    return FeatureVector(
-        h1=math.sin(af) - math.sin(ab),
-        h2=math.sin(af - bf) + math.sin(bb - ab),
-    )
+    # Scalar on purpose: a one-row step_features call costs several times more.
+    d = step_length(_UNIT_PARAMS, angles)
+    return FeatureVector(h1=d.d2 + d.d3, h2=d.d1 + d.d4)
 
 
 def feature_matrix(steps: Sequence[StepMeasurement]) -> np.ndarray:
-    return np.array([feature_vector(s.angles).as_array() for s in steps])
+    """(N, 3) features of the steps; row i dotted with (l1, l2, d5) is step i's length."""
+    return step_features(angle_matrix(steps))
 
 
 @dataclass(frozen=True)
@@ -127,10 +130,10 @@ def batch_fit_params(
 ) -> CalibrationResult:
     """Box-constrained least squares over (l1, l2, d5).
 
-    Globally optimal: the model is linear in the parameters, and every
-    combination of active box faces is solved exactly. A rank-deficient
-    feature matrix (e.g. all steps identical) returns the nominal
-    parameters with a degeneracy note instead of an arbitrary fit.
+    Globally optimal: the model is linear in the parameters, and BVLS
+    solves the bounded problem exactly. A rank-deficient feature matrix
+    (e.g. all steps identical) returns the nominal parameters with a
+    degeneracy note instead of an arbitrary fit.
     """
     _check_paired(steps, refs)
     if len(steps) < 3:
@@ -155,46 +158,16 @@ def batch_fit_params(
             notes=("feature matrix is rank deficient; keeping nominal parameters",),
         )
 
-    best_w = w_nom
-    best_sse = sse_before
-    tol = 1e-12
-    for faces in itertools.product((-1, 0, 1), repeat=3):
-        w = np.where(np.array(faces) < 0, lo, hi).astype(float)
-        free = [i for i, f in enumerate(faces) if f == 0]
-        if free:
-            fixed_part = np.zeros(len(y))
-            for i, f in enumerate(faces):
-                if f != 0:
-                    fixed_part += H[:, i] * w[i]
-            sol, *_ = np.linalg.lstsq(H[:, free], y - fixed_part, rcond=None)
-            w[free] = sol
-            if np.any(w[free] < lo[free] - tol) or np.any(w[free] > hi[free] + tol):
-                continue
-            w[free] = np.clip(w[free], lo[free], hi[free])
-        sse = float(np.sum((y - H @ w) ** 2))
-        if sse < best_sse - tol:
-            best_sse = sse
-            best_w = w
-
-    fitted = StaticParams(*np.clip(best_w, lo, hi))
+    fit = lsq_linear(H, y, bounds=(lo, hi), method="bvls")
+    w = np.clip(fit.x, lo, hi)
     return CalibrationResult(
-        params=fitted,
+        params=StaticParams(*w),
         bias=None,
         sse_before_cm2=sse_before,
-        sse_after_cm2=best_sse,
-        iterations=1,
+        sse_after_cm2=float(np.sum((y - H @ w) ** 2)),
+        iterations=int(fit.nit),
         degenerate=False,
     )
-
-
-def _predict_with_bias(
-    params: StaticParams, angles_deg: np.ndarray, bias_deg: np.ndarray
-) -> np.ndarray:
-    """Model lengths for an (N, 4) angle matrix [a_f, b_f, a_b, b_b] + bias."""
-    a = np.radians(angles_deg + bias_deg)
-    af, bf, ab, bb = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    l1, l2, d5 = params.as_tuple()
-    return l2 * np.sin(af - bf) + l1 * np.sin(af) - l1 * np.sin(ab) + l2 * np.sin(bb - ab) + d5
 
 
 def batch_fit_biases(
@@ -207,16 +180,12 @@ def batch_fit_biases(
 
     The free variables are the four mean event angles, constrained within
     10% of their nominal values (the observed per-angle means unless given
-    explicitly). Solved by projected coordinate descent on the residual sum
-    of squares; the model is genuinely nonlinear in the angles.
+    explicitly). Solved by bounded trust-region least squares on the
+    residuals; the model is genuinely nonlinear in the angles.
     """
     _check_paired(steps, refs)
-    A = np.array(
-        [
-            [s.angles.alpha_f, s.angles.beta_f, s.angles.alpha_b, s.angles.beta_b]
-            for s in steps
-        ]
-    )
+    A = angle_matrix(steps)
+    w = np.array(params.as_tuple())
     y = np.array([r.length_cm for r in refs])
     observed_mean = A.mean(axis=0)
     if np.all(A.std(axis=0) < 1e-9):
@@ -227,15 +196,13 @@ def batch_fit_biases(
     half_width = BIAS_BOX_FRACTION * np.abs(nominal)
     lo = (nominal - half_width) - observed_mean
     hi = (nominal + half_width) - observed_mean
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
 
     def residuals(b: np.ndarray) -> np.ndarray:
-        return y - _predict_with_bias(params, A, b)
+        return y - step_features(A + b) @ w
 
     # The four sensitivity directions are heavily collinear (each bias moves
     # every step length by a nearly constant amount), so the objective has a
-    # long shallow valley. A bounded trust-region least-squares solve handles
-    # that reliably where coordinate descent zigzags and stalls.
+    # long shallow valley, which the bounded trust-region solve handles.
     x0 = np.clip(np.zeros(4), lo, hi)
     fit = least_squares(
         residuals,
@@ -245,7 +212,7 @@ def batch_fit_biases(
         xtol=1e-14,
         ftol=1e-14,
         gtol=1e-14,
-        max_nfev=BIAS_MAX_SWEEPS * 4,
+        max_nfev=BIAS_MAX_NFEV,
     )
     bias = np.clip(fit.x, lo, hi)
 
@@ -264,7 +231,9 @@ class RlsState:
     w: np.ndarray
     P: np.ndarray
     lam: float
+    p0_scale: float  # a reset restores P = p0_scale * I
     n_updates: int = 0
+    n_resets: int = 0
 
     def params(self) -> StaticParams:
         return StaticParams(*self.w)
@@ -284,21 +253,29 @@ def rls_init(
         w=np.array(nominal.as_tuple(), dtype=float),
         P=p0_scale * np.eye(3),
         lam=float(lam),
+        p0_scale=float(p0_scale),
     )
 
 
 def rls_update(state: RlsState, h: FeatureVector, d_ref_cm: float) -> RlsState:
-    """One forgetting-factor RLS step against a reference length."""
+    """One forgetting-factor RLS step; a large innovation resets P first."""
     hv = h.as_array()
     if not (np.all(np.isfinite(hv)) and math.isfinite(d_ref_cm)):
         raise GaitInputError("non-finite RLS inputs")
     P, lam, w = state.P, state.lam, state.w
+    e = d_ref_cm - hv @ w
     Ph = P @ hv
-    gain = Ph / (lam + hv @ Ph)
-    w_new = w + gain * (d_ref_cm - hv @ w)
+    spread = lam + hv @ Ph
+    reset = bool(e * e > RLS_RESET_INNOVATION_CM2 * spread)
+    if reset:
+        P = state.p0_scale * np.eye(3)
+        Ph = P @ hv
+        spread = lam + hv @ Ph
+    gain = Ph / spread
+    w_new = w + gain * e
     P_new = (P - np.outer(gain, Ph)) / lam
     P_new = 0.5 * (P_new + P_new.T)  # keep symmetric against roundoff
-    return RlsState(w=w_new, P=P_new, lam=lam, n_updates=state.n_updates + 1)
+    return RlsState(w_new, P_new, lam, state.p0_scale, state.n_updates + 1, state.n_resets + reset)
 
 
 def mape_percent(estimated: np.ndarray, reference: np.ndarray) -> float:

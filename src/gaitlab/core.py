@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
+
+import numpy as np
 
 from .errors import GaitInputError, SegmentationError
 
@@ -157,6 +159,49 @@ def step_length(params: StaticParams, angles: EventAngles) -> StepLengthBreakdow
     d4 = params.l2_cm * math.sin(bb - ab)
     d5 = params.d5_cm
     return StepLengthBreakdown(d1, d2, d3, d4, d5, d1 + d2 + d3 + d4 + d5)
+
+
+def angle_matrix(steps: Sequence[StepMeasurement]) -> np.ndarray:
+    """(N, 4) event angles of the steps: [alpha_f, beta_f, alpha_b, beta_b]."""
+    rows = [(s.angles.alpha_f, s.angles.beta_f, s.angles.alpha_b, s.angles.beta_b) for s in steps]
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+def step_features(angles_deg: np.ndarray) -> np.ndarray:
+    """(N, 3) linear features of an (N, 4) angle array in degrees.
+
+    Row i is [d2 + d3, d1 + d4, 1] at unit parameters, so its dot product
+    with (l1, l2, d5) is `step_length` of row i, to rounding.
+    """
+    a = np.radians(angles_deg)
+    af, bf, ab, bb = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    return np.column_stack(
+        [np.sin(af) - np.sin(ab), np.sin(af - bf) + np.sin(bb - ab), np.ones(len(a))]
+    )
+
+
+def attach_lengths(
+    steps: Sequence[StepMeasurement], params: StaticParams, bias=None
+) -> list[StepMeasurement]:
+    """Fill step lengths from the kinematic model, applying angle biases.
+
+    `bias` is an additive per-angle correction (see gaitlab.calibrate); the
+    corrected angles replace the measured ones on the returned steps. Each
+    step is evaluated on its own, so N steps in one call give the same bits
+    as N one-step calls: the live path relies on that to match batch.
+    """
+    out = []
+    for s in steps:
+        a = s.angles
+        if bias is not None:
+            a = EventAngles(
+                alpha_f=a.alpha_f + bias.alpha_f_deg,
+                beta_f=a.beta_f + bias.beta_f_deg,
+                alpha_b=a.alpha_b + bias.alpha_b_deg,
+                beta_b=a.beta_b + bias.beta_b_deg,
+            )
+        out.append(replace(s, angles=a, length_cm=step_length(params, a).total))
+    return out
 
 
 def stride_metrics(

@@ -18,12 +18,12 @@ a whole series at once and produce identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
 
 import numpy as np
 
-from .core import EventAngles, Side, StepMeasurement, step_length
+from .core import EventAngles, Side, StepMeasurement, attach_lengths  # noqa: F401  (re-exported)
 from .errors import GaitInputError
 from .signal import UniformSeries
 
@@ -254,7 +254,6 @@ class AngleQuad:
     knee_r: UniformSeries
     hip_l: UniformSeries
     hip_r: UniformSeries
-    curves: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         rates = {
@@ -407,29 +406,3 @@ def segment_steps(
     segmenter.finalize()
     return steps
 
-
-def attach_lengths(
-    steps: list[StepMeasurement],
-    params,
-    bias=None,
-) -> list[StepMeasurement]:
-    """Fill step lengths from the kinematic model, applying angle biases.
-
-    `bias` is an additive per-angle correction (see gaitlab.calibrate); the
-    corrected angles replace the measured ones on the returned steps.
-    """
-    from dataclasses import replace
-
-    out = []
-    for s in steps:
-        a = s.angles
-        if bias is not None:
-            a = EventAngles(
-                alpha_f=a.alpha_f + bias.alpha_f_deg,
-                beta_f=a.beta_f + bias.beta_f_deg,
-                alpha_b=a.alpha_b + bias.alpha_b_deg,
-                beta_b=a.beta_b + bias.beta_b_deg,
-            )
-        breakdown = step_length(params, a)
-        out.append(replace(s, angles=a, length_cm=breakdown.total))
-    return out

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gaitlab.calibrate import (
+    DEFAULT_RLS_P0,
+    PARAM_BOX_FRACTION,
     AngleBias,
     FeatureVector,
     ReferenceStep,
@@ -73,11 +76,16 @@ class TestFeatureVector:
     def test_linearity_identity_random_draws(self):
         rng = np.random.default_rng(0)
         w = np.array(NOMINAL.as_tuple())
-        for _ in range(1000):
+        steps = []
+        for i in range(1000):
             angles = EventAngles(*rng.uniform(-60, 60, size=4))
             lhs = step_length(NOMINAL, angles).total
             rhs = float(feature_vector(angles).as_array() @ w)
             assert abs(lhs - rhs) < 1e-12
+            steps.append(step_from_angles(i, angles))
+        # The vectorised kernel against the scalar reference.
+        rows = feature_matrix(steps) @ w
+        assert np.all(np.abs(rows - model_lengths(NOMINAL, steps)) < 1e-12)
 
     def test_features_bounded(self):
         rng = np.random.default_rng(1)
@@ -95,22 +103,32 @@ class TestBatchFitParams:
         assert result.params.as_tuple() == pytest.approx(NOMINAL.as_tuple(), abs=1e-9)
         assert result.sse_after_cm2 == pytest.approx(0.0, abs=1e-12)
 
-    def test_recovers_interior_truth_vs_grid_oracle(self):
+    @pytest.mark.parametrize(
+        "true",
+        [StaticParams(31.0, 43.0, 13.0), StaticParams(34.5, 43.0, 13.0)],
+        ids=["interior", "l1_above_box"],
+    )
+    def test_recovers_interior_truth_vs_grid_oracle(self, true):
         rng = np.random.default_rng(3)
-        true = StaticParams(31.0, 43.0, 13.0)
         steps = random_steps(rng, 100)
         y = model_lengths(true, steps) + rng.normal(0, 1.0, 100)
         refs = refs_from(y)
         result = batch_fit_params(steps, refs, NOMINAL)
 
-        # Within 2% of the truth.
         got = np.array(result.params.as_tuple())
-        assert np.all(np.abs(got - true.as_tuple()) / np.array(true.as_tuple()) < 0.02)
+        nom = np.array(NOMINAL.as_tuple())
+        assert np.all(got >= (1 - PARAM_BOX_FRACTION) * nom - 1e-12)
+        assert np.all(got <= (1 + PARAM_BOX_FRACTION) * nom + 1e-12)
+        if true.l1_cm > (1 + PARAM_BOX_FRACTION) * NOMINAL.l1_cm:
+            # l1 ends on its upper face.
+            assert got[0] == pytest.approx((1 + PARAM_BOX_FRACTION) * nom[0], abs=1e-9)
+        else:
+            # Within 2% of the truth.
+            assert np.all(np.abs(got - true.as_tuple()) / np.array(true.as_tuple()) < 0.02)
 
         # Brute-force box search at 0.1 cm resolution as the oracle: the
         # exact solver must do at least as well as the best grid point.
         H = feature_matrix(steps)
-        nom = np.array(NOMINAL.as_tuple())
         axes = [np.arange(0.9 * v, 1.1 * v + 1e-9, 0.1) for v in nom]
         G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         sse = ((y[None, :] - G @ H.T) ** 2).sum(axis=1)
@@ -254,6 +272,7 @@ class TestRls:
         state = rls_init(NOMINAL, p0_scale=1000.0, lam=1.0)
         assert np.allclose(state.w, [30, 45, 14])
         assert np.allclose(state.P, 1000.0 * np.eye(3))
+        assert (state.p0_scale, state.n_updates, state.n_resets) == (1000.0, 0, 0)
 
     def test_invalid_lambda_rejected(self):
         with pytest.raises(GaitInputError):
@@ -313,6 +332,23 @@ class TestRls:
         for h in self.features(rng, 20):
             state = rls_update(state, h, float(h.as_array() @ w_b))
         assert np.linalg.norm(state.w - w_b) / np.linalg.norm(w_b) < 0.01
+
+    def test_large_innovation_resets_covariance(self):
+        rng = np.random.default_rng(18)
+        true_w = np.array([31.0, 44.0, 13.5])
+        state = rls_init(NOMINAL)
+        for h in self.features(rng, 30):
+            state = rls_update(state, h, float(h.as_array() @ true_w))
+        assert state.n_resets == 0
+        h = self.features(rng, 1)[0]
+        d = float(h.as_array() @ true_w)
+        # A 1 cm surprise keeps the covariance; a 10 cm one resets it first,
+        # so the step equals an update from a fresh covariance.
+        assert rls_update(state, h, d + 1.0).n_resets == 0
+        got = rls_update(state, h, d + 10.0)
+        fresh = rls_update(replace(state, P=DEFAULT_RLS_P0 * np.eye(3)), h, d + 10.0)
+        assert got.n_resets == 1 and got.n_updates == state.n_updates + 1
+        assert np.array_equal(got.w, fresh.w) and np.array_equal(got.P, fresh.P)
 
     def test_covariance_stays_positive_definite(self):
         rng = np.random.default_rng(17)

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from gaitlab.calibrate import AngleBias
 from gaitlab.core import (
     EventAngles,
     StaticParams,
     StepMeasurement,
     Stride,
+    angle_matrix,
+    attach_lengths,
     gait_asymmetry,
     step_length,
     stride_metrics,
@@ -112,6 +115,41 @@ class TestStepLength:
     def test_implausible_params_warn_but_build(self):
         with pytest.warns(UserWarning):
             StaticParams(80.0, 40.0, 14.0)
+
+
+class TestAttachLengths:
+    def test_batch_size_does_not_change_bits(self):
+        # The live path attaches lengths one step at a time and must equal
+        # the batch path bit for bit.
+        def bits(steps):
+            lengths = np.array([[s.length_cm] for s in steps])
+            return np.hstack([angle_matrix(steps), lengths]).view(np.uint64)
+
+        rng = np.random.default_rng(21)
+        steps = [
+            StepMeasurement(
+                index=i,
+                front_side="LR"[i % 2],
+                angles=EventAngles(
+                    rng.uniform(15, 35),
+                    rng.uniform(0, 20),
+                    rng.uniform(-20, 5),
+                    rng.uniform(5, 25),
+                ),
+                t_front_event=0.5 * i,
+                t_back_event=0.5 * i + 0.1,
+            )
+            for i in range(200)
+        ]
+        for bias in (None, AngleBias(1.5, -0.7, 2.0, -1.2)):
+            whole = attach_lengths(steps, PARAMS, bias)
+            single = [attach_lengths([s], PARAMS, bias)[0] for s in steps]
+            assert np.array_equal(bits(whole), bits(single))
+            shift = np.zeros(4) if bias is None else bias.as_array()
+            assert np.array_equal(angle_matrix(whole), angle_matrix(steps) + shift)
+            assert [s.length_cm for s in whole] == [
+                step_length(PARAMS, s.angles).total for s in whole
+            ]
 
 
 class TestStrideMetrics:

@@ -42,6 +42,7 @@ from .errors import CalibrationError, GaitInputError
 PARAM_BOX_FRACTION = 0.10
 BIAS_BOX_FRACTION = 0.10
 BIAS_MAX_NFEV = 2000
+TRAIN_FRACTION = 0.7
 
 DEFAULT_RLS_LAMBDA = 0.98
 DEFAULT_RLS_P0 = 1000.0
@@ -174,39 +175,47 @@ def batch_fit_biases(
     steps: Sequence[StepMeasurement],
     refs: Sequence[ReferenceStep],
     params: StaticParams,
-    nominal_angles_deg: np.ndarray | None = None,
 ) -> AngleBias:
     """Fit additive per-angle corrections with the parameters held fixed.
 
-    The free variables are the four mean event angles, constrained within
-    10% of their nominal values (the observed per-angle means unless given
-    explicitly). Solved by bounded trust-region least squares on the
-    residuals; the model is genuinely nonlinear in the angles.
+    Each angle's correction is constrained within 10% of the magnitude of
+    its observed mean. An angle whose mean is exactly 0 (a straight knee
+    at every event, say) has no room, so its correction stays 0 and only
+    the others are fitted. Solved by bounded trust-region least squares on
+    the residuals; the model is genuinely nonlinear in the angles.
     """
     _check_paired(steps, refs)
     A = angle_matrix(steps)
     w = np.array(params.as_tuple())
     y = np.array([r.length_cm for r in refs])
-    observed_mean = A.mean(axis=0)
     if np.all(A.std(axis=0) < 1e-9):
         raise CalibrationError(
             "angle columns are constant; bias regression is degenerate"
         )
-    nominal = observed_mean if nominal_angles_deg is None else np.asarray(nominal_angles_deg, float)
-    half_width = BIAS_BOX_FRACTION * np.abs(nominal)
-    lo = (nominal - half_width) - observed_mean
-    hi = (nominal + half_width) - observed_mean
+    mean = A.mean(axis=0)
+    half_width = BIAS_BOX_FRACTION * np.abs(mean)
+    free = np.flatnonzero(half_width > 0)
+    if len(free) == 0:
+        return AngleBias()
+    # The box is +-half_width, rounded through the mean on purpose: the
+    # objective's valley (below) is so shallow that moving a bound by one
+    # ulp moves the fitted bias by up to 3e-3 deg.
+    m, hw = mean[free], half_width[free]
+    lo = (m - hw) - m
+    hi = (m + hw) - m
+
+    full = np.zeros(4)
 
     def residuals(b: np.ndarray) -> np.ndarray:
-        return y - step_features(A + b) @ w
+        full[free] = b
+        return y - step_features(A + full) @ w
 
     # The four sensitivity directions are heavily collinear (each bias moves
     # every step length by a nearly constant amount), so the objective has a
     # long shallow valley, which the bounded trust-region solve handles.
-    x0 = np.clip(np.zeros(4), lo, hi)
     fit = least_squares(
         residuals,
-        x0,
+        np.zeros(len(hw)),
         bounds=(lo, hi),
         method="trf",
         xtol=1e-14,
@@ -214,7 +223,8 @@ def batch_fit_biases(
         gtol=1e-14,
         max_nfev=BIAS_MAX_NFEV,
     )
-    bias = np.clip(fit.x, lo, hi)
+    bias = np.zeros(4)
+    bias[free] = np.clip(fit.x, lo, hi)
 
     return AngleBias(
         alpha_f_deg=float(bias[0]),
@@ -292,7 +302,7 @@ def rmse(estimated: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sqrt(np.mean((est - ref) ** 2)))
 
 
-def split_train_test(n: int, train_fraction: float = 0.7) -> tuple[slice, slice]:
+def split_train_test(n: int) -> tuple[slice, slice]:
     """Deterministic time-ordered split: the first 70% of steps train."""
-    cut = int(math.floor(n * train_fraction))
+    cut = int(math.floor(n * TRAIN_FRACTION))
     return slice(0, cut), slice(cut, n)

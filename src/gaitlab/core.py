@@ -204,10 +204,7 @@ def attach_lengths(
     return out
 
 
-def stride_metrics(
-    steps: Sequence[StepMeasurement],
-    velocity_window: int = VELOCITY_WINDOW_STRIDES,
-) -> list[Stride]:
+def stride_metrics(steps: Sequence[StepMeasurement]) -> list[Stride]:
     """Pair consecutive steps into strides and derive timing and velocity.
 
     Strides pair steps disjointly: stride i is (steps[2i], steps[2i+1]).
@@ -217,8 +214,8 @@ def stride_metrics(
     the tracked leg's initial contact (front knee minimum) to its foot-off
     (its hip minimum, which is the back event of step_b); swing is the rest
     of the cycle. Velocity is averaged over a sliding window of up to
-    `velocity_window` strides ending at the current stride; windows shorter
-    than that are flagged partial.
+    VELOCITY_WINDOW_STRIDES strides ending at the current stride; windows
+    shorter than that are flagged partial.
     """
     if len(steps) < 2:
         raise SegmentationError(f"need at least 2 steps, got {len(steps)}")
@@ -244,7 +241,7 @@ def stride_metrics(
 
     strides = []
     for i in range(n_strides):
-        lo = max(0, i - velocity_window + 1)
+        lo = max(0, i - VELOCITY_WINDOW_STRIDES + 1)
         span_len = sum(lengths[lo : i + 1])
         span_time = sum(times[lo : i + 1])
         if span_time <= 0:
@@ -259,7 +256,7 @@ def stride_metrics(
                 stance_time_s=stances[i],
                 swing_time_s=times[i] - stances[i],
                 velocity_mps=(span_len / 100.0) / span_time,
-                velocity_partial=(i - lo + 1) < velocity_window,
+                velocity_partial=(i - lo + 1) < VELOCITY_WINDOW_STRIDES,
             )
         )
     return strides

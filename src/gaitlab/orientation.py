@@ -1,10 +1,11 @@
 """Hip angle estimation from 6-axis IMU data.
 
-The primary filter integrates the gyroscope rate into a quaternion and
-corrects it each step with a gradient-descent move toward the orientation
-that agrees with the measured gravity direction, which rejects constant
-gyro bias in steady state. A first-order complementary filter is provided
-for comparison runs.
+One filter, one loop: `madgwick_batch` integrates the gyroscope rate into a
+quaternion and corrects it each sample with a gradient-descent move toward
+the orientation that agrees with the measured gravity direction (Madgwick,
+Harrison & Vaidyanathan, ICORR 2011), which rejects constant gyro bias in
+steady state. `madgwick_update` is its one-sample case, and a recording fed
+in chunks of any size gives the one-call output bit for bit.
 
 Frame convention (after mounting remap): x forward, y left, z up along the
 thigh. A positive hip angle (thigh in front of the torso) tilts the sensor
@@ -16,7 +17,7 @@ hip angle reads (sin 20, 0, cos 20) g. The sagittal rate on the y gyro is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +26,12 @@ from .errors import GaitInputError
 DEG = math.pi / 180.0
 
 # Below this error-gradient norm the correction becomes proportional instead
-# of unit-normalized, so the filter settles exactly instead of chattering by
+# of unit-length, so the filter settles exactly instead of chattering by
 # one fixed-size step around the solution.
 GRADIENT_REF = 0.1
 
-DEFAULT_BETA = 0.15
+# Step size of the gravity-alignment correction (rad/s).
+BETA = 0.15
 
 
 @dataclass(frozen=True)
@@ -42,50 +44,15 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n == 0:
-            raise GaitInputError("cannot normalize zero quaternion")
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, o: "Quaternion") -> "Quaternion":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = o.w, o.x, o.y, o.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 + y1 * w2 + z1 * x2 - x1 * z2,
-            w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2,
-        )
-
-    def rotate(self, v) -> np.ndarray:
-        """Rotate a body-frame vector into the world frame."""
-        p = Quaternion(0.0, float(v[0]), float(v[1]), float(v[2]))
-        r = self * p * self.conjugate()
-        return np.array([r.x, r.y, r.z])
-
     @staticmethod
     def identity() -> "Quaternion":
         return Quaternion(1.0, 0.0, 0.0, 0.0)
 
-    @staticmethod
-    def from_axis_angle(axis, angle_deg: float) -> "Quaternion":
-        ax = np.asarray(axis, dtype=float)
-        n = np.linalg.norm(ax)
-        if n == 0:
-            raise GaitInputError("rotation axis must be non-zero")
-        ax = ax / n
-        half = 0.5 * angle_deg * DEG
-        s = math.sin(half)
-        return Quaternion(math.cos(half), ax[0] * s, ax[1] * s, ax[2] * s)
-
 
 def quat_sagittal(hip_angle_deg: float) -> Quaternion:
     """Quaternion of a pure sagittal-plane posture at the given hip angle."""
-    return Quaternion.from_axis_angle((0.0, -1.0, 0.0), hip_angle_deg)
+    half = 0.5 * hip_angle_deg * DEG
+    return Quaternion(math.cos(half), 0.0, -math.sin(half), 0.0)
 
 
 def hip_angle(q: Quaternion) -> float:
@@ -106,99 +73,21 @@ class OrientationFilterState:
     """State of the gradient-descent orientation filter."""
 
     q: Quaternion
-    beta_gain: float = DEFAULT_BETA
-    last_t: float | None = None
     accel_rejected: bool = False  # last update ran gyro-only (zero accel)
 
-    def __post_init__(self):
-        if not self.beta_gain > 0:
-            raise GaitInputError(f"beta gain must be positive, got {self.beta_gain}")
 
-
-def filter_init(beta_gain: float = DEFAULT_BETA) -> OrientationFilterState:
+def filter_init() -> OrientationFilterState:
     """Identity-orientation state: exact when the wearer stands straight."""
-    return OrientationFilterState(q=Quaternion.identity(), beta_gain=beta_gain)
-
-
-def _madgwick_step(w, x, y, z, ax, ay, az, gx_dps, gy_dps, gz_dps, dt, beta):
-    """One fused update on plain floats. Returns (w, x, y, z, accel_used).
-
-    Gyro rates are deg/s. The gravity-alignment correction uses the
-    unit-normalized objective gradient (step size beta) until the gradient
-    norm falls below GRADIENT_REF, after which it scales proportionally and
-    settles without limit-cycling.
-    """
-    gx = gx_dps * DEG
-    gy = gy_dps * DEG
-    gz = gz_dps * DEG
-
-    an = math.sqrt(ax * ax + ay * ay + az * az)
-    accel_used = an > 0.0
-    if accel_used:
-        axn = ax / an
-        ayn = ay / an
-        azn = az / an
-        _2w = 2.0 * w
-        _2x = 2.0 * x
-        _2y = 2.0 * y
-        _2z = 2.0 * z
-        # Objective: predicted gravity in the sensor frame minus measurement.
-        f1 = _2x * z - _2w * y - axn
-        f2 = _2w * x + _2y * z - ayn
-        f3 = 1.0 - _2x * x - _2y * y - azn
-        s0 = -_2y * f1 + _2x * f2
-        s1 = _2z * f1 + _2w * f2 - 2.0 * _2x * f3
-        s2 = -_2w * f1 + _2z * f2 - 2.0 * _2y * f3
-        s3 = _2x * f1 + _2y * f2
-        ns = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
-        if ns > 0.0:
-            k = beta / (ns if ns > GRADIENT_REF else GRADIENT_REF)
-            c0 = k * s0
-            c1 = k * s1
-            c2 = k * s2
-            c3 = k * s3
-        else:
-            c0 = c1 = c2 = c3 = 0.0
-    else:
-        c0 = c1 = c2 = c3 = 0.0
-
-    qdw = 0.5 * (-x * gx - y * gy - z * gz) - c0
-    qdx = 0.5 * (w * gx + y * gz - z * gy) - c1
-    qdy = 0.5 * (w * gy - x * gz + z * gx) - c2
-    qdz = 0.5 * (w * gz + x * gy - y * gx) - c3
-
-    w += qdw * dt
-    x += qdx * dt
-    y += qdy * dt
-    z += qdz * dt
-    inv = 1.0 / math.sqrt(w * w + x * x + y * y + z * z)
-    return w * inv, x * inv, y * inv, z * inv, accel_used
+    return OrientationFilterState(q=Quaternion.identity())
 
 
 def madgwick_update(
     state: OrientationFilterState, accel_g, gyro_dps, dt: float
 ) -> OrientationFilterState:
-    """Advance the filter by one sample period.
-
-    A zero-norm accelerometer sample falls back to a gyro-only update and
-    flags the state.
-    """
-    if dt <= 0:
-        raise GaitInputError(f"dt must be positive, got {dt}")
-    q = state.q
-    w, x, y, z, accel_used = _madgwick_step(
-        q.w, q.x, q.y, q.z,
-        float(accel_g[0]), float(accel_g[1]), float(accel_g[2]),
-        float(gyro_dps[0]), float(gyro_dps[1]), float(gyro_dps[2]),
-        dt, state.beta_gain,
-    )
-    t = dt if state.last_t is None else state.last_t + dt
-    return replace(
-        state,
-        q=Quaternion(w, x, y, z),
-        last_t=t,
-        accel_rejected=not accel_used,
-    )
+    """Advance the filter by one sample period: `madgwick_batch` on one row."""
+    accel = np.asarray(accel_g, dtype=np.float64)[np.newaxis]
+    gyro = np.asarray(gyro_dps, dtype=np.float64)[np.newaxis]
+    return madgwick_batch(accel, gyro, dt, state)[1]
 
 
 def madgwick_batch(
@@ -207,63 +96,83 @@ def madgwick_batch(
     dt: float,
     state: OrientationFilterState,
 ) -> tuple[np.ndarray, OrientationFilterState]:
-    """Run the filter over (N, 3) accel/gyro arrays; returns hip angles (deg).
+    """Run the filter over (N, 3) accel (g) and gyro (deg/s) arrays.
 
-    Bit-identical to repeated madgwick_update calls; the loop runs on plain
-    floats for throughput.
+    Returns the hip angle (deg) after each sample and the state after the
+    last one; an empty input returns the input's orientation. Each sample
+    depends only on the quaternion before it, so splitting the arrays into
+    chunks and passing the state along is bit-identical to one call.
+
+    The gravity-alignment correction moves along the unit-length
+    objective gradient (step size BETA) until the gradient norm falls below
+    GRADIENT_REF, after which it scales proportionally and settles without
+    limit-cycling. A zero-norm accelerometer sample falls back to a
+    gyro-only update and flags the state.
     """
-    n = len(accel)
-    a = np.asarray(accel, dtype=np.float64).reshape(n, 3).tolist()
-    g = np.asarray(gyro, dtype=np.float64).reshape(n, 3).tolist()
+    a = np.asarray(accel, dtype=np.float64)
+    g = np.asarray(gyro, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != 3 or g.shape != a.shape:
+        raise GaitInputError(
+            f"accel and gyro must both be (N, 3) with the same N, got "
+            f"{a.shape} and {g.shape}"
+        )
+    if not dt > 0:
+        raise GaitInputError(f"dt must be positive, got {dt}")
     q = state.q
     w, x, y, z = q.w, q.x, q.y, q.z
-    beta = state.beta_gain
-    out = np.empty(n)
-    step = _madgwick_step
+    out = []
+    sqrt = math.sqrt
     atan2 = math.atan2
+    beta = BETA
     accel_used = True
-    for i in range(n):
-        ai = a[i]
-        gi = g[i]
-        w, x, y, z, accel_used = step(
-            w, x, y, z, ai[0], ai[1], ai[2], gi[0], gi[1], gi[2], dt, beta
-        )
-        out[i] = atan2(2.0 * (x * z - w * y), 1.0 - 2.0 * (x * x + y * y))
-    t0 = 0.0 if state.last_t is None else state.last_t
-    new_state = replace(
-        state,
-        q=Quaternion(w, x, y, z),
-        last_t=t0 + n * dt,
-        accel_rejected=not accel_used,
+    # The loop runs on plain floats for throughput.
+    for (ax, ay, az), (gx, gy, gz) in zip(a.tolist(), (g * DEG).tolist()):
+        an = sqrt(ax * ax + ay * ay + az * az)
+        accel_used = an > 0.0
+        if accel_used:
+            axn = ax / an
+            ayn = ay / an
+            azn = az / an
+            _2w = 2.0 * w
+            _2x = 2.0 * x
+            _2y = 2.0 * y
+            _2z = 2.0 * z
+            # Objective: predicted gravity in the sensor frame minus measurement.
+            f1 = _2x * z - _2w * y - axn
+            f2 = _2w * x + _2y * z - ayn
+            f3 = 1.0 - _2x * x - _2y * y - azn
+            s0 = -_2y * f1 + _2x * f2
+            s1 = _2z * f1 + _2w * f2 - 2.0 * _2x * f3
+            s2 = -_2w * f1 + _2z * f2 - 2.0 * _2y * f3
+            s3 = _2x * f1 + _2y * f2
+            ns = sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
+            if ns > 0.0:
+                k = beta / (ns if ns > GRADIENT_REF else GRADIENT_REF)
+                c0 = k * s0
+                c1 = k * s1
+                c2 = k * s2
+                c3 = k * s3
+            else:
+                c0 = c1 = c2 = c3 = 0.0
+        else:
+            c0 = c1 = c2 = c3 = 0.0
+
+        qdw = 0.5 * (-x * gx - y * gy - z * gz) - c0
+        qdx = 0.5 * (w * gx + y * gz - z * gy) - c1
+        qdy = 0.5 * (w * gy - x * gz + z * gx) - c2
+        qdz = 0.5 * (w * gz + x * gy - y * gx) - c3
+
+        w += qdw * dt
+        x += qdx * dt
+        y += qdy * dt
+        z += qdz * dt
+        inv = 1.0 / sqrt(w * w + x * x + y * y + z * z)
+        w, x, y, z = w * inv, x * inv, y * inv, z * inv
+        out.append(atan2(2.0 * (x * z - w * y), 1.0 - 2.0 * (x * x + y * y)))
+    new_state = OrientationFilterState(
+        q=Quaternion(w, x, y, z), accel_rejected=not accel_used
     )
-    return np.degrees(out), new_state
-
-
-@dataclass(frozen=True)
-class ComplementaryState:
-    """First-order blend of integrated gyro rate and accelerometer tilt."""
-
-    angle_deg: float = 0.0
-    gain: float = 0.98
-    last_t: float | None = None
-    accel_rejected: bool = False
-
-
-def complementary_update(
-    state: ComplementaryState, accel_g, gyro_dps, dt: float
-) -> ComplementaryState:
-    """angle = k * (angle + rate * dt) + (1 - k) * accel tilt."""
-    if dt <= 0:
-        raise GaitInputError(f"dt must be positive, got {dt}")
-    # Sagittal rate: y gyro carries -d(hip)/dt in the sensor frame.
-    predicted = state.angle_deg - float(gyro_dps[1]) * dt
-    ax, az = float(accel_g[0]), float(accel_g[2])
-    t = dt if state.last_t is None else state.last_t + dt
-    if ax == 0.0 and az == 0.0 and float(accel_g[1]) == 0.0:
-        return replace(state, angle_deg=predicted, last_t=t, accel_rejected=True)
-    measured = math.degrees(math.atan2(ax, az))
-    blended = state.gain * predicted + (1.0 - state.gain) * measured
-    return replace(state, angle_deg=blended, last_t=t, accel_rejected=False)
+    return np.degrees(np.array(out, dtype=np.float64)), new_state
 
 
 MOUNTING_AXES = ("y", "-y", "x", "-x")

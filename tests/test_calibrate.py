@@ -20,7 +20,9 @@ from gaitlab.calibrate import (
     rmse,
     split_train_test,
 )
-from gaitlab.core import EventAngles, StaticParams, StepMeasurement, step_length
+from gaitlab.core import (
+    EventAngles, StaticParams, StepMeasurement, attach_lengths, step_length
+)
 from gaitlab.errors import CalibrationError, GaitInputError
 
 NOMINAL = StaticParams(30.0, 45.0, 14.0)
@@ -245,6 +247,30 @@ class TestBatchFitBiases:
         # corrected - true = -injected + fitted, averaged per angle
         residual = bias.as_array() - injected.as_array()
         assert np.all(np.abs(residual) < 0.1)
+
+    def test_zero_mean_angle_held_at_zero(self):
+        # A straight knee at heel strike: beta_f is 0 at every step, so its
+        # box has no width. alpha_f reads 1.5 deg high.
+        rng = np.random.default_rng(13)
+        steps, lengths = [], []
+        for i in range(60):
+            true = EventAngles(
+                alpha_f=rng.uniform(22, 34),
+                beta_f=0.0,
+                alpha_b=rng.uniform(-14, -6),
+                beta_b=rng.uniform(14, 22),
+            )
+            lengths.append(step_length(NOMINAL, true).total)
+            steps.append(step_from_angles(i, replace(true, alpha_f=true.alpha_f + 1.5)))
+        refs = refs_from(lengths)
+        bias = batch_fit_biases(steps, refs, NOMINAL)
+        assert bias.beta_f_deg == 0.0
+
+        def sse(b):
+            fitted = [s.length_cm for s in attach_lengths(steps, NOMINAL, b)]
+            return float(np.sum((np.array(fitted) - lengths) ** 2))
+
+        assert sse(bias) <= sse(AngleBias())
 
     def test_constant_angles_degenerate(self):
         angles = EventAngles(25.0, 10.0, -8.0, 14.0)

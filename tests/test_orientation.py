@@ -5,9 +5,7 @@ import pytest
 
 from gaitlab.errors import GaitInputError
 from gaitlab.orientation import (
-    ComplementaryState,
     Quaternion,
-    complementary_update,
     filter_init,
     hip_angle,
     madgwick_batch,
@@ -24,35 +22,11 @@ def gravity_for(tilt_deg):
     return np.array([math.sin(r), 0.0, math.cos(r)])
 
 
-def run_static(tilt_deg, seconds, beta=None):
+def run_static(tilt_deg, seconds):
     n = int(round(seconds / DT))
     accel = np.tile(gravity_for(tilt_deg), (n, 1))
     gyro = np.zeros((n, 3))
-    state = filter_init() if beta is None else filter_init(beta)
-    return madgwick_batch(accel, gyro, DT, state)
-
-
-class TestQuaternion:
-    def test_identity_rotation(self):
-        v = Quaternion.identity().rotate([1.0, 2.0, 3.0])
-        assert np.allclose(v, [1, 2, 3])
-
-    def test_axis_angle_rotation(self):
-        q = Quaternion.from_axis_angle([0, 0, 1], 90.0)
-        assert np.allclose(q.rotate([1, 0, 0]), [0, 1, 0], atol=1e-12)
-
-    def test_multiply_composes(self):
-        qa = Quaternion.from_axis_angle([0, 0, 1], 30.0)
-        qb = Quaternion.from_axis_angle([0, 0, 1], 40.0)
-        qc = Quaternion.from_axis_angle([0, 0, 1], 70.0)
-        prod = qa * qb
-        assert np.allclose(
-            [prod.w, prod.x, prod.y, prod.z], [qc.w, qc.x, qc.y, qc.z], atol=1e-12
-        )
-
-    def test_zero_quaternion_rejected(self):
-        with pytest.raises(GaitInputError):
-            Quaternion(0, 0, 0, 0).normalized()
+    return madgwick_batch(accel, gyro, DT, filter_init())
 
 
 class TestHipAngle:
@@ -124,11 +98,23 @@ class TestMadgwick:
         rng = np.random.default_rng(1)
         accel = rng.normal([0, 0, 1], 0.02, (200, 3))
         gyro = rng.normal(0.0, 3.0, (200, 3))
-        _, batch_state = madgwick_batch(accel, gyro, DT, filter_init())
+        accel[57] = 0.0  # one gyro-only sample inside the run
+        angles, batch_state = madgwick_batch(accel, gyro, DT, filter_init())
         state = filter_init()
         for a, g in zip(accel, gyro):
             state = madgwick_update(state, a, g, DT)
         assert batch_state.q == state.q
+        # Live processing feeds the same samples in chunks, carrying the state.
+        for chunk in (1, 7, 10):
+            state = filter_init()
+            parts = []
+            for i in range(0, len(accel), chunk):
+                part, state = madgwick_batch(
+                    accel[i : i + chunk], gyro[i : i + chunk], DT, state
+                )
+                parts.append(part)
+            assert np.array_equal(np.concatenate(parts), angles), f"chunk {chunk}"
+            assert state.q == batch_state.q, f"chunk {chunk}"
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
@@ -143,41 +129,23 @@ class TestMadgwick:
         with pytest.raises(GaitInputError):
             madgwick_update(filter_init(), [0, 0, 1], [0, 0, 0], 0.0)
 
-
-class TestComplementary:
-    def test_static_gravity_aligned(self):
-        state = ComplementaryState()
-        for _ in range(100):
-            state = complementary_update(state, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], DT)
-        assert state.angle_deg == pytest.approx(0.0, abs=1e-9)
-
-    def test_static_tilt_converges(self):
-        state = ComplementaryState()
-        a = gravity_for(20.0)
-        for _ in range(250):
-            state = complementary_update(state, a, [0.0, 0.0, 0.0], DT)
-        assert state.angle_deg == pytest.approx(20.0, abs=1.0)
-
-    def test_step_response_monotone_and_slower_than_madgwick(self):
-        a = gravity_for(10.0)
-        comp = ComplementaryState()
-        comp_trace = []
-        for _ in range(125):
-            comp = complementary_update(comp, a, [0.0, 0.0, 0.0], DT)
-            comp_trace.append(comp.angle_deg)
-        diffs = np.diff(comp_trace)
-        assert np.all(diffs >= -1e-12)  # monotone rise
-        mad_angles, _ = run_static(10.0, 125 * DT)
-        # Time to reach 9 deg (90% of the step).
-        t_comp = np.argmax(np.array(comp_trace) >= 9.0)
-        t_mad = np.argmax(mad_angles >= 9.0)
-        assert 0 < t_mad < t_comp
-
-    def test_zero_accel_gyro_only(self):
-        state = ComplementaryState()
-        state = complementary_update(state, [0.0, 0.0, 0.0], [0.0, -5.0, 0.0], DT)
-        assert state.accel_rejected
-        assert state.angle_deg == pytest.approx(5.0 * DT)
+    @pytest.mark.parametrize(
+        "accel_shape, gyro_shape, dt",
+        [
+            ((10, 3), (10, 3), 0.0),
+            ((10, 3), (10, 3), -0.004),
+            ((10, 3), (11, 3), DT),
+            ((10, 2), (10, 2), DT),
+            ((30,), (30,), DT),
+            ((10, 3, 1), (10, 3, 1), DT),
+        ],
+        ids=["dt_zero", "dt_negative", "length_mismatch", "two_columns", "flat", "three_dims"],
+    )
+    def test_batch_rejects_bad_input(self, accel_shape, gyro_shape, dt):
+        accel = np.zeros(accel_shape)
+        gyro = np.zeros(gyro_shape)
+        with pytest.raises(GaitInputError):
+            madgwick_batch(accel, gyro, dt, filter_init())
 
 
 class TestMounting:

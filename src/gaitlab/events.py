@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .core import EventAngles, Side, StepMeasurement, attach_lengths  # noqa: F401  (re-exported)
 from .errors import GaitInputError
@@ -91,29 +92,28 @@ class DerivativeStream:
         self.emitted = 0
         self.finalized = False
 
-    def feed(self, new_values: Iterable[float]) -> np.ndarray:
-        self.values.extend(float(v) for v in new_values)
-        n = len(self.values)
-        out: list[float] = []
+    def feed(self, new_values: ArrayLike) -> np.ndarray:
+        self.values.extend(np.asarray(new_values, dtype=np.float64).tolist())
         s = self.values
+        n = len(s)
         h = self.h
+        head = None
         if self.emitted == 0 and n >= 3:
-            out.append((-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * h))
-            out.append((s[2] - s[0]) / (2.0 * h))
+            head = [(-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * h), (s[2] - s[0]) / (2.0 * h)]
             self.emitted = 2
-        if self.emitted >= 2 and n >= 5:
-            lo, hi = self.emitted, n - 2  # emit interior indices [lo, hi)
-            if hi > lo:
-                arr = np.asarray(s[lo - 2 : hi + 2])
-                d = (
-                    arr[: hi - lo]
-                    - 8.0 * arr[1 : hi - lo + 1]
-                    + 8.0 * arr[3 : hi - lo + 3]
-                    - arr[4 : hi - lo + 4]
-                ) / (12.0 * h)
-                out.extend(d.tolist())
-                self.emitted = hi
-        return np.asarray(out)
+        lo, hi = self.emitted, n - 2  # emit interior indices [lo, hi)
+        if lo >= 2 and hi > lo:
+            arr = np.asarray(s[lo - 2 : hi + 2])
+            d = (
+                arr[: hi - lo]
+                - 8.0 * arr[1 : hi - lo + 1]
+                + 8.0 * arr[3 : hi - lo + 3]
+                - arr[4 : hi - lo + 4]
+            ) / (12.0 * h)
+            self.emitted = hi
+        else:
+            d = np.empty(0)
+        return d if head is None else np.concatenate([head, d])
 
     def finalize(self) -> np.ndarray:
         if self.finalized:
@@ -174,8 +174,8 @@ class MinimaDetector:
             return self.time_at(self.pending)
         return self.time_at(max(self._i - 1, 0))
 
-    def extend_series(self, values: Iterable[float]) -> None:
-        self.values.extend(float(v) for v in values)
+    def extend_series(self, values: ArrayLike) -> None:
+        self.values.extend(np.asarray(values, dtype=np.float64).tolist())
 
     def feed_derivative(self, d_values: Iterable[float]) -> list[MinimumEvent]:
         events: list[MinimumEvent] = []

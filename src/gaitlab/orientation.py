@@ -99,7 +99,7 @@ def madgwick_batch(
     """Run the filter over (N, 3) accel (g) and gyro (deg/s) arrays.
 
     Returns the hip angle (deg) after each sample and the state after the
-    last one; an empty input returns the input's orientation. Each sample
+    last one; an empty input returns the input state unchanged. Each sample
     depends only on the quaternion before it, so splitting the arrays into
     chunks and passing the state along is bit-identical to one call.
 
@@ -124,7 +124,7 @@ def madgwick_batch(
     sqrt = math.sqrt
     atan2 = math.atan2
     beta = BETA
-    accel_used = True
+    accel_used = not state.accel_rejected
     # The loop runs on plain floats for throughput.
     for (ax, ay, az), (gx, gy, gz) in zip(a.tolist(), (g * DEG).tolist()):
         an = sqrt(ax * ax + ay * ay + az * az)

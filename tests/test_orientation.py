@@ -94,6 +94,12 @@ class TestMadgwick:
         assert state.accel_rejected
         assert hip_angle(state.q) == pytest.approx(10.0 * DT, abs=1e-4)
 
+    def test_empty_chunk_keeps_accel_rejected(self):
+        state = madgwick_update(filter_init(), [0.0, 0.0, 0.0], [0.0, -10.0, 0.0], DT)
+        angles, after = madgwick_batch(np.zeros((0, 3)), np.zeros((0, 3)), DT, state)
+        assert len(angles) == 0
+        assert after == state
+
     def test_batch_matches_single_updates(self):
         rng = np.random.default_rng(1)
         accel = rng.normal([0, 0, 1], 0.02, (200, 3))
@@ -115,6 +121,7 @@ class TestMadgwick:
                 parts.append(part)
             assert np.array_equal(np.concatenate(parts), angles), f"chunk {chunk}"
             assert state.q == batch_state.q, f"chunk {chunk}"
+            assert state.accel_rejected == batch_state.accel_rejected, f"chunk {chunk}"
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gaitlab.errors import CalibrationError, GaitInputError
 from gaitlab.signal import (
@@ -10,6 +11,7 @@ from gaitlab.signal import (
     check_stream_timing,
     compute_offsets,
     downsample_smooth,
+    smoothed_block,
 )
 
 
@@ -131,6 +133,62 @@ class TestDownsampleSmooth:
             downsample_smooth(np.zeros(0), m=1, rate_hz=250.0)
         with pytest.raises(GaitInputError):
             downsample_smooth(np.zeros(10), m=0, rate_hz=250.0)
+
+
+def smoothed_block_oracle(values, m, k_start, k_stop):
+    """The slow path: a general sliding-window view, every Mth window, mean."""
+    if k_stop <= k_start:
+        return values[:0]
+    window = sliding_window_view(values[m * k_start : m * k_stop + m], 2 * m, axis=0)
+    return window[::m].mean(axis=-1)
+
+
+class TestSmoothedBlock:
+    def test_matches_sliding_window_oracle(self):
+        rng = np.random.default_rng(4)
+        for case in range(400):
+            m = int(rng.integers(1, 12))
+            n = int(rng.integers(2 * m, 300))
+            shape = [(n,), (n, 1), (n, 2), (n, 3)][case % 4]
+            values = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 4)
+            n_out = (n - 2 * m) // m + 1
+            k_start = int(rng.integers(0, n_out + 1))
+            k_stop = int(rng.integers(k_start, n_out + 1))
+            got = smoothed_block(values, m, k_start, k_stop)
+            want = smoothed_block_oracle(values, m, k_start, k_stop)
+            assert got.shape == want.shape, f"case {case}"
+            assert np.array_equal(got, want), f"case {case}"
+
+    def test_one_output_blocks_match_batch(self):
+        # The live decimator asks for one output at a time; concatenated,
+        # those blocks are the batch filter's output bit for bit.
+        rng = np.random.default_rng(5)
+        for m, shape in ((10, (1500,)), (4, (600,)), (3, (200, 2))):
+            values = rng.normal(size=shape) * 40.0
+            batch = downsample_smooth(values, m=m, rate_hz=100.0).values
+            blocks = [smoothed_block(values, m, k, k + 1) for k in range(len(batch))]
+            assert np.array_equal(np.concatenate(blocks), batch), f"m={m}"
+
+    def test_memory_layout_does_not_change_bits(self):
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(400, 3)) * 25.0
+        want = smoothed_block(values, 10, 0, 39)
+        assert np.array_equal(smoothed_block(np.asfortranarray(values), 10, 0, 39), want)
+        strided = np.repeat(values, 2, axis=0)[::2]
+        assert np.array_equal(smoothed_block(strided, 10, 0, 39), want)
+
+    def test_range_past_buffer_rejected(self):
+        with pytest.raises(GaitInputError):
+            smoothed_block(np.zeros(30), 10, 0, 5)
+        with pytest.raises(GaitInputError):
+            smoothed_block(np.zeros((30, 2)), 10, 2, 3)
+
+    def test_empty_range(self):
+        for values in (np.arange(50.0), np.zeros((50, 2))):
+            for k_start, k_stop in ((3, 3), (4, 2)):
+                got = smoothed_block(values, 5, k_start, k_stop)
+                assert got.shape == (0, *values.shape[1:])
+                assert got.dtype == values.dtype
 
 
 class TestStreamTiming:

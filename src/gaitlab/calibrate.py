@@ -109,12 +109,9 @@ class AngleBias:
 @dataclass(frozen=True)
 class CalibrationResult:
     params: StaticParams
-    bias: AngleBias | None
     sse_before_cm2: float
     sse_after_cm2: float
-    iterations: int
     degenerate: bool = False
-    notes: tuple[str, ...] = ()
 
 
 def _check_paired(steps, refs) -> None:
@@ -133,8 +130,8 @@ def batch_fit_params(
 
     Globally optimal: the model is linear in the parameters, and BVLS
     solves the bounded problem exactly. A rank-deficient feature matrix
-    (e.g. all steps identical) returns the nominal parameters with a
-    degeneracy note instead of an arbitrary fit.
+    (e.g. all steps identical) returns the nominal parameters with
+    `degenerate` set instead of an arbitrary fit.
     """
     _check_paired(steps, refs)
     if len(steps) < 3:
@@ -151,22 +148,17 @@ def batch_fit_params(
     if np.linalg.matrix_rank(H, tol=1e-8) < 3:
         return CalibrationResult(
             params=nominal,
-            bias=None,
             sse_before_cm2=sse_before,
             sse_after_cm2=sse_before,
-            iterations=0,
             degenerate=True,
-            notes=("feature matrix is rank deficient; keeping nominal parameters",),
         )
 
     fit = lsq_linear(H, y, bounds=(lo, hi), method="bvls")
     w = np.clip(fit.x, lo, hi)
     return CalibrationResult(
         params=StaticParams(*w),
-        bias=None,
         sse_before_cm2=sse_before,
         sse_after_cm2=float(np.sum((y - H @ w) ** 2)),
-        iterations=int(fit.nit),
         degenerate=False,
     )
 
@@ -245,9 +237,6 @@ class RlsState:
     n_updates: int = 0
     n_resets: int = 0
 
-    def params(self) -> StaticParams:
-        return StaticParams(*self.w)
-
 
 def rls_init(
     nominal: StaticParams,
@@ -293,13 +282,6 @@ def mape_percent(estimated: np.ndarray, reference: np.ndarray) -> float:
     if len(est) == 0:
         return float("nan")
     return float(np.mean(np.abs(est - ref) / np.abs(ref)) * 100.0)
-
-
-def rmse(estimated: np.ndarray, reference: np.ndarray) -> float:
-    est, ref = np.asarray(estimated, float), np.asarray(reference, float)
-    if len(est) == 0:
-        return float("nan")
-    return float(np.sqrt(np.mean((est - ref) ** 2)))
 
 
 def split_train_test(n: int) -> tuple[slice, slice]:

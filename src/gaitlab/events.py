@@ -84,52 +84,56 @@ class DerivativeStream:
     which is exact for cubics. The first two and last two samples fall back
     to one-sided/short differences and are approximate; the final two can
     only be emitted once the stream ends.
+
+    Only the last four samples and the sample count are kept, so memory
+    stays constant however long the stream runs: a new sample completes the
+    stencil of the sample two before it, which reaches back two more, and
+    no formula reaches further back than that.
     """
 
     def __init__(self, rate_hz: float):
         self.h = 1.0 / rate_hz
-        self.values: list[float] = []
-        self.emitted = 0
+        self.tail: list[float] = []  # the last min(n, 4) samples
+        self.n = 0  # samples fed so far
         self.finalized = False
 
     def feed(self, new_values: ArrayLike) -> np.ndarray:
-        self.values.extend(np.asarray(new_values, dtype=np.float64).tolist())
-        s = self.values
-        n = len(s)
+        if self.finalized:
+            raise GaitInputError("derivative stream fed after finalize")
+        # s starts two samples before the first interior derivative still to
+        # emit, where its stencil starts.
+        new = np.asarray(new_values, dtype=np.float64).tolist()
+        s = self.tail + new
+        head_due = self.n < 3 <= self.n + len(new)
+        self.n += len(new)
+        self.tail = s[-4:]
         h = self.h
         head = None
-        if self.emitted == 0 and n >= 3:
+        if head_due:
             head = [(-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * h), (s[2] - s[0]) / (2.0 * h)]
-            self.emitted = 2
-        lo, hi = self.emitted, n - 2  # emit interior indices [lo, hi)
-        if lo >= 2 and hi > lo:
-            arr = np.asarray(s[lo - 2 : hi + 2])
-            d = (
-                arr[: hi - lo]
-                - 8.0 * arr[1 : hi - lo + 1]
-                + 8.0 * arr[3 : hi - lo + 3]
-                - arr[4 : hi - lo + 4]
-            ) / (12.0 * h)
-            self.emitted = hi
-        else:
-            d = np.empty(0)
+        k = max(len(s) - 4, 0)  # interior derivatives now complete
+        arr = np.asarray(s)
+        d = (
+            arr[:k]
+            - 8.0 * arr[1 : k + 1]
+            + 8.0 * arr[3 : k + 3]
+            - arr[4 : k + 4]
+        ) / (12.0 * h)
         return d if head is None else np.concatenate([head, d])
 
     def finalize(self) -> np.ndarray:
         if self.finalized:
             return np.asarray([])
         self.finalized = True
-        s = self.values
-        n = len(s)
+        n = self.n
         if n < 5:
             raise GaitInputError(f"five-point derivative needs >= 5 samples, got {n}")
         h = self.h
-        out = []
-        if self.emitted == n - 2:
-            out.append((s[n - 1] - s[n - 3]) / (2.0 * h))
-            out.append((3.0 * s[n - 1] - 4.0 * s[n - 2] + s[n - 3]) / (2.0 * h))
-            self.emitted = n
-        return np.asarray(out)
+        s = self.tail  # samples n-4 .. n-1
+        return np.asarray([
+            (s[-1] - s[-3]) / (2.0 * h),
+            (3.0 * s[-1] - 4.0 * s[-2] + s[-3]) / (2.0 * h),
+        ])
 
 
 def five_point_derivative(series: UniformSeries) -> UniformSeries:
@@ -187,7 +191,7 @@ class MinimaDetector:
             d_prev = self._d_prev
             self._d_prev = float(d)
             self._i = i + 1
-            if i == 0 or d_prev is None:
+            if d_prev is None:
                 continue
             if i >= len(s):
                 raise GaitInputError(
@@ -238,10 +242,8 @@ def detect_minima(
     """Batch minima detection on one series."""
     config = EventConfig(refractory_s=refractory_s, prominence_deg=prominence_deg)
     det = MinimaDetector(series_id, series.t0, series.rate_hz, config)
-    det.extend_series(np.asarray(series.values, dtype=float))
-    stream = DerivativeStream(series.rate_hz)
-    events = det.feed_derivative(stream.feed(det.values))
-    events += det.feed_derivative(stream.finalize())
+    det.extend_series(series.values)
+    events = det.feed_derivative(five_point_derivative(series).values)
     events += det.finalize()
     return events
 

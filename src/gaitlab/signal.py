@@ -93,9 +93,6 @@ class UniformSeries:
     def t(self) -> np.ndarray:
         return self.t0 + np.arange(len(self.values)) / self.rate_hz
 
-    def time_at(self, index: int) -> float:
-        return self.t0 + index / self.rate_hz
-
     def index_near(self, t: float) -> int:
         i = int(round((t - self.t0) * self.rate_hz))
         return min(max(i, 0), len(self.values) - 1)
@@ -136,47 +133,43 @@ def check_stream_timing(t: np.ndarray, nominal_rate_hz: float, label: str = "str
         )
 
 
+def _check_still(label: str, values: np.ndarray, limit: float, unit: str) -> None:
+    """Raise CalibrationError unless one channel's standing window can give offsets."""
+    if len(values) < MIN_CALIB_SAMPLES:
+        raise CalibrationError(
+            f"standing window too short: {len(values)} {label} samples "
+            f"(need >= {MIN_CALIB_SAMPLES})"
+        )
+    if not np.all(np.isfinite(values)):
+        raise CalibrationError(f"{label}: standing window holds a NaN or inf sample")
+    std = robust_sigma(values)
+    if np.any(std > limit):
+        raise CalibrationError(
+            f"{label} not still: std {std} {unit} exceeds {limit} {unit}"
+        )
+
+
 def compute_offsets(imu: ImuStream | None, bend: BendStream | None) -> OffsetSet:
     """Derive per-channel offsets from a standing-still window.
 
     Medians reject occasional outlier samples. Accelerometer offsets are
     medians of the deviation from the (0, 0, 1) g gravity vector, so
     subtracting them preserves gravity on the vertical axis. Raises
-    CalibrationError if a window is too short or the subject moved.
+    CalibrationError, naming the channel (accelerometer, gyroscope or bend
+    sensor), if its window
+    - holds fewer than MIN_CALIB_SAMPLES samples,
+    - holds a NaN or inf sample, which would make its offset, and so every
+      corrected sample of the channel, NaN, or
+    - spreads more than the channel's STILL_STD_* bound: the subject moved.
     """
     offsets = OffsetSet()
     if imu is not None:
-        if len(imu) < MIN_CALIB_SAMPLES:
-            raise CalibrationError(
-                f"standing window too short: {len(imu)} IMU samples "
-                f"(need >= {MIN_CALIB_SAMPLES})"
-            )
-        accel_std = robust_sigma(imu.accel)
-        gyro_std = robust_sigma(imu.gyro)
-        if np.any(accel_std > STILL_STD_ACCEL_G):
-            raise CalibrationError(
-                f"accelerometer not still: std {accel_std} g exceeds "
-                f"{STILL_STD_ACCEL_G} g"
-            )
-        if np.any(gyro_std > STILL_STD_GYRO_DPS):
-            raise CalibrationError(
-                f"gyroscope not still: std {gyro_std} deg/s exceeds "
-                f"{STILL_STD_GYRO_DPS} deg/s"
-            )
+        _check_still("accelerometer", imu.accel, STILL_STD_ACCEL_G, "g")
+        _check_still("gyroscope", imu.gyro, STILL_STD_GYRO_DPS, "deg/s")
         offsets.accel_g = np.median(imu.accel - GRAVITY_G, axis=0)
         offsets.gyro_dps = np.median(imu.gyro, axis=0)
     if bend is not None:
-        if len(bend) < MIN_CALIB_SAMPLES:
-            raise CalibrationError(
-                f"standing window too short: {len(bend)} bend samples "
-                f"(need >= {MIN_CALIB_SAMPLES})"
-            )
-        bend_std = float(robust_sigma(bend.angle_deg))
-        if bend_std > STILL_STD_BEND_DEG:
-            raise CalibrationError(
-                f"bend sensor not still: std {bend_std:.3f} deg exceeds "
-                f"{STILL_STD_BEND_DEG} deg"
-            )
+        _check_still("bend sensor", bend.angle_deg, STILL_STD_BEND_DEG, "deg")
         offsets.bend_deg = float(np.median(bend.angle_deg))
     return offsets
 

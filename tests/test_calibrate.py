@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,6 @@ from gaitlab.calibrate import (
     mape_percent,
     rls_init,
     rls_update,
-    rmse,
     split_train_test,
 )
 from gaitlab.core import (
@@ -396,9 +394,6 @@ class TestRls:
 class TestMetricsHelpers:
     def test_mape(self):
         assert mape_percent([55.0, 66.0], [50.0, 60.0]) == pytest.approx(10.0)
-
-    def test_rmse(self):
-        assert rmse([53.0, 64.0], [50.0, 60.0]) == pytest.approx(math.sqrt(12.5))
 
     def test_split(self):
         train, test = split_train_test(10)

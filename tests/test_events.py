@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitlab.errors import GaitInputError
 from gaitlab.events import (
@@ -66,6 +70,68 @@ class TestFivePointDerivative:
                 got.extend(stream.feed(s[lo : lo + chunk]))
             got.extend(stream.finalize())
             assert np.array_equal(np.asarray(got), batch), f"chunk={chunk}"
+
+    def test_feed_after_finalize_rejected(self):
+        stream = DerivativeStream(RATE)
+        stream.feed(np.arange(10.0))
+        stream.finalize()
+        with pytest.raises(GaitInputError):
+            stream.feed(np.arange(10.0, 15.0))
+
+    def test_stream_memory_stays_bounded(self):
+        # One hour of one 25 Hz series in 40-sample chunks: the stream keeps
+        # its last few samples, not the series.
+        s = np.random.default_rng(6).normal(size=90_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stream = DerivativeStream(RATE)
+            for lo in range(0, len(s), 40):
+                stream.feed(s[lo : lo + 40])
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 4096, f"{held} bytes held after {len(s)} samples"
+
+
+@st.composite
+def chunked_series(draw, min_size, max_size):
+    """A float series and a split of it into consecutive, possibly empty chunks."""
+    values = draw(
+        st.lists(st.floats(-1e6, 1e6), min_size=min_size, max_size=max_size)
+    )
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)), max_size=12)))
+    bounds = [0, *cuts, len(values)]
+    return values, [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def feed_chunks(stream, chunks):
+    return [d for chunk in chunks for d in stream.feed(chunk)]
+
+
+# Derandomized and without an example database, so tier-1 runs the same
+# examples on every run and machine.
+PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+class TestDerivativeStreamProperties:
+    @PROPERTY
+    @given(chunked_series(5, 300))
+    def test_streaming_equals_batch_bit_for_bit(self, case):
+        values, chunks = case
+        stream = DerivativeStream(RATE)
+        got = feed_chunks(stream, chunks) + list(stream.finalize())
+        want = five_point_derivative(series(values)).values
+        assert np.asarray(got, dtype=np.float64).tobytes() == want.tobytes()
+
+    @PROPERTY
+    @given(chunked_series(0, 4))
+    def test_short_series_rejected_at_finalize(self, case):
+        _, chunks = case
+        stream = DerivativeStream(RATE)
+        feed_chunks(stream, chunks)
+        with pytest.raises(GaitInputError):
+            stream.finalize()
 
 
 class TestDetectMinima:

@@ -12,10 +12,18 @@ ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
 
 
-def test_runtime_dependencies_import():
-    for requirement in PYPROJECT["project"].get("dependencies", []):
+def import_requirements(requirements):
+    for requirement in requirements:
         name = re.match(r"[A-Za-z0-9_.-]+", requirement).group(0)
         importlib.import_module(name.replace("-", "_"))
+
+
+def test_runtime_dependencies_import():
+    import_requirements(PYPROJECT["project"].get("dependencies", []))
+
+
+def test_test_extra_imports():
+    import_requirements(PYPROJECT["project"]["optional-dependencies"]["test"])
 
 
 def test_script_targets_resolve():

@@ -78,6 +78,21 @@ class TestComputeOffsets:
         with pytest.raises(CalibrationError):
             compute_offsets(imu, None)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("channel", ["accelerometer", "gyroscope", "bend sensor"])
+    def test_non_finite_sample_rejected(self, channel, bad):
+        # A NaN spread compares False against the stillness bound, and a
+        # lone inf leaves the median spread at 0, so neither trips it.
+        imu, bend = still_imu(), still_bend()
+        if channel == "accelerometer":
+            imu.accel[40, 0] = bad
+        elif channel == "gyroscope":
+            imu.gyro[40, 1] = bad
+        else:
+            bend.angle_deg[40] = bad
+        with pytest.raises(CalibrationError, match=channel):
+            compute_offsets(imu, bend)
+
 
 class TestDownsampleSmooth:
     def test_constant_stream(self):

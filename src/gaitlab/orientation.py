@@ -7,6 +7,16 @@ Harrison & Vaidyanathan, ICORR 2011), which rejects constant gyro bias in
 steady state. `madgwick_update` is its one-sample case, and a recording fed
 in chunks of any size gives the one-call output bit for bit.
 
+The filter has one loop in two languages. The fast path is the C kernel
+`_madgwick.c`, loaded through `ctypes` by the first `madgwick_batch` call in
+a process from the package's `__pycache__/`, where a library named by a hash
+of the source and the compiler flags is first compiled with the system C
+compiler (`cc`) if it is not there yet. Importing the module builds and
+loads nothing. The Python loop `_madgwick_loop` is the kernel's oracle and the
+fallback wherever the build or the load fails (no compiler, a read-only
+package directory). The kernel keeps the Python loop's operation order and
+is built without floating-point contraction, so the two give the same bits.
+
 Frame convention (after mounting remap): x forward, y left, z up along the
 thigh. A positive hip angle (thigh in front of the torso) tilts the sensor
 z-axis backward, so a standing sensor reads accel (0, 0, 1) g and a +20 deg
@@ -16,8 +26,15 @@ hip angle reads (sin 20, 0, cos 20) g. The sagittal rate on the y gyro is
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -106,8 +123,13 @@ def madgwick_batch(
     The gravity-alignment correction moves along the unit-length
     objective gradient (step size BETA) until the gradient norm falls below
     GRADIENT_REF, after which it scales proportionally and settles without
-    limit-cycling. A zero-norm accelerometer sample falls back to a
-    gyro-only update and flags the state.
+    limit-cycling. An accelerometer sample of zero norm or with a non-finite
+    component falls back to a gyro-only update and flags the state; a gyro
+    sample with a non-finite component counts as zero rate.
+
+    The loop runs in the C kernel `_madgwick.c`, built on the first call, or
+    in the Python loop `_madgwick_loop` where the kernel cannot be built or
+    loaded; the two give the same bits (see the module docstring).
     """
     a = np.asarray(accel, dtype=np.float64)
     g = np.asarray(gyro, dtype=np.float64)
@@ -119,16 +141,36 @@ def madgwick_batch(
     if not dt > 0:
         raise GaitInputError(f"dt must be positive, got {dt}")
     q = state.q
-    w, x, y, z = q.w, q.x, q.y, q.z
+    loop = _kernel() or _madgwick_loop
+    rad, (w, x, y, z), rejected = loop(
+        a, g * DEG, float(dt), (q.w, q.x, q.y, q.z), state.accel_rejected
+    )
+    new_state = OrientationFilterState(
+        q=Quaternion(w, x, y, z), accel_rejected=rejected
+    )
+    return np.degrees(rad), new_state
+
+
+def _madgwick_loop(a, g, dt, q, accel_rejected):
+    """The filter loop in Python: the fallback and the oracle of the C kernel.
+
+    Takes (N, 3) accel (g) and gyro (rad/s), the quaternion as (w, x, y, z)
+    and the incoming accel-rejected flag; returns the hip angles (rad), the
+    final quaternion and the final flag.
+    """
+    w, x, y, z = q
     out = []
     sqrt = math.sqrt
     atan2 = math.atan2
+    isfinite = math.isfinite
     beta = BETA
-    accel_used = not state.accel_rejected
+    accel_used = not accel_rejected
     # The loop runs on plain floats for throughput.
-    for (ax, ay, az), (gx, gy, gz) in zip(a.tolist(), (g * DEG).tolist()):
+    for (ax, ay, az), (gx, gy, gz) in zip(a.tolist(), g.tolist()):
+        if not (isfinite(gx) and isfinite(gy) and isfinite(gz)):
+            gx = gy = gz = 0.0
         an = sqrt(ax * ax + ay * ay + az * az)
-        accel_used = an > 0.0
+        accel_used = an > 0.0 and isfinite(ax) and isfinite(ay) and isfinite(az)
         if accel_used:
             axn = ax / an
             ayn = ay / an
@@ -169,10 +211,79 @@ def madgwick_batch(
         inv = 1.0 / sqrt(w * w + x * x + y * y + z * z)
         w, x, y, z = w * inv, x * inv, y * inv, z * inv
         out.append(atan2(2.0 * (x * z - w * y), 1.0 - 2.0 * (x * x + y * y)))
-    new_state = OrientationFilterState(
-        q=Quaternion(w, x, y, z), accel_rejected=not accel_used
+    return np.array(out, dtype=np.float64), (w, x, y, z), not accel_used
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_madgwick.c")
+# Contraction into fused multiply-adds or any reordering would change the
+# bits, so the flags hold neither -ffast-math nor -march=native.
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_KERNEL_CACHE = Path(__file__).with_name("__pycache__")
+
+# Why the last kernel load failed, or None after one that succeeded.
+_kernel_error: str | None = None
+
+
+def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
+    """Load the C loop from cache_dir, compiling `_madgwick.c` there if needed.
+
+    The library is named by a hash of the source and the flags, and is
+    compiled into a temporary file that is then renamed into place, so
+    processes building at once never load a partial file. Returns a
+    callable with `_madgwick_loop`'s signature, or None when the build or
+    the load fails, with the reason in `_kernel_error`.
+    """
+    global _kernel_error
+    try:
+        key = hashlib.sha256(
+            _KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode()
+        ).hexdigest()[:16]
+        path = cache_dir / f"_madgwick.{key}.so"
+        if not path.exists():
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix="_madgwick.", suffix=".tmp", dir=cache_dir)
+            os.close(fd)
+            try:
+                subprocess.run(
+                    [compiler, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                    check=True,
+                    capture_output=True,
+                )
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(str(path)).madgwick_loop
+    except subprocess.CalledProcessError as exc:
+        _kernel_error = f"{compiler} failed: {exc.stderr.decode(errors='replace')}"
+        return None
+    except (OSError, AttributeError) as exc:
+        _kernel_error = f"{type(exc).__name__}: {exc}"
+        return None
+    # (q, accel, gyro, n, dt, beta, gradient_ref, accel_rejected, out)
+    double, ptr = ctypes.c_double, ctypes.c_void_p
+    fn.argtypes = (
+        ctypes.POINTER(double), ptr, ptr, ctypes.c_long, double, double, double, ctypes.c_int, ptr
     )
-    return np.degrees(np.array(out, dtype=np.float64)), new_state
+    fn.restype = ctypes.c_int
+    _kernel_error = None
+
+    def loop(a, g, dt, q, accel_rejected):
+        a = np.ascontiguousarray(a)
+        g = np.ascontiguousarray(g)
+        qbuf = (ctypes.c_double * 4)(*q)
+        out = np.empty(len(a))
+        rejected = fn(
+            qbuf, a.ctypes.data, g.ctypes.data, len(a), dt, BETA, GRADIENT_REF,
+            accel_rejected, out.ctypes.data,
+        )
+        return out, tuple(qbuf), bool(rejected)
+
+    return loop
+
+
+# Built and loaded by the first madgwick_batch call, not at import.
+_kernel = functools.cache(_load_kernel)
 
 
 MOUNTING_AXES = ("y", "-y", "x", "-x")

@@ -1,10 +1,14 @@
+import functools
 import math
+import shutil
 
 import numpy as np
 import pytest
 
+from gaitlab import orientation
 from gaitlab.errors import GaitInputError
 from gaitlab.orientation import (
+    DEG,
     Quaternion,
     filter_init,
     hip_angle,
@@ -132,6 +136,15 @@ class TestMadgwick:
         assert np.array_equal(a1, a2)
         assert s1.q == s2.q
 
+    def test_numpy_scalar_dt_runs_in_double(self):
+        rng = np.random.default_rng(6)
+        accel = rng.normal([0, 0, 1], 0.05, (50, 3))
+        gyro = rng.normal(0.0, 20.0, (50, 3))
+        dt = np.float32(DT)
+        got = madgwick_batch(accel, gyro, dt, filter_init())
+        want = madgwick_batch(accel, gyro, float(dt), filter_init())
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
     def test_bad_dt_rejected(self):
         with pytest.raises(GaitInputError):
             madgwick_update(filter_init(), [0, 0, 1], [0, 0, 0], 0.0)
@@ -153,6 +166,149 @@ class TestMadgwick:
         gyro = np.zeros(gyro_shape)
         with pytest.raises(GaitInputError):
             madgwick_batch(accel, gyro, dt, filter_init())
+
+
+def random_recording(rng, n):
+    """Walk-like accel (g) and gyro (deg/s) with zero-accel and non-finite rows."""
+    accel = rng.normal([0.0, 0.0, 1.0], 0.1, (n, 3))
+    gyro = np.cumsum(rng.normal(0.0, 20.0, (n, 3)), axis=0)
+    rows = rng.choice(n, size=6, replace=False)
+    accel[rows[0]] = 0.0
+    accel[rows[1], 0] = np.nan
+    accel[rows[2], 2] = -np.inf
+    gyro[rows[3], 1] = np.nan
+    gyro[rows[4], 0] = np.inf
+    accel[rows[5]] = np.nan
+    gyro[rows[5]] = np.nan
+    return accel, gyro
+
+
+def random_unit_q(rng):
+    q = rng.normal(size=4)
+    return tuple((q / np.linalg.norm(q)).tolist())
+
+
+def run_chunks(loop, accel, gyro, q, rejected, chunk):
+    """Feed `loop` in chunks, with an empty chunk first and one after the first."""
+    g = gyro * DEG
+    bounds = [(0, 0)] + [(i, i + chunk) for i in range(0, len(accel), chunk)]
+    bounds.insert(2, (chunk, chunk))
+    parts = []
+    for start, stop in bounds:
+        part, q, rejected = loop(accel[start:stop], g[start:stop], DT, q, rejected)
+        parts.append(part)
+    return np.concatenate(parts), q, rejected
+
+
+@pytest.fixture
+def kernel():
+    """The compiled loop; skipped only where no C compiler exists."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH, so only the Python loop can run")
+    loop = orientation._kernel()
+    assert loop is not None, orientation._kernel_error
+    return loop
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("stream", ["accel", "gyro"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_one_bad_sample_leaves_every_output_finite(self, stream, value):
+        rng = np.random.default_rng(3)
+        accel = rng.normal([0, 0, 1], 0.05, (300, 3))
+        gyro = rng.normal(0.0, 20.0, (300, 3))
+        {"accel": accel, "gyro": gyro}[stream][120, 1] = value
+        angles, state = madgwick_batch(accel, gyro, DT, filter_init())
+        assert np.isfinite(angles).all()
+        assert np.isfinite([state.q.w, state.q.x, state.q.y, state.q.z]).all()
+        q = (1.0, 0.0, 0.0, 0.0)
+        oracle = orientation._madgwick_loop(accel, gyro * DEG, DT, q, False)
+        assert np.array_equal(np.degrees(oracle[0]), angles)
+        assert oracle[1] == (state.q.w, state.q.x, state.q.y, state.q.z)
+
+    def test_bad_accel_row_is_a_zero_accel_row(self):
+        rng = np.random.default_rng(4)
+        accel = rng.normal([0, 0, 1], 0.05, (50, 3))
+        gyro = rng.normal(0.0, 20.0, (50, 3))
+        zeroed = accel.copy()
+        zeroed[20] = 0.0
+        want = madgwick_batch(zeroed, gyro, DT, filter_init())
+        for value in (np.nan, np.inf):
+            accel[20, 0] = value
+            got = madgwick_batch(accel[:21], gyro[:21], DT, filter_init())
+            assert got[1].accel_rejected
+            assert np.array_equal(got[0], want[0][:21])
+            got = madgwick_batch(accel, gyro, DT, filter_init())
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_bad_gyro_row_is_a_zero_rate_row(self):
+        rng = np.random.default_rng(5)
+        accel = rng.normal([0, 0, 1], 0.05, (50, 3))
+        gyro = rng.normal(0.0, 20.0, (50, 3))
+        zeroed = gyro.copy()
+        zeroed[20] = 0.0
+        want = madgwick_batch(accel, zeroed, DT, filter_init())
+        for value in (np.nan, -np.inf):
+            gyro[20, 2] = value
+            got = madgwick_batch(accel, gyro, DT, filter_init())
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+class TestKernel:
+    """The C kernel gives the Python loop's bits: angles, quaternion and flag."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kernel_equals_python_loop(self, kernel, seed):
+        rng = np.random.default_rng(seed)
+        accel, gyro = random_recording(rng, 400)
+        q = random_unit_q(rng)
+        rejected = bool(seed % 2)
+        want = orientation._madgwick_loop(accel, gyro * DEG, DT, q, rejected)
+        assert np.isfinite(want[0]).all()
+        got = kernel(accel, gyro * DEG, DT, q, rejected)
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        for chunk in (1, 7, 10):
+            for loop in (kernel, orientation._madgwick_loop):
+                got = run_chunks(loop, accel, gyro, q, rejected, chunk)
+                assert np.array_equal(got[0], want[0]), f"chunk {chunk}"
+                assert got[1:] == want[1:], f"chunk {chunk}"
+
+    def test_madgwick_batch_runs_the_kernel(self, kernel, monkeypatch):
+        calls = []
+
+        def counted(accel, *args):
+            calls.append(len(accel))
+            return kernel(accel, *args)
+
+        monkeypatch.setattr(orientation, "_kernel", lambda: counted)
+        madgwick_batch(np.zeros((5, 3)), np.zeros((5, 3)), DT, filter_init())
+        assert calls == [5]
+
+    def test_failed_build_falls_back_to_python_loop(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(orientation, "_kernel_error", None)
+        missing = str(tmp_path / "no-such-cc")
+        assert orientation._load_kernel(tmp_path, missing) is None
+        assert "no-such-cc" in orientation._kernel_error
+        monkeypatch.setattr(
+            orientation, "_kernel", functools.partial(orientation._load_kernel, tmp_path, missing)
+        )
+        rng = np.random.default_rng(10)
+        accel, gyro = random_recording(rng, 200)
+        angles, state = madgwick_batch(accel, gyro, DT, filter_init())
+        want = orientation._madgwick_loop(accel, gyro * DEG, DT, (1.0, 0.0, 0.0, 0.0), False)
+        assert np.array_equal(angles, np.degrees(want[0]))
+        assert (state.q.w, state.q.x, state.q.y, state.q.z) == want[1]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cached_kernel_loads_without_the_compiler(self, kernel, tmp_path, monkeypatch):
+        monkeypatch.setattr(orientation, "_kernel_error", None)
+        assert orientation._load_kernel(tmp_path) is not None
+        built = list(tmp_path.iterdir())
+        assert len(built) == 1 and built[0].suffix == ".so"
+        cached = orientation._load_kernel(tmp_path, str(tmp_path / "no-such-cc"))
+        assert cached is not None, orientation._kernel_error
+        assert list(tmp_path.iterdir()) == built
 
 
 class TestMounting:

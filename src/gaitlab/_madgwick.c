@@ -1,18 +1,25 @@
-/* The per-sample loop of gaitlab.orientation.madgwick_batch.
+/* The per-sample loop of gaitlab.orientation.madgwick_batch, as a CPython
+ * extension module.
  *
- * A line-by-line translation of the Python loop `_madgwick_loop`, in the
- * same operation order. Built without floating-point contraction or
- * reassociation (-O2 -ffp-contract=off, no -ffast-math), it gives the same
- * bits. `q` is read and written as (w, x, y, z); accel (g) and gyro (rad/s)
- * are C-contiguous (n, 3); `out` receives the hip angle in radians after
- * each sample. Returns the accel-rejected flag after the last sample, which
- * is the incoming flag when n is 0.
+ * `madgwick_loop` is a line-by-line translation of the Python loop
+ * `_madgwick_loop`, in the same operation order. Built without
+ * floating-point contraction or reassociation (-O2 -ffp-contract=off, no
+ * -ffast-math), it gives the same bits. The module's one function, `loop`,
+ * passes it the three buffers without copying them; building the module
+ * needs the interpreter's headers (Python.h).
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <math.h>
 
-int madgwick_loop(double *q, const double *accel, const double *gyro, long n,
-                  double dt, double beta, double gradient_ref,
-                  int accel_rejected, double *out)
+/* `q` is read and written as (w, x, y, z); accel (g) and gyro (rad/s) are
+ * C-contiguous (n, 3); `out` receives the hip angle in radians after each
+ * sample. Returns the accel-rejected flag after the last sample, which is
+ * the incoming flag when n is 0.
+ */
+static int madgwick_loop(double *q, const double *accel, const double *gyro, long n,
+                         double dt, double beta, double gradient_ref,
+                         int accel_rejected, double *out)
 {
     double w = q[0], x = q[1], y = q[2], z = q[3];
     for (long i = 0; i < n; i++) {
@@ -65,4 +72,56 @@ int madgwick_loop(double *q, const double *accel, const double *gyro, long n,
     q[2] = y;
     q[3] = z;
     return accel_rejected;
+}
+
+/* loop(accel, gyro, out, dt, w, x, y, z, accel_rejected, beta, gradient_ref)
+ *
+ * accel and gyro are read-only buffers of 3n doubles and out a writable
+ * buffer of n doubles, all C-contiguous; the caller guarantees the double
+ * format, this function checks the lengths. Returns the final
+ * (w, x, y, z, accel_rejected).
+ */
+static PyObject *loop(PyObject *self, PyObject *args)
+{
+    Py_buffer accel, gyro, out;
+    double q[4], dt, beta, gradient_ref;
+    int accel_rejected;
+    PyObject *result = NULL;
+    (void)self;
+
+    if (!PyArg_ParseTuple(args, "y*y*w*dddddpdd:loop", &accel, &gyro, &out, &dt,
+                          &q[0], &q[1], &q[2], &q[3], &accel_rejected, &beta,
+                          &gradient_ref))
+        return NULL;
+    if (out.len % sizeof(double) != 0 || accel.len != gyro.len
+        || accel.len != 3 * out.len) {
+        PyErr_Format(PyExc_ValueError,
+                     "loop needs 3n doubles of accel and of gyro for n of out, "
+                     "got %zd, %zd and %zd bytes", accel.len, gyro.len, out.len);
+    }
+    else {
+        accel_rejected = madgwick_loop(q, accel.buf, gyro.buf,
+                                       (long)(out.len / (Py_ssize_t)sizeof(double)), dt,
+                                       beta, gradient_ref, accel_rejected, out.buf);
+        result = Py_BuildValue("(ddddO)", q[0], q[1], q[2], q[3],
+                               accel_rejected ? Py_True : Py_False);
+    }
+    PyBuffer_Release(&accel);
+    PyBuffer_Release(&gyro);
+    PyBuffer_Release(&out);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"loop", loop, METH_VARARGS, "Run the Madgwick filter loop over n samples."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_madgwick", NULL, -1, methods,
+};
+
+PyMODINIT_FUNC PyInit__madgwick(void)
+{
+    return PyModule_Create(&module);
 }

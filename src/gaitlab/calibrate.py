@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, lsq_linear
 
 from .core import (
     EventAngles, Side, StaticParams, StepMeasurement, angle_matrix, step_features, step_length
@@ -153,6 +152,8 @@ def batch_fit_params(
             degenerate=True,
         )
 
+    from scipy.optimize import lsq_linear  # lazily: the import alone takes most of a second
+
     fit = lsq_linear(H, y, bounds=(lo, hi), method="bvls")
     w = np.clip(fit.x, lo, hi)
     return CalibrationResult(
@@ -195,6 +196,8 @@ def batch_fit_biases(
     m, hw = mean[free], half_width[free]
     lo = (m - hw) - m
     hi = (m + hw) - m
+
+    from scipy.optimize import least_squares  # lazily, as in batch_fit_params
 
     full = np.zeros(4)
 

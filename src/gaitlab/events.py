@@ -19,7 +19,7 @@ a whole series at once and produce identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal
+from typing import Callable, Literal
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -74,6 +74,11 @@ class EventConfig:
             raise GaitInputError("back-event timeout must be > 0")
 
 
+# Below this many interior derivatives per feed, Python floats beat the
+# fixed cost of numpy's array operations.
+_SMALL_FEED = 10
+
+
 class DerivativeStream:
     """Incremental five-point derivative of a uniform series.
 
@@ -112,13 +117,23 @@ class DerivativeStream:
         if head_due:
             head = [(-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * h), (s[2] - s[0]) / (2.0 * h)]
         k = max(len(s) - 4, 0)  # interior derivatives now complete
-        arr = np.asarray(s)
-        d = (
-            arr[:k]
-            - 8.0 * arr[1 : k + 1]
-            + 8.0 * arr[3 : k + 3]
-            - arr[4 : k + 4]
-        ) / (12.0 * h)
+        # Both branches evaluate ((a - 8b) + 8c) - d, then / (12 h), in IEEE
+        # doubles, so they give the same bits; the list is faster for the
+        # one or two derivatives of a live chunk, numpy for a whole series.
+        if k < _SMALL_FEED:
+            c = 12.0 * h
+            d = np.array(
+                [(s[i] - 8.0 * s[i + 1] + 8.0 * s[i + 3] - s[i + 4]) / c for i in range(k)],
+                dtype=np.float64,
+            )
+        else:
+            arr = np.asarray(s)
+            d = (
+                arr[:k]
+                - 8.0 * arr[1 : k + 1]
+                + 8.0 * arr[3 : k + 3]
+                - arr[4 : k + 4]
+            ) / (12.0 * h)
         return d if head is None else np.concatenate([head, d])
 
     def finalize(self) -> np.ndarray:
@@ -181,50 +196,61 @@ class MinimaDetector:
     def extend_series(self, values: ArrayLike) -> None:
         self.values.extend(np.asarray(values, dtype=np.float64).tolist())
 
-    def feed_derivative(self, d_values: Iterable[float]) -> list[MinimumEvent]:
+    def feed_derivative(self, d_values: ArrayLike) -> list[MinimumEvent]:
         events: list[MinimumEvent] = []
         s = self.values
+        n = len(s)
         prominence = self.config.prominence_deg
         refractory = self.config.refractory_s
-        for d in d_values:
-            i = self._i
-            d_prev = self._d_prev
-            self._d_prev = float(d)
-            self._i = i + 1
-            if d_prev is None:
-                continue
-            if i >= len(s):
-                raise GaitInputError(
-                    f"{self.series_id}: derivative index {i} outruns series "
-                    f"of {len(s)} samples"
-                )
-            if self.pending is None:
-                if s[i - 1] > self.run_max:
-                    self.run_max = s[i - 1]
-                if d > 0.0 and d_prev <= 0.0:
-                    j = i - 1 if s[i - 1] <= s[i] else i
-                    t_j = self.time_at(j)
-                    if (
-                        self.last_accept_t is None
-                        or t_j - self.last_accept_t >= refractory
-                    ) and self.run_max - s[j] >= prominence:
-                        self.pending = j
-            else:
-                j = self.pending
-                if s[i] < s[j]:
-                    self.pending = i
-                elif s[i] - s[j] >= prominence:
-                    self.last_accept_t = self.time_at(j)
-                    events.append(
-                        MinimumEvent(
-                            series=self.series_id,
-                            index=j,
-                            t=self.last_accept_t,
-                            value=s[j],
-                        )
+        t0, rate = self.t0, self.rate_hz
+        # The loop runs on locals; the finally writes them back, so an error
+        # leaves the state of the derivatives processed before it.
+        nxt = self._i
+        d_prev = self._d_prev
+        pending = self.pending
+        run_max = self.run_max
+        last_accept_t = self.last_accept_t
+        try:
+            for d in np.asarray(d_values, dtype=np.float64).tolist():
+                i = nxt
+                nxt = i + 1
+                before, d_prev = d_prev, d
+                if before is None:
+                    continue
+                if i >= n:
+                    raise GaitInputError(
+                        f"{self.series_id}: derivative index {i} outruns series "
+                        f"of {n} samples"
                     )
-                    self.pending = None
-                    self.run_max = s[i]
+                if pending is None:
+                    if s[i - 1] > run_max:
+                        run_max = s[i - 1]
+                    if d > 0.0 and before <= 0.0:
+                        j = i - 1 if s[i - 1] <= s[i] else i
+                        t_j = t0 + j / rate
+                        if (
+                            last_accept_t is None or t_j - last_accept_t >= refractory
+                        ) and run_max - s[j] >= prominence:
+                            pending = j
+                else:
+                    j = pending
+                    if s[i] < s[j]:
+                        pending = i
+                    elif s[i] - s[j] >= prominence:
+                        last_accept_t = t0 + j / rate
+                        events.append(
+                            MinimumEvent(
+                                series=self.series_id, index=j, t=last_accept_t, value=s[j]
+                            )
+                        )
+                        pending = None
+                        run_max = s[i]
+        finally:
+            self._i = nxt
+            self._d_prev = d_prev
+            self.pending = pending
+            self.run_max = run_max
+            self.last_accept_t = last_accept_t
         return events
 
     def finalize(self) -> list[MinimumEvent]:

@@ -8,14 +8,18 @@ steady state. `madgwick_update` is its one-sample case, and a recording fed
 in chunks of any size gives the one-call output bit for bit.
 
 The filter has one loop in two languages. The fast path is the C kernel
-`_madgwick.c`, loaded through `ctypes` by the first `madgwick_batch` call in
-a process from the package's `__pycache__/`, where a library named by a hash
-of the source and the compiler flags is first compiled with the system C
-compiler (`cc`) if it is not there yet. Importing the module builds and
-loads nothing. The Python loop `_madgwick_loop` is the kernel's oracle and the
-fallback wherever the build or the load fails (no compiler, a read-only
-package directory). The kernel keeps the Python loop's operation order and
-is built without floating-point contraction, so the two give the same bits.
+`_madgwick.c`, a CPython extension module that the first `madgwick_batch`
+call in a process loads from the package's `__pycache__/`. The module is
+named by a hash of the source, the compiler flags and the interpreter's
+include directory, and is first compiled there with the system C compiler
+(`cc`) and the interpreter's headers (`Python.h`) if it is not there yet.
+Its entry point takes the arrays as buffers, so a 10-sample live chunk
+pays about as much to call the kernel as to run it. Importing the module
+builds and loads nothing. The Python loop `_madgwick_loop` is the kernel's
+oracle and the fallback wherever the build or the load fails (no compiler
+or no headers, a read-only package directory). The kernel keeps the Python
+loop's operation order and is built without floating-point contraction, so
+the two give the same bits.
 
 Frame convention (after mounting remap): x forward, y left, z up along the
 thigh. A positive hip angle (thigh in front of the torso) tilts the sensor
@@ -26,9 +30,10 @@ hip angle reads (sin 20, 0, cos 20) g. The sagittal rate on the y gyro is
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import math
 import os
 import subprocess
@@ -227,25 +232,30 @@ _kernel_error: str | None = None
 def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
     """Load the C loop from cache_dir, compiling `_madgwick.c` there if needed.
 
-    The library is named by a hash of the source and the flags, and is
-    compiled into a temporary file that is then renamed into place, so
+    The extension module is named by a hash of the source, the flags and
+    the interpreter's include directory, and ends in the interpreter's
+    extension suffix, so an interpreter with another ABI never loads it. It
+    is compiled into a temporary file that is then renamed into place, so
     processes building at once never load a partial file. Returns a
     callable with `_madgwick_loop`'s signature, or None when the build or
     the load fails, with the reason in `_kernel_error`.
     """
     global _kernel_error
+    import sysconfig  # only where a kernel is loaded, to keep import cheap
+
     try:
+        flags = (*_KERNEL_FLAGS, f"-I{sysconfig.get_paths()['include']}")
         key = hashlib.sha256(
-            _KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode()
+            _KERNEL_SOURCE.read_bytes() + " ".join(flags).encode()
         ).hexdigest()[:16]
-        path = cache_dir / f"_madgwick.{key}.so"
+        path = cache_dir / f"_madgwick.{key}{sysconfig.get_config_var('EXT_SUFFIX')}"
         if not path.exists():
             cache_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(prefix="_madgwick.", suffix=".tmp", dir=cache_dir)
             os.close(fd)
             try:
                 subprocess.run(
-                    [compiler, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                    [compiler, *flags, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
                     check=True,
                     capture_output=True,
                 )
@@ -253,31 +263,28 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        fn = ctypes.CDLL(str(path)).madgwick_loop
+        loader = importlib.machinery.ExtensionFileLoader("gaitlab._madgwick", str(path))
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(loader.name, loader)
+        )
+        loader.exec_module(module)
+        fn = module.loop
     except subprocess.CalledProcessError as exc:
         _kernel_error = f"{compiler} failed: {exc.stderr.decode(errors='replace')}"
         return None
-    except (OSError, AttributeError) as exc:
+    except (OSError, ImportError) as exc:
         _kernel_error = f"{type(exc).__name__}: {exc}"
         return None
-    # (q, accel, gyro, n, dt, beta, gradient_ref, accel_rejected, out)
-    double, ptr = ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = (
-        ctypes.POINTER(double), ptr, ptr, ctypes.c_long, double, double, double, ctypes.c_int, ptr
-    )
-    fn.restype = ctypes.c_int
     _kernel_error = None
 
     def loop(a, g, dt, q, accel_rejected):
-        a = np.ascontiguousarray(a)
-        g = np.ascontiguousarray(g)
-        qbuf = (ctypes.c_double * 4)(*q)
+        # The entry point reads the buffers as C-contiguous doubles and
+        # checks only their lengths.
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        g = np.ascontiguousarray(g, dtype=np.float64)
         out = np.empty(len(a))
-        rejected = fn(
-            qbuf, a.ctypes.data, g.ctypes.data, len(a), dt, BETA, GRADIENT_REF,
-            accel_rejected, out.ctypes.data,
-        )
-        return out, tuple(qbuf), bool(rejected)
+        *q, rejected = fn(a, g, out, dt, *q, accel_rejected, BETA, GRADIENT_REF)
+        return out, tuple(q), rejected
 
     return loop
 

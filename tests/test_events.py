@@ -13,6 +13,7 @@ from gaitlab.events import (
     MinimaDetector,
     MinimumEvent,
     StepSegmenter,
+    _SMALL_FEED,
     detect_minima,
     five_point_derivative,
     segment_steps,
@@ -63,11 +64,12 @@ class TestFivePointDerivative:
         rng = np.random.default_rng(1)
         s = rng.normal(size=101)
         batch = five_point_derivative(series(s)).values
-        for chunk in (1, 3, 7, 50):
+        for chunk in (1, 3, 7, _SMALL_FEED - 1, _SMALL_FEED, _SMALL_FEED + 1, 50):
             stream = DerivativeStream(RATE)
-            got = []
+            got = list(stream.feed(s[:0]))
             for lo in range(0, len(s), chunk):
                 got.extend(stream.feed(s[lo : lo + chunk]))
+                got.extend(stream.feed(s[:0]))
             got.extend(stream.finalize())
             assert np.array_equal(np.asarray(got), batch), f"chunk={chunk}"
 
@@ -193,17 +195,54 @@ class TestDetectMinima:
         t = np.arange(0, 12, 1 / RATE)
         s = 20.0 * np.sin(2 * np.pi * t) + rng.normal(0, 0.5, len(t))
         batch = detect_minima(series(s))
-        for chunk in (1, 5, 17, 200):
+        for chunk in (1, 5, _SMALL_FEED - 1, _SMALL_FEED, _SMALL_FEED + 1, 17, 200):
             det = MinimaDetector("series", 0.0, RATE, EventConfig())
             stream = DerivativeStream(RATE)
             got = []
             for lo in range(0, len(s), chunk):
-                block = s[lo : lo + chunk]
-                det.extend_series(block)
-                got.extend(det.feed_derivative(stream.feed(block)))
+                for block in (s[lo : lo + chunk], s[:0]):
+                    det.extend_series(block)
+                    got.extend(det.feed_derivative(stream.feed(block)))
             got.extend(det.feed_derivative(stream.finalize()))
             got.extend(det.finalize())
             assert got == batch, f"chunk={chunk}"
+
+    def test_state_after_each_derivative_matches_one_call(self):
+        rng = np.random.default_rng(4)
+        t = np.arange(0, 8, 1 / RATE)
+        s = 20.0 * np.sin(2 * np.pi * t) + rng.normal(0, 0.5, len(t))
+        d = five_point_derivative(series(s)).values
+
+        def state(det):
+            return (det.pending, det.run_max, det.last_accept_t, det.frontier_t)
+
+        det = MinimaDetector("series", 0.0, RATE, EventConfig())
+        det.extend_series(s)
+        seen = set()
+        for m in range(1, len(d) + 1):
+            det.feed_derivative(d[m - 1 : m])
+            whole = MinimaDetector("series", 0.0, RATE, EventConfig())
+            whole.extend_series(s)
+            whole.feed_derivative(d[:m])
+            assert state(det) == state(whole), f"after {m} derivatives"
+            seen.add((det.pending is None, det.last_accept_t is None))
+        # Both a pending trough and a confirmed event were passed through.
+        assert (False, False) in seen and (True, False) in seen
+
+    def test_outrun_leaves_the_state_of_the_derivatives_before_it(self):
+        s = 20.0 * np.sin(2 * np.pi * np.arange(0, 3, 1 / RATE))
+        d = five_point_derivative(series(s)).values
+        det = MinimaDetector("series", 0.0, RATE, EventConfig())
+        det.extend_series(s[:40])
+        with pytest.raises(GaitInputError):
+            det.feed_derivative(d)
+        whole = MinimaDetector("series", 0.0, RATE, EventConfig())
+        whole.extend_series(s[:40])
+        whole.feed_derivative(d[:40])
+        assert det._i == 41 and det._d_prev == d[40]
+        assert (det.pending, det.run_max, det.last_accept_t) == (
+            whole.pending, whole.run_max, whole.last_accept_t
+        )
 
 
 def cosine_quad(n_cycles=6, T=1.0, delta=0.1, rate=RATE):

@@ -1,6 +1,10 @@
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import shutil
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,14 +204,34 @@ def run_chunks(loop, accel, gyro, q, rejected, chunk):
     return np.concatenate(parts), q, rejected
 
 
+def has_python_headers():
+    return (Path(sysconfig.get_paths()["include"]) / "Python.h").exists()
+
+
 @pytest.fixture
 def kernel():
-    """The compiled loop; skipped only where no C compiler exists."""
+    """The compiled loop; skipped only where no C compiler or no Python.h exists."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) on PATH, so only the Python loop can run")
+    if not has_python_headers():
+        pytest.skip("no Python.h for this interpreter, so only the Python loop can run")
     loop = orientation._kernel()
     assert loop is not None, orientation._kernel_error
     return loop
+
+
+@pytest.fixture(scope="module")
+def kernel_module(tmp_path_factory):
+    """The extension module itself, built into a fresh cache directory."""
+    if shutil.which("cc") is None or not has_python_headers():
+        pytest.skip("the kernel cannot be built here")
+    cache = tmp_path_factory.mktemp("kernel")
+    assert orientation._load_kernel(cache) is not None, orientation._kernel_error
+    (path,) = cache.iterdir()
+    loader = importlib.machinery.ExtensionFileLoader("gaitlab._madgwick", str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
 
 
 class TestNonFiniteSamples:
@@ -274,6 +298,48 @@ class TestKernel:
                 assert np.array_equal(got[0], want[0]), f"chunk {chunk}"
                 assert got[1:] == want[1:], f"chunk {chunk}"
 
+    @pytest.mark.parametrize("layout", ["read_only", "fortran", "column_view"])
+    def test_any_array_layout_gives_the_oracle_bits(self, kernel, layout):
+        rng = np.random.default_rng(11)
+        accel, gyro = random_recording(rng, 300)
+        q = random_unit_q(rng)
+        want = orientation._madgwick_loop(accel, gyro * DEG, DT, q, False)
+
+        def arrange(v):
+            if layout == "read_only":
+                v = v.copy()
+                v.flags.writeable = False
+                return v
+            if layout == "fortran":
+                return np.asfortranarray(v)
+            wide = np.zeros((len(v), 7))
+            wide[:, 2:5] = v
+            return wide[:, 2:5]
+
+        a, g = arrange(accel), arrange(gyro * DEG)
+        assert not (layout == "column_view" and a.flags.c_contiguous)
+        got = kernel(a, g, DT, q, False)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        state = orientation.OrientationFilterState(orientation.Quaternion(*q))
+        angles, state = madgwick_batch(arrange(accel), arrange(gyro), DT, state)
+        assert np.array_equal(angles, np.degrees(want[0]))
+        assert (state.q.w, state.q.x, state.q.y, state.q.z) == want[1]
+
+    @pytest.mark.parametrize(
+        "accel_bytes, gyro_bytes, out_bytes",
+        [(240, 240, 88), (240, 240, 72), (240, 216, 80), (216, 240, 80), (0, 0, 8), (36, 36, 12)],
+        ids=["out_long", "out_short", "gyro_short", "accel_short", "inputs_empty", "partial_double"],
+    )
+    def test_mismatched_buffers_rejected_before_the_loop(
+        self, kernel_module, accel_bytes, gyro_bytes, out_bytes
+    ):
+        out = bytearray(b"\x07" * out_bytes)
+        with pytest.raises(ValueError):
+            kernel_module.loop(
+                bytes(accel_bytes), bytes(gyro_bytes), out, DT, 1.0, 0.0, 0.0, 0.0, False, 0.15, 0.1
+            )
+        assert out == bytearray(b"\x07" * out_bytes)
+
     def test_madgwick_batch_runs_the_kernel(self, kernel, monkeypatch):
         calls = []
 
@@ -305,7 +371,7 @@ class TestKernel:
         monkeypatch.setattr(orientation, "_kernel_error", None)
         assert orientation._load_kernel(tmp_path) is not None
         built = list(tmp_path.iterdir())
-        assert len(built) == 1 and built[0].suffix == ".so"
+        assert len(built) == 1 and built[0].name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
         cached = orientation._load_kernel(tmp_path, str(tmp_path / "no-such-cc"))
         assert cached is not None, orientation._kernel_error
         assert list(tmp_path.iterdir()) == built

@@ -15,7 +15,3 @@ class CalibrationError(GaitError):
 
 class SegmentationError(GaitError):
     """Step segmentation produced an inconsistent sequence."""
-
-
-class InfeasibleGaitError(GaitError):
-    """A synthetic gait target cannot be met within physiological angle ranges."""

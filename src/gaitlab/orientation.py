@@ -1,25 +1,27 @@
 """Hip angle estimation from 6-axis IMU data.
 
-One filter, one loop: `madgwick_batch` integrates the gyroscope rate into a
-quaternion and corrects it each sample with a gradient-descent move toward
-the orientation that agrees with the measured gravity direction (Madgwick,
-Harrison & Vaidyanathan, ICORR 2011), which rejects constant gyro bias in
-steady state. `madgwick_update` is its one-sample case, and a recording fed
-in chunks of any size gives the one-call output bit for bit.
+One filter, one state, one loop: `madgwick_batch` integrates the gyroscope
+rate into a quaternion and corrects it each sample with a gradient-descent
+move toward the orientation that agrees with the measured gravity direction
+(Madgwick, Harrison & Vaidyanathan, ICORR 2011), which rejects constant gyro
+bias in steady state. Its state is one tuple, `OrientationFilterState(w, x,
+y, z, accel_rejected)`, and a recording fed in chunks of any size, the
+state passed along, gives the one-call output bit for bit.
 
-The filter has one loop in two languages. The fast path is the C kernel
-`_madgwick.c`, a CPython extension module that the first `madgwick_batch`
-call in a process loads from the package's `__pycache__/`. The module is
-named by a hash of the source, the compiler flags and the interpreter's
-include directory, and is first compiled there with the system C compiler
-(`cc`) and the interpreter's headers (`Python.h`) if it is not there yet.
-Its entry point takes the arrays as buffers, so a 10-sample live chunk
-pays about as much to call the kernel as to run it. Importing the module
-builds and loads nothing. The Python loop `_madgwick_loop` is the kernel's
-oracle and the fallback wherever the build or the load fails (no compiler
-or no headers, a read-only package directory). The kernel keeps the Python
-loop's operation order and is built without floating-point contraction, so
-the two give the same bits.
+The filter has one loop in two languages, with one signature:
+`loop(accel, gyro_rad, dt, state) -> (angles_rad, state)`. The fast path is
+the C kernel `_madgwick.c`, a CPython extension module that the first
+`madgwick_batch` call in a process loads from the package's `__pycache__/`.
+The module is named by a hash of the source, the compiler flags and the
+interpreter's include directory, and is first compiled there with the
+system C compiler (`cc`) and the interpreter's headers (`Python.h`) if it
+is not there yet. Its entry point takes the arrays as buffers, so a
+10-sample live chunk pays about as much to call the kernel as to run it.
+Importing the module builds and loads nothing. The Python loop
+`_madgwick_loop` is the kernel's oracle and the fallback wherever the build
+or the load fails (no compiler or no headers, a read-only package
+directory). The kernel keeps the Python loop's operation order and is built
+without floating-point contraction, so the two give the same bits.
 
 Frame convention (after mounting remap): x forward, y left, z up along the
 thigh. A positive hip angle (thigh in front of the torso) tilts the sensor
@@ -31,15 +33,13 @@ hip angle reads (sin 20, 0, cos 20) g. The sagittal rate on the y gyro is
 from __future__ import annotations
 
 import functools
-import hashlib
 import importlib.machinery
 import importlib.util
 import math
 import os
-import subprocess
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,60 +56,24 @@ GRADIENT_REF = 0.1
 BETA = 0.15
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class OrientationFilterState(NamedTuple):
+    """State of the gradient-descent orientation filter.
+
+    The unit orientation quaternion (w, x, y, z) and whether the last
+    update ran gyro-only (zero or non-finite accel). The field order is the
+    tuple the C kernel's `loop` returns.
+    """
+
     w: float
     x: float
     y: float
     z: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
-    @staticmethod
-    def identity() -> "Quaternion":
-        return Quaternion(1.0, 0.0, 0.0, 0.0)
-
-
-def quat_sagittal(hip_angle_deg: float) -> Quaternion:
-    """Quaternion of a pure sagittal-plane posture at the given hip angle."""
-    half = 0.5 * hip_angle_deg * DEG
-    return Quaternion(math.cos(half), 0.0, -math.sin(half), 0.0)
-
-
-def hip_angle(q: Quaternion) -> float:
-    """Signed sagittal hip angle (degrees) of a unit orientation quaternion.
-
-    Positive with the thigh in front of the torso. Computed from the
-    gravity direction the orientation predicts in the sensor frame, so it
-    agrees with the accelerometer-only angle atan2(ax, az) in statics.
-    """
-    w, x, y, z = q.w, q.x, q.y, q.z
-    gx = 2.0 * (x * z - w * y)
-    gz = 1.0 - 2.0 * (x * x + y * y)
-    return math.degrees(math.atan2(gx, gz))
-
-
-@dataclass(frozen=True)
-class OrientationFilterState:
-    """State of the gradient-descent orientation filter."""
-
-    q: Quaternion
-    accel_rejected: bool = False  # last update ran gyro-only (zero accel)
+    accel_rejected: bool
 
 
 def filter_init() -> OrientationFilterState:
     """Identity-orientation state: exact when the wearer stands straight."""
-    return OrientationFilterState(q=Quaternion.identity())
-
-
-def madgwick_update(
-    state: OrientationFilterState, accel_g, gyro_dps, dt: float
-) -> OrientationFilterState:
-    """Advance the filter by one sample period: `madgwick_batch` on one row."""
-    accel = np.asarray(accel_g, dtype=np.float64)[np.newaxis]
-    gyro = np.asarray(gyro_dps, dtype=np.float64)[np.newaxis]
-    return madgwick_batch(accel, gyro, dt, state)[1]
+    return OrientationFilterState(1.0, 0.0, 0.0, 0.0, False)
 
 
 def madgwick_batch(
@@ -122,19 +86,21 @@ def madgwick_batch(
 
     Returns the hip angle (deg) after each sample and the state after the
     last one; an empty input returns the input state unchanged. Each sample
-    depends only on the quaternion before it, so splitting the arrays into
+    depends only on the state before it, so splitting the arrays into
     chunks and passing the state along is bit-identical to one call.
 
     The gravity-alignment correction moves along the unit-length
     objective gradient (step size BETA) until the gradient norm falls below
     GRADIENT_REF, after which it scales proportionally and settles without
     limit-cycling. An accelerometer sample of zero norm or with a non-finite
-    component falls back to a gyro-only update and flags the state; a gyro
-    sample with a non-finite component counts as zero rate.
+    component falls back to a gyro-only update and sets the state's
+    `accel_rejected`; a gyro sample with a non-finite component counts as
+    zero rate.
 
-    The loop runs in the C kernel `_madgwick.c`, built on the first call, or
-    in the Python loop `_madgwick_loop` where the kernel cannot be built or
-    loaded; the two give the same bits (see the module docstring).
+    The loop takes and returns the state as it is: the C kernel
+    `_madgwick.c`, built on the first call, or the Python loop
+    `_madgwick_loop` where the kernel cannot be built or loaded. The two
+    give the same bits (see the module docstring).
     """
     a = np.asarray(accel, dtype=np.float64)
     g = np.asarray(gyro, dtype=np.float64)
@@ -145,25 +111,18 @@ def madgwick_batch(
         )
     if not dt > 0:
         raise GaitInputError(f"dt must be positive, got {dt}")
-    q = state.q
     loop = _kernel() or _madgwick_loop
-    rad, (w, x, y, z), rejected = loop(
-        a, g * DEG, float(dt), (q.w, q.x, q.y, q.z), state.accel_rejected
-    )
-    new_state = OrientationFilterState(
-        q=Quaternion(w, x, y, z), accel_rejected=rejected
-    )
-    return np.degrees(rad), new_state
+    rad, state = loop(a, g * DEG, float(dt), state)
+    return np.degrees(rad), state
 
 
-def _madgwick_loop(a, g, dt, q, accel_rejected):
+def _madgwick_loop(a, g, dt, state):
     """The filter loop in Python: the fallback and the oracle of the C kernel.
 
-    Takes (N, 3) accel (g) and gyro (rad/s), the quaternion as (w, x, y, z)
-    and the incoming accel-rejected flag; returns the hip angles (rad), the
-    final quaternion and the final flag.
+    Takes (N, 3) accel (g) and gyro (rad/s) and the incoming state; returns
+    the hip angles (rad) and the state after the last sample.
     """
-    w, x, y, z = q
+    w, x, y, z, accel_rejected = state
     out = []
     sqrt = math.sqrt
     atan2 = math.atan2
@@ -216,7 +175,7 @@ def _madgwick_loop(a, g, dt, q, accel_rejected):
         inv = 1.0 / sqrt(w * w + x * x + y * y + z * z)
         w, x, y, z = w * inv, x * inv, y * inv, z * inv
         out.append(atan2(2.0 * (x * z - w * y), 1.0 - 2.0 * (x * x + y * y)))
-    return np.array(out, dtype=np.float64), (w, x, y, z), not accel_used
+    return np.array(out, dtype=np.float64), OrientationFilterState(w, x, y, z, not accel_used)
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_madgwick.c")
@@ -241,7 +200,10 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
     the load fails, with the reason in `_kernel_error`.
     """
     global _kernel_error
-    import sysconfig  # only where a kernel is loaded, to keep import cheap
+    # Only where a kernel is loaded, to keep the import cheap.
+    import hashlib
+    import subprocess
+    import sysconfig
 
     try:
         flags = (*_KERNEL_FLAGS, f"-I{sysconfig.get_paths()['include']}")
@@ -277,14 +239,13 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
         return None
     _kernel_error = None
 
-    def loop(a, g, dt, q, accel_rejected):
-        # The entry point reads the buffers as C-contiguous doubles and
-        # checks only their lengths.
+    def loop(a, g, dt, state):
+        # The entry point reads the buffers as C-contiguous doubles, checks
+        # only their lengths, and takes and returns the state's five fields.
         a = np.ascontiguousarray(a, dtype=np.float64)
         g = np.ascontiguousarray(g, dtype=np.float64)
         out = np.empty(len(a))
-        *q, rejected = fn(a, g, out, dt, *q, accel_rejected, BETA, GRADIENT_REF)
-        return out, tuple(q), rejected
+        return out, OrientationFilterState._make(fn(a, g, out, dt, *state, BETA, GRADIENT_REF))
 
     return loop
 

@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import CalibrationError, GaitInputError
 
-IMU_RATE_HZ = 250.0
-BEND_RATE_HZ = 100.0
 GRAVITY_G = np.array([0.0, 0.0, 1.0])
 
 # Channel spreads above these mean the subject moved during the standing

@@ -3,7 +3,8 @@
 Every fresh process pays for what the import loads (the benchmark's
 `setup_s`). scipy.optimize alone takes most of a second, so `calibrate`
 imports it in the functions that fit; the Madgwick kernel is built and
-loaded by the first `madgwick_batch` call, never by the import.
+loaded by the first `madgwick_batch` call, never by the import, and so are
+`hashlib` and `subprocess`, which only its loader uses.
 """
 
 import os
@@ -40,6 +41,7 @@ def test_import_loads_no_optimizer_and_builds_no_kernel():
     kernel_loads, *loaded = done.stdout.splitlines()
     assert "scipy.optimize" not in loaded
     assert "gaitlab._madgwick" not in loaded
+    assert "hashlib" not in loaded and "subprocess" not in loaded
     assert kernel_loads == "0"
     after = set(cache.iterdir()) if cache.exists() else set()
     assert after - before == set()

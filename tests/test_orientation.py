@@ -8,17 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitlab import orientation
 from gaitlab.errors import GaitInputError
 from gaitlab.orientation import (
     DEG,
-    Quaternion,
+    MOUNTING_AXES,
+    OrientationFilterState,
     filter_init,
-    hip_angle,
     madgwick_batch,
-    madgwick_update,
-    quat_sagittal,
     remap_mounting,
 )
 
@@ -37,31 +37,11 @@ def run_static(tilt_deg, seconds):
     return madgwick_batch(accel, gyro, DT, filter_init())
 
 
-class TestHipAngle:
-    def test_identity_is_zero(self):
-        assert hip_angle(Quaternion.identity()) == 0.0
-
-    def test_constructed_sagittal_rotations(self):
-        for deg in (30.0, -10.0, 0.0, 55.0, -35.0):
-            assert hip_angle(quat_sagittal(deg)) == pytest.approx(deg, abs=1e-9)
-
-    def test_agrees_with_accel_tilt(self):
-        # hip_angle(q) equals atan2(ax, az) of the gravity vector q predicts.
-        for deg in (-10.0, 5.0, 20.0, 35.0):
-            q = quat_sagittal(deg)
-            w, x, y, z = q.w, q.x, q.y, q.z
-            gx = 2 * (x * z - w * y)
-            gz = 1 - 2 * (x * x + y * y)
-            g = gravity_for(deg)
-            assert gx == pytest.approx(g[0], abs=1e-12)
-            assert gz == pytest.approx(g[2], abs=1e-12)
-
-
 class TestMadgwick:
     def test_stationary_identity_fixed_point(self):
         angles, state = run_static(0.0, 2.0)
         assert np.all(angles == 0.0)
-        assert state.q == Quaternion.identity()
+        assert state[:4] == (1.0, 0.0, 0.0, 0.0)
 
     def test_static_tilt_converges(self):
         angles, _ = run_static(20.0, 5.0)
@@ -94,16 +74,15 @@ class TestMadgwick:
         accel = rng.normal([0, 0, 1], 0.05, (n, 3))
         gyro = rng.normal(0.0, 5.0, (n, 3))
         _, state = madgwick_batch(accel, gyro, DT, filter_init())
-        assert abs(state.q.norm() - 1.0) < 1e-6
+        assert abs(math.hypot(*state[:4]) - 1.0) < 1e-6
 
     def test_zero_accel_falls_back_to_gyro(self):
-        state = filter_init()
-        state = madgwick_update(state, [0.0, 0.0, 0.0], [0.0, -10.0, 0.0], DT)
+        angles, state = madgwick_batch([[0.0, 0.0, 0.0]], [[0.0, -10.0, 0.0]], DT, filter_init())
         assert state.accel_rejected
-        assert hip_angle(state.q) == pytest.approx(10.0 * DT, abs=1e-4)
+        assert angles[0] == pytest.approx(10.0 * DT, abs=1e-4)
 
     def test_empty_chunk_keeps_accel_rejected(self):
-        state = madgwick_update(filter_init(), [0.0, 0.0, 0.0], [0.0, -10.0, 0.0], DT)
+        _, state = madgwick_batch([[0.0, 0.0, 0.0]], [[0.0, -10.0, 0.0]], DT, filter_init())
         angles, after = madgwick_batch(np.zeros((0, 3)), np.zeros((0, 3)), DT, state)
         assert len(angles) == 0
         assert after == state
@@ -116,8 +95,8 @@ class TestMadgwick:
         angles, batch_state = madgwick_batch(accel, gyro, DT, filter_init())
         state = filter_init()
         for a, g in zip(accel, gyro):
-            state = madgwick_update(state, a, g, DT)
-        assert batch_state.q == state.q
+            state = madgwick_batch(a[np.newaxis], g[np.newaxis], DT, state)[1]
+        assert batch_state[:4] == state[:4]
         # Live processing feeds the same samples in chunks, carrying the state.
         for chunk in (1, 7, 10):
             state = filter_init()
@@ -128,7 +107,7 @@ class TestMadgwick:
                 )
                 parts.append(part)
             assert np.array_equal(np.concatenate(parts), angles), f"chunk {chunk}"
-            assert state.q == batch_state.q, f"chunk {chunk}"
+            assert state[:4] == batch_state[:4], f"chunk {chunk}"
             assert state.accel_rejected == batch_state.accel_rejected, f"chunk {chunk}"
 
     def test_deterministic(self):
@@ -138,7 +117,7 @@ class TestMadgwick:
         a1, s1 = madgwick_batch(accel, gyro, DT, filter_init())
         a2, s2 = madgwick_batch(accel, gyro, DT, filter_init())
         assert np.array_equal(a1, a2)
-        assert s1.q == s2.q
+        assert s1[:4] == s2[:4]
 
     def test_numpy_scalar_dt_runs_in_double(self):
         rng = np.random.default_rng(6)
@@ -148,10 +127,6 @@ class TestMadgwick:
         got = madgwick_batch(accel, gyro, dt, filter_init())
         want = madgwick_batch(accel, gyro, float(dt), filter_init())
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(GaitInputError):
-            madgwick_update(filter_init(), [0, 0, 1], [0, 0, 0], 0.0)
 
     @pytest.mark.parametrize(
         "accel_shape, gyro_shape, dt",
@@ -187,21 +162,21 @@ def random_recording(rng, n):
     return accel, gyro
 
 
-def random_unit_q(rng):
+def random_state(rng, accel_rejected=False):
     q = rng.normal(size=4)
-    return tuple((q / np.linalg.norm(q)).tolist())
+    return OrientationFilterState(*(q / np.linalg.norm(q)).tolist(), accel_rejected)
 
 
-def run_chunks(loop, accel, gyro, q, rejected, chunk):
+def run_chunks(loop, accel, gyro, state, chunk):
     """Feed `loop` in chunks, with an empty chunk first and one after the first."""
     g = gyro * DEG
     bounds = [(0, 0)] + [(i, i + chunk) for i in range(0, len(accel), chunk)]
     bounds.insert(2, (chunk, chunk))
     parts = []
     for start, stop in bounds:
-        part, q, rejected = loop(accel[start:stop], g[start:stop], DT, q, rejected)
+        part, state = loop(accel[start:stop], g[start:stop], DT, state)
         parts.append(part)
-    return np.concatenate(parts), q, rejected
+    return np.concatenate(parts), state
 
 
 def has_python_headers():
@@ -244,11 +219,10 @@ class TestNonFiniteSamples:
         {"accel": accel, "gyro": gyro}[stream][120, 1] = value
         angles, state = madgwick_batch(accel, gyro, DT, filter_init())
         assert np.isfinite(angles).all()
-        assert np.isfinite([state.q.w, state.q.x, state.q.y, state.q.z]).all()
-        q = (1.0, 0.0, 0.0, 0.0)
-        oracle = orientation._madgwick_loop(accel, gyro * DEG, DT, q, False)
+        assert np.isfinite(state[:4]).all()
+        oracle = orientation._madgwick_loop(accel, gyro * DEG, DT, filter_init())
         assert np.array_equal(np.degrees(oracle[0]), angles)
-        assert oracle[1] == (state.q.w, state.q.x, state.q.y, state.q.z)
+        assert oracle[1] == state
 
     def test_bad_accel_row_is_a_zero_accel_row(self):
         rng = np.random.default_rng(4)
@@ -285,25 +259,25 @@ class TestKernel:
     def test_kernel_equals_python_loop(self, kernel, seed):
         rng = np.random.default_rng(seed)
         accel, gyro = random_recording(rng, 400)
-        q = random_unit_q(rng)
-        rejected = bool(seed % 2)
-        want = orientation._madgwick_loop(accel, gyro * DEG, DT, q, rejected)
+        state = random_state(rng, bool(seed % 2))
+        want = orientation._madgwick_loop(accel, gyro * DEG, DT, state)
         assert np.isfinite(want[0]).all()
-        got = kernel(accel, gyro * DEG, DT, q, rejected)
+        got = kernel(accel, gyro * DEG, DT, state)
         assert np.array_equal(got[0], want[0])
-        assert got[1:] == want[1:]
+        assert type(got[1]) is type(want[1]) is OrientationFilterState
+        assert got[1] == want[1]
         for chunk in (1, 7, 10):
             for loop in (kernel, orientation._madgwick_loop):
-                got = run_chunks(loop, accel, gyro, q, rejected, chunk)
+                got = run_chunks(loop, accel, gyro, state, chunk)
                 assert np.array_equal(got[0], want[0]), f"chunk {chunk}"
-                assert got[1:] == want[1:], f"chunk {chunk}"
+                assert got[1] == want[1], f"chunk {chunk}"
 
     @pytest.mark.parametrize("layout", ["read_only", "fortran", "column_view"])
     def test_any_array_layout_gives_the_oracle_bits(self, kernel, layout):
         rng = np.random.default_rng(11)
         accel, gyro = random_recording(rng, 300)
-        q = random_unit_q(rng)
-        want = orientation._madgwick_loop(accel, gyro * DEG, DT, q, False)
+        state = random_state(rng)
+        want = orientation._madgwick_loop(accel, gyro * DEG, DT, state)
 
         def arrange(v):
             if layout == "read_only":
@@ -318,12 +292,11 @@ class TestKernel:
 
         a, g = arrange(accel), arrange(gyro * DEG)
         assert not (layout == "column_view" and a.flags.c_contiguous)
-        got = kernel(a, g, DT, q, False)
-        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
-        state = orientation.OrientationFilterState(orientation.Quaternion(*q))
+        got = kernel(a, g, DT, state)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
         angles, state = madgwick_batch(arrange(accel), arrange(gyro), DT, state)
         assert np.array_equal(angles, np.degrees(want[0]))
-        assert (state.q.w, state.q.x, state.q.y, state.q.z) == want[1]
+        assert state == want[1]
 
     @pytest.mark.parametrize(
         "accel_bytes, gyro_bytes, out_bytes",
@@ -362,9 +335,9 @@ class TestKernel:
         rng = np.random.default_rng(10)
         accel, gyro = random_recording(rng, 200)
         angles, state = madgwick_batch(accel, gyro, DT, filter_init())
-        want = orientation._madgwick_loop(accel, gyro * DEG, DT, (1.0, 0.0, 0.0, 0.0), False)
+        want = orientation._madgwick_loop(accel, gyro * DEG, DT, filter_init())
         assert np.array_equal(angles, np.degrees(want[0]))
-        assert (state.q.w, state.q.x, state.q.y, state.q.z) == want[1]
+        assert state == want[1]
         assert list(tmp_path.iterdir()) == []
 
     def test_cached_kernel_loads_without_the_compiler(self, kernel, tmp_path, monkeypatch):
@@ -377,7 +350,65 @@ class TestKernel:
         assert list(tmp_path.iterdir()) == built
 
 
+@st.composite
+def chunked_recording(draw):
+    """A random_recording, a start state and sorted cuts into possibly empty chunks.
+
+    The cuts always hold the recording's zero-accel row as a one-row chunk.
+    """
+    n = draw(st.integers(6, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    accel, gyro = random_recording(rng, n)
+    state = random_state(rng, draw(st.booleans()))
+    (zero,) = np.flatnonzero((accel == 0.0).all(axis=1))
+    cuts = draw(st.lists(st.integers(0, n), max_size=12))
+    return accel, gyro, state, sorted([0, zero, zero + 1, n, *cuts]), zero
+
+
+# Derandomized and without an example database, so tier-1 runs the same
+# examples on every run and machine.
+PROPERTY = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+class TestFilterStateProperties:
+    @PROPERTY
+    @given(chunked_recording())
+    def test_any_chunking_gives_one_call_bits_and_unit_norm_states(self, case):
+        accel, gyro, state, bounds, zero = case
+        want_angles, want_state = madgwick_batch(accel, gyro, DT, state)
+        parts = []
+        for start, stop in zip(bounds, bounds[1:]):
+            part, state = madgwick_batch(accel[start:stop], gyro[start:stop], DT, state)
+            parts.append(part)
+            assert abs(math.hypot(*state[:4]) - 1.0) <= 1e-12
+            if (start, stop) == (zero, zero + 1):
+                assert state.accel_rejected
+        assert np.concatenate(parts).tobytes() == want_angles.tobytes()
+        assert np.array(state[:4]).tobytes() == np.array(want_state[:4]).tobytes()
+        assert state.accel_rejected == want_state.accel_rejected
+
+
+MIRRORED = (
+    "the x/-x matrices map the named axis to canonical -y (ROADMAP Known faults); "
+    "gaitbench/synth.py builds its legs from them, so the fix waits for a benchmark change"
+)
+
+
 class TestMounting:
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            pytest.param(axis, marks=pytest.mark.xfail(strict=True, reason=MIRRORED))
+            if axis in ("x", "-x")
+            else axis
+            for axis in MOUNTING_AXES
+        ],
+    )
+    def test_named_axis_reads_canonical_left(self, axis):
+        # mounting_axis names the raw sensor axis that points to the wearer's left.
+        raw = np.eye(3)["xyz".index(axis[-1])] * (-1.0 if axis.startswith("-") else 1.0)
+        assert np.array_equal(remap_mounting(raw[np.newaxis], axis), [[0.0, 1.0, 0.0]])
+
     def test_default_identity(self):
         v = np.array([[1.0, 2.0, 3.0]])
         assert np.allclose(remap_mounting(v, "y"), v)

@@ -1,14 +1,22 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaitlab.calibrate import (
+    BIAS_BOX_FRACTION,
+    BIAS_MAX_NFEV,
     DEFAULT_RLS_P0,
     PARAM_BOX_FRACTION,
+    RLS_RESET_INNOVATION_CM2,
     AngleBias,
     FeatureVector,
     ReferenceStep,
+    RlsState,
+    _bias_problem,
     batch_fit_biases,
     batch_fit_params,
     feature_matrix,
@@ -19,7 +27,8 @@ from gaitlab.calibrate import (
     split_train_test,
 )
 from gaitlab.core import (
-    EventAngles, StaticParams, StepMeasurement, attach_lengths, step_length
+    EventAngles, StaticParams, StepMeasurement, angle_matrix, attach_lengths, step_features,
+    step_length
 )
 from gaitlab.errors import CalibrationError, GaitInputError
 
@@ -277,6 +286,124 @@ class TestBatchFitBiases:
         with pytest.raises(CalibrationError):
             batch_fit_biases(steps, refs, NOMINAL)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_too_few_steps_rejected(self, n):
+        # Four biases need at least four steps; zero steps must not reach
+        # numpy's empty-slice reductions.
+        steps, refs = biased_steps_and_refs(np.random.default_rng(5), n, AngleBias(alpha_f_deg=1.0))
+        with pytest.raises(GaitInputError):
+            batch_fit_biases(steps, refs, NOMINAL)
+
+    @pytest.mark.parametrize("beta_f_zero", [False, True], ids=["all_free", "beta_f_zero_width"])
+    def test_jacobian_matches_central_difference(self, beta_f_zero):
+        """The analytic Jacobian against a central difference (step 1e-6
+        deg, rtol 1e-6) at random points inside the box; a zero-mean
+        beta_f has a zero-width box, so its column is left out."""
+        rng = np.random.default_rng(21)
+        steps, refs = biased_steps_and_refs(rng, 40, AngleBias(alpha_f_deg=-1.0, beta_b_deg=0.5))
+        A = angle_matrix(steps)
+        if beta_f_zero:
+            A[:, 1] = 0.0
+        y = np.array([r.length_cm for r in refs])
+        hw = BIAS_BOX_FRACTION * np.abs(A.mean(axis=0))
+        free = np.flatnonzero(hw > 0)
+        assert len(free) == (3 if beta_f_zero else 4)
+        residuals, jacobian = _bias_problem(A, y, np.array(NOMINAL.as_tuple()), free)
+        step = 1e-6
+        for _ in range(5):
+            b = rng.uniform(-hw[free], hw[free])
+            J = jacobian(b)
+            assert J.shape == (len(steps), len(free))
+            fd = np.empty_like(J)
+            for j in range(len(free)):
+                e = np.zeros(len(free))
+                e[j] = step
+                fd[:, j] = (residuals(b + e) - residuals(b - e)) / (2 * step)
+            np.testing.assert_allclose(J, fd, rtol=1e-6)
+
+    @pytest.mark.parametrize("seed, n, injected", [
+        (9, 60, AngleBias()),
+        (10, 80, AngleBias(beta_f_deg=-2.0)),
+        (11, 120, AngleBias(alpha_f_deg=-2.0, alpha_b_deg=0.8, beta_f_deg=1.5, beta_b_deg=-1.0)),
+        (12, 100, AngleBias(alpha_f_deg=-1.5, beta_b_deg=1.0)),
+    ], ids=["seed9", "seed10", "seed11", "seed12"])
+    @pytest.mark.parametrize("noise_cm", [0.0, 1.0], ids=["exact", "noisy"])
+    def test_matches_finite_difference_oracle(self, seed, n, injected, noise_cm):
+        """The analytic-Jacobian fit against the same problem solved with
+        scipy's 2-point finite-difference Jacobian. The solver takes a
+        different path, so the bits differ: the bias must agree within
+        2e-3 deg (a one-ulp move of a bound moves it up to 3e-3 deg), and
+        the training SSE must be <= the oracle's x (1 + 1e-12). Exact
+        references take both fits to the SSE of rounding alone, so the SSE
+        of residuals one ulp of max|y| each is allowed on top; with 1 cm
+        reference noise that allowance is negligible."""
+        from scipy.optimize import least_squares
+
+        rng = np.random.default_rng(seed)
+        steps, refs = biased_steps_and_refs(rng, n, injected)
+        A = angle_matrix(steps)
+        w = np.array(NOMINAL.as_tuple())
+        y = np.array([r.length_cm for r in refs]) + rng.normal(0.0, noise_cm, n)
+        refs = refs_from(y)
+        mean = A.mean(axis=0)
+        half_width = BIAS_BOX_FRACTION * np.abs(mean)
+        free = np.flatnonzero(half_width > 0)
+        m, hw = mean[free], half_width[free]
+        lo, hi = (m - hw) - m, (m + hw) - m
+        full = np.zeros(4)
+
+        def residuals(b):
+            full[free] = b
+            return y - step_features(A + full) @ w
+
+        fit = least_squares(
+            residuals, np.zeros(len(hw)), bounds=(lo, hi), method="trf",
+            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=BIAS_MAX_NFEV,
+        )
+        oracle = np.zeros(4)
+        oracle[free] = np.clip(fit.x, lo, hi)
+
+        got = batch_fit_biases(steps, refs, NOMINAL).as_array()
+        assert np.all(np.abs(got - oracle) <= 2e-3)
+
+        def sse(bias):
+            return float(np.sum((y - step_features(A + bias) @ w) ** 2))
+
+        rounding = len(y) * (np.finfo(float).eps * np.max(np.abs(y))) ** 2
+        assert sse(got) <= sse(oracle) * (1 + 1e-12) + rounding
+
+
+def rls_update_oracle(state, h, d_ref_cm):
+    """`rls_update` as first written, in numpy throughout: the reference
+    the scalar checks and the broadcast outer product must match bit for bit."""
+    hv = h.as_array()
+    if not (np.all(np.isfinite(hv)) and math.isfinite(d_ref_cm)):
+        raise GaitInputError("non-finite RLS inputs")
+    P, lam, w = state.P, state.lam, state.w
+    e = d_ref_cm - hv @ w
+    Ph = P @ hv
+    spread = lam + hv @ Ph
+    reset = bool(e * e > RLS_RESET_INNOVATION_CM2 * spread)
+    if reset:
+        P = state.p0_scale * np.eye(3)
+        Ph = P @ hv
+        spread = lam + hv @ Ph
+    gain = Ph / spread
+    w_new = w + gain * e
+    P_new = (P - np.outer(gain, Ph)) / lam
+    P_new = 0.5 * (P_new + P_new.T)  # keep symmetric against roundoff
+    return RlsState(w_new, P_new, lam, state.p0_scale, state.n_updates + 1, state.n_resets + reset)
+
+
+# (h1, h2, innovation in cm against the nominal parameters) per update.
+rls_steps = st.lists(
+    st.tuples(
+        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-40.0, 40.0)
+    ),
+    min_size=1,
+    max_size=40,
+)
+
 
 class TestRls:
     def features(self, rng, n):
@@ -385,10 +512,29 @@ class TestRls:
             assert eigs.min() > 1e-12
             assert np.allclose(state.P, state.P.T)
 
-    def test_non_finite_inputs_rejected(self):
+    @pytest.mark.parametrize("h, d_ref", [
+        (FeatureVector(float("nan"), 0.0), 60.0),
+        (FeatureVector(0.5, float("inf")), 60.0),
+        (FeatureVector(0.5, 0.7, float("nan")), 60.0),
+        (FeatureVector(0.5, 0.7), float("nan")),
+    ], ids=["nan_h1", "inf_h2", "nan_h3", "nan_ref"])
+    def test_non_finite_inputs_rejected(self, h, d_ref):
         state = rls_init(NOMINAL)
         with pytest.raises(GaitInputError):
-            rls_update(state, FeatureVector(float("nan"), 0.0), 60.0)
+            rls_update(state, h, d_ref)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(rls_steps)
+    @example([(0.6, 0.7, 0.5)] * 10 + [(0.6, 0.7, 30.0)])  # settles, then resets
+    def test_bit_identical_to_numpy_oracle(self, updates):
+        w_nom = np.array(NOMINAL.as_tuple())
+        got = want = rls_init(NOMINAL)
+        for h1, h2, innovation in updates:
+            h = FeatureVector(h1, h2)
+            d_ref = float(h.as_array() @ w_nom) + innovation
+            got, want = rls_update(got, h, d_ref), rls_update_oracle(want, h, d_ref)
+            assert np.array_equal(got.w, want.w) and np.array_equal(got.P, want.P)
+            assert (got.n_updates, got.n_resets) == (want.n_updates, want.n_resets)
 
 
 class TestMetricsHelpers:

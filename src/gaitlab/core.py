@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -200,7 +200,16 @@ def attach_lengths(
                 alpha_b=a.alpha_b + bias.alpha_b_deg,
                 beta_b=a.beta_b + bias.beta_b_deg,
             )
-        out.append(replace(s, angles=a, length_cm=step_length(params, a).total))
+        out.append(
+            StepMeasurement(
+                index=s.index,
+                front_side=s.front_side,
+                angles=a,
+                t_front_event=s.t_front_event,
+                t_back_event=s.t_back_event,
+                length_cm=step_length(params, a).total,
+            )
+        )
     return out
 
 

@@ -13,17 +13,27 @@ sides. Prominence confirmation makes detection causal with a latency of a
 few samples beyond the derivative stencil's two-sample look-ahead.
 
 The detector and segmenter are incremental; the batch operations feed them
-a whole series at once and produce identical results.
+a whole series at once and produce identical results. The detector's loop
+runs in two languages: `MinimaDetector._feed_python`, and the `minima` entry
+point of the C kernel that also holds the Madgwick filter's loop (see
+`gaitlab.orientation`, whose loader builds and loads it on first use). A
+feed of `_SMALL_FEED` or more derivatives runs in C where the kernel loads;
+the Python loop is its oracle, its fallback, and the faster of the two for
+the one or two derivatives of a live chunk. Both keep the same operation
+order, so they give the same events and state bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 from numpy.typing import ArrayLike
 
+from . import orientation
 from .core import EventAngles, Side, StepMeasurement, attach_lengths  # noqa: F401  (re-exported)
 from .errors import GaitInputError
 from .signal import UniformSeries
@@ -66,16 +76,24 @@ class EventConfig:
     back_event_timeout_s: float = DEFAULT_BACK_EVENT_TIMEOUT_S
 
     def __post_init__(self):
-        if self.refractory_s < 0:
-            raise GaitInputError("refractory must be >= 0")
-        if self.prominence_deg < 0:
-            raise GaitInputError("prominence must be >= 0")
-        if self.back_event_timeout_s <= 0:
-            raise GaitInputError("back-event timeout must be > 0")
+        # Written so that NaN fails each test.
+        if not self.refractory_s >= 0:
+            raise GaitInputError(f"refractory must be >= 0, got {self.refractory_s}")
+        if not self.prominence_deg >= 0:
+            raise GaitInputError(f"prominence must be >= 0, got {self.prominence_deg}")
+        if not self.back_event_timeout_s > 0:
+            raise GaitInputError(
+                f"back-event timeout must be > 0, got {self.back_event_timeout_s}"
+            )
 
 
-# Below this many interior derivatives per feed, Python floats beat the
-# fixed cost of numpy's array operations.
+def _check_rate(rate_hz: float) -> None:
+    if not (math.isfinite(rate_hz) and rate_hz > 0):
+        raise GaitInputError(f"rate must be finite and > 0, got {rate_hz}")
+
+
+# Below this many derivatives per feed, Python floats beat the fixed cost of
+# numpy's array operations and of a kernel call.
 _SMALL_FEED = 10
 
 
@@ -97,6 +115,7 @@ class DerivativeStream:
     """
 
     def __init__(self, rate_hz: float):
+        _check_rate(rate_hz)
         self.h = 1.0 / rate_hz
         self.tail: list[float] = []  # the last min(n, 4) samples
         self.n = 0  # samples fed so far
@@ -105,36 +124,39 @@ class DerivativeStream:
     def feed(self, new_values: ArrayLike) -> np.ndarray:
         if self.finalized:
             raise GaitInputError("derivative stream fed after finalize")
-        # s starts two samples before the first interior derivative still to
-        # emit, where its stencil starts.
-        new = np.asarray(new_values, dtype=np.float64).tolist()
-        s = self.tail + new
+        # The samples tail + new start two samples before the first interior
+        # derivative still to emit, where its stencil starts.
+        new = np.asarray(new_values, dtype=np.float64)
         head_due = self.n < 3 <= self.n + len(new)
         self.n += len(new)
-        self.tail = s[-4:]
         h = self.h
-        head = None
-        if head_due:
-            head = [(-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * h), (s[2] - s[0]) / (2.0 * h)]
-        k = max(len(s) - 4, 0)  # interior derivatives now complete
+        k = max(len(self.tail) + len(new) - 4, 0)  # interior derivatives now complete
         # Both branches evaluate ((a - 8b) + 8c) - d, then / (12 h), in IEEE
         # doubles, so they give the same bits; the list is faster for the
         # one or two derivatives of a live chunk, numpy for a whole series.
         if k < _SMALL_FEED:
+            s = self.tail + new.tolist()
             c = 12.0 * h
             d = np.array(
                 [(s[i] - 8.0 * s[i + 1] + 8.0 * s[i + 3] - s[i + 4]) / c for i in range(k)],
                 dtype=np.float64,
             )
         else:
-            arr = np.asarray(s)
+            arr = np.concatenate([self.tail, new]) if self.tail else new
             d = (
                 arr[:k]
                 - 8.0 * arr[1 : k + 1]
                 + 8.0 * arr[3 : k + 3]
                 - arr[4 : k + 4]
             ) / (12.0 * h)
-        return d if head is None else np.concatenate([head, d])
+            # As Python floats, the only samples read below: the head's first
+            # three and the tail's last four (arr holds at least 14).
+            s = arr[:3].tolist() + arr[-4:].tolist()
+        self.tail = s[-4:]
+        if head_due:
+            head = [(-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * h), (s[2] - s[0]) / (2.0 * h)]
+            d = np.concatenate([head, d])
+        return d
 
     def finalize(self) -> np.ndarray:
         if self.finalized:
@@ -172,11 +194,13 @@ class MinimaDetector:
     """
 
     def __init__(self, series_id: str, t0: float, rate_hz: float, config: EventConfig):
+        _check_rate(rate_hz)
         self.series_id = series_id
         self.t0 = t0
         self.rate_hz = rate_hz
         self.config = config
-        self.values: list[float] = []
+        # Doubles, so the kernel reads the series in place as a buffer.
+        self.values = array("d")
         self._d_prev: float | None = None
         self._i = 0  # next derivative index to process
         self.run_max = -np.inf
@@ -194,9 +218,44 @@ class MinimaDetector:
         return self.time_at(max(self._i - 1, 0))
 
     def extend_series(self, values: ArrayLike) -> None:
-        self.values.extend(np.asarray(values, dtype=np.float64).tolist())
+        self.values.frombytes(np.asarray(values, dtype=np.float64).tobytes())
 
     def feed_derivative(self, d_values: ArrayLike) -> list[MinimumEvent]:
+        """Process derivatives in order; returns the minima they confirm.
+
+        A derivative whose index outruns the series raises GaitInputError and
+        leaves the state of the derivatives processed before it. A feed of
+        `_SMALL_FEED` or more runs the C kernel's loop where it loads, others
+        `_feed_python`; both give the same events and state.
+        """
+        d = np.asarray(d_values, dtype=np.float64)
+        if len(d) >= _SMALL_FEED:
+            kernel = orientation._kernel_module()
+            if kernel is not None:
+                return self._feed_kernel(kernel.minima, d)
+        return self._feed_python(d)
+
+    def _outrun(self, i: int) -> GaitInputError:
+        return GaitInputError(
+            f"{self.series_id}: derivative index {i} outruns series of "
+            f"{len(self.values)} samples"
+        )
+
+    def _feed_kernel(self, minima, d: np.ndarray) -> list[MinimumEvent]:
+        """`_feed_python` through the kernel's `minima`, which returns the state."""
+        (
+            self._i, self._d_prev, self.pending, self.run_max, self.last_accept_t, found, outrun
+        ) = minima(
+            self.values, np.ascontiguousarray(d), self._i, self._d_prev, self.pending,
+            self.run_max, self.last_accept_t, self.config.prominence_deg,
+            self.config.refractory_s, self.t0, self.rate_hz,
+        )
+        if outrun:
+            raise self._outrun(self._i - 1)
+        return [MinimumEvent(self.series_id, j, t, v) for j, t, v in found]
+
+    def _feed_python(self, d_values: np.ndarray) -> list[MinimumEvent]:
+        """The detector loop in Python: the fallback and the oracle of the kernel."""
         events: list[MinimumEvent] = []
         s = self.values
         n = len(s)
@@ -211,17 +270,14 @@ class MinimaDetector:
         run_max = self.run_max
         last_accept_t = self.last_accept_t
         try:
-            for d in np.asarray(d_values, dtype=np.float64).tolist():
+            for d in d_values.tolist():
                 i = nxt
                 nxt = i + 1
                 before, d_prev = d_prev, d
                 if before is None:
                     continue
                 if i >= n:
-                    raise GaitInputError(
-                        f"{self.series_id}: derivative index {i} outruns series "
-                        f"of {n} samples"
-                    )
+                    raise self._outrun(i)
                 if pending is None:
                     if s[i - 1] > run_max:
                         run_max = s[i - 1]

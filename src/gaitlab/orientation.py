@@ -10,18 +10,20 @@ state passed along, gives the one-call output bit for bit.
 
 The filter has one loop in two languages, with one signature:
 `loop(accel, gyro_rad, dt, state) -> (angles_rad, state)`. The fast path is
-the C kernel `_madgwick.c`, a CPython extension module that the first
-`madgwick_batch` call in a process loads from the package's `__pycache__/`.
-The module is named by a hash of the source, the compiler flags and the
-interpreter's include directory, and is first compiled there with the
-system C compiler (`cc`) and the interpreter's headers (`Python.h`) if it
-is not there yet. Its entry point takes the arrays as buffers, so a
-10-sample live chunk pays about as much to call the kernel as to run it.
-Importing the module builds and loads nothing. The Python loop
-`_madgwick_loop` is the kernel's oracle and the fallback wherever the build
-or the load fails (no compiler or no headers, a read-only package
-directory). The kernel keeps the Python loop's operation order and is built
-without floating-point contraction, so the two give the same bits.
+the C kernel `_madgwick.c`, a CPython extension module that holds two
+loops: this filter's (`loop`) and the minima detector's of
+`gaitlab.events` (`minima`). The first call in a process that runs either
+loads the module from the package's `__pycache__/`. It is named by a hash
+of the source, the compiler flags and the interpreter's include directory,
+and is first compiled there with the system C compiler (`cc`) and the
+interpreter's headers (`Python.h`) if it is not there yet. Its entry points
+take the arrays as buffers, so a 10-sample live chunk pays about as much to
+call the kernel as to run it. Importing the module builds and loads
+nothing. The Python loop `_madgwick_loop` is the kernel's oracle and the
+fallback wherever the build or the load fails (no compiler or no headers, a
+read-only package directory). The kernel keeps the Python loop's operation
+order and is built without floating-point contraction, so the two give the
+same bits.
 
 Frame convention (after mounting remap): x forward, y left, z up along the
 thigh. A positive hip angle (thigh in front of the torso) tilts the sensor
@@ -189,15 +191,16 @@ _kernel_error: str | None = None
 
 
 def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
-    """Load the C loop from cache_dir, compiling `_madgwick.c` there if needed.
+    """Load the C kernel from cache_dir, compiling `_madgwick.c` there if needed.
 
     The extension module is named by a hash of the source, the flags and
     the interpreter's include directory, and ends in the interpreter's
     extension suffix, so an interpreter with another ABI never loads it. It
     is compiled into a temporary file that is then renamed into place, so
-    processes building at once never load a partial file. Returns a
-    callable with `_madgwick_loop`'s signature, or None when the build or
-    the load fails, with the reason in `_kernel_error`.
+    processes building at once never load a partial file. Returns the
+    module, whose `loop` and `minima` run the filter and the minima
+    detector, or None when the build or the load fails, with the reason in
+    `_kernel_error`.
     """
     global _kernel_error
     # Only where a kernel is loaded, to keep the import cheap.
@@ -230,7 +233,6 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
             importlib.util.spec_from_loader(loader.name, loader)
         )
         loader.exec_module(module)
-        fn = module.loop
     except subprocess.CalledProcessError as exc:
         _kernel_error = f"{compiler} failed: {exc.stderr.decode(errors='replace')}"
         return None
@@ -238,6 +240,20 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
         _kernel_error = f"{type(exc).__name__}: {exc}"
         return None
     _kernel_error = None
+    return module
+
+
+# Built and loaded by the first call that runs a kernel loop, not at import.
+_kernel_module = functools.cache(_load_kernel)
+
+
+@functools.cache
+def _kernel():
+    """The C filter loop with `_madgwick_loop`'s signature, or None without a kernel."""
+    module = _kernel_module()
+    if module is None:
+        return None
+    fn = module.loop
 
     def loop(a, g, dt, state):
         # The entry point reads the buffers as C-contiguous doubles, checks
@@ -250,10 +266,6 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
     return loop
 
 
-# Built and loaded by the first madgwick_batch call, not at import.
-_kernel = functools.cache(_load_kernel)
-
-
 MOUNTING_AXES = ("y", "-y", "x", "-x")
 
 # Proper rotations taking raw sensor axes to the canonical frame
@@ -264,6 +276,11 @@ _MOUNT_MATRICES = {
     "x": np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
     "-x": np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
 }
+# Their transposes, C-contiguous: `v @ M.T` through the F-ordered view `M.T`
+# takes numpy's slower path. Each matrix is a signed permutation, so every
+# output is one exact product plus exact zeros, whose sum has the same bits
+# in any order.
+_MOUNT_MATRICES_T = {axis: np.ascontiguousarray(m.T) for axis, m in _MOUNT_MATRICES.items()}
 
 
 def remap_mounting(vectors: np.ndarray, mounting_axis: str) -> np.ndarray:
@@ -272,9 +289,12 @@ def remap_mounting(vectors: np.ndarray, mounting_axis: str) -> np.ndarray:
     mounting_axis names the sensor axis that points to the wearer's left;
     the sensor z-axis is assumed up along the thigh in all supported mounts.
     """
-    if mounting_axis not in _MOUNT_MATRICES:
+    if mounting_axis not in _MOUNT_MATRICES_T:
         raise GaitInputError(
             f"unsupported mounting axis {mounting_axis!r}; expected one of "
             f"{MOUNTING_AXES}"
         )
-    return np.asarray(vectors) @ _MOUNT_MATRICES[mounting_axis].T
+    v = np.asarray(vectors)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise GaitInputError(f"vectors must be (N, 3), got {v.shape}")
+    return v @ _MOUNT_MATRICES_T[mounting_axis]

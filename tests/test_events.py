@@ -1,10 +1,17 @@
+import math
+import shutil
+import sysconfig
 import tracemalloc
+from array import array
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaitlab import orientation
 from gaitlab.errors import GaitInputError
 from gaitlab.events import (
     AngleQuad,
@@ -243,6 +250,159 @@ class TestDetectMinima:
         assert (det.pending, det.run_max, det.last_accept_t) == (
             whole.pending, whole.run_max, whole.last_accept_t
         )
+
+
+class TestSettings:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, value)
+            for name in ("refractory_s", "prominence_deg", "back_event_timeout_s")
+            for value in (math.nan, -1.0)
+        ]
+        + [("back_event_timeout_s", 0.0)],
+    )
+    def test_bad_event_setting_rejected(self, name, value):
+        with pytest.raises(GaitInputError, match=str(value)):
+            EventConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["refractory_s", "prominence_deg"])
+    def test_nan_detection_setting_rejected(self, name):
+        s = series(20.0 * np.sin(2 * np.pi * np.arange(0, 3, 1 / RATE)))
+        with pytest.raises(GaitInputError):
+            detect_minima(s, **{name: math.nan})
+
+    @pytest.mark.parametrize("rate", [0.0, -25.0, math.nan, math.inf])
+    def test_bad_rate_rejected(self, rate):
+        with pytest.raises(GaitInputError, match="rate"):
+            DerivativeStream(rate)
+        with pytest.raises(GaitInputError, match="rate"):
+            MinimaDetector("series", 0.0, rate, EventConfig())
+
+
+def state_bits(det):
+    """The detector's state, each float by its bits."""
+    state = (det._i, det._d_prev, det.pending, det.run_max, det.last_accept_t)
+    return tuple(v.hex() if isinstance(v, float) else v for v in state)
+
+
+def event_bits(events):
+    return [(e.series, e.index, e.t.hex(), e.value.hex()) for e in events]
+
+
+@pytest.fixture(scope="module")
+def minima():
+    """The kernel's detector loop; skipped only where the kernel cannot be built."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH, so only the Python loop can run")
+    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
+        pytest.skip("no Python.h for this interpreter, so only the Python loop can run")
+    module = orientation._kernel_module()
+    assert module is not None, orientation._kernel_error
+    return module.minima
+
+
+@st.composite
+def detector_case(draw):
+    """A series with plateaus and ties, settings that include 0, and cuts of it.
+
+    The series is a noisy wave rounded to a coarse step, so runs of equal
+    samples (zero derivatives) and equal troughs are common.
+    """
+    n = draw(st.integers(5, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([0.0, 0.5, 2.0, 5.0]))
+    t = np.arange(n) / RATE
+    values = 20.0 * np.sin(2 * np.pi * rng.uniform(0.3, 3.0) * t) + rng.normal(0, 2.0, n)
+    if step:
+        values = np.round(values / step) * step
+    # At 16 Hz, sample times are exact, so a refractory of a whole number of
+    # periods lands exactly on the >= boundary.
+    params = dict(
+        prominence=draw(st.sampled_from([0.0, 1.0, 5.0]) | st.floats(0.0, 10.0)),
+        refractory=draw(st.sampled_from([0.0, 0.04, 0.0625, 0.125, 0.3]) | st.floats(0.0, 1.0)),
+        t0=draw(st.sampled_from([0.0, 0.36]) | st.floats(-100.0, 100.0)),
+        rate=draw(st.sampled_from([RATE, 16.0, 100.0]) | st.floats(1.0, 1000.0)),
+    )
+    cuts = draw(st.lists(st.integers(0, n), max_size=12))
+    return values, params, sorted([0, n, *cuts])
+
+
+def detector(params):
+    config = EventConfig(refractory_s=params["refractory"], prominence_deg=params["prominence"])
+    return MinimaDetector("series", params["t0"], params["rate"], config)
+
+
+class TestMinimaKernel:
+    """The kernel's `minima` gives `_feed_python`'s events and state, bit for bit."""
+
+    @PROPERTY
+    @given(detector_case())
+    def test_kernel_equals_python_loop_for_any_chunking(self, minima, case):
+        values, params, bounds = case
+        d = five_point_derivative(series(values, params["t0"], params["rate"])).values
+        fed_c, fed_py = detector(params), detector(params)
+        found = 0
+        for start, stop in zip(bounds, bounds[1:]):
+            # The series reaches at least as far as the derivatives read.
+            for det in (fed_c, fed_py):
+                det.extend_series(values[len(det.values) : stop])
+            got = fed_c._feed_kernel(minima, d[start:stop])
+            want = fed_py._feed_python(d[start:stop])
+            assert event_bits(got) == event_bits(want)
+            assert state_bits(fed_c) == state_bits(fed_py)
+            found += len(want)
+        whole = detector(params)
+        whole.extend_series(values)
+        assert found == len(whole._feed_python(d))
+
+    def test_outrun_leaves_the_python_loops_state(self, minima):
+        s = 20.0 * np.sin(2 * np.pi * np.arange(0, 3, 1 / RATE))
+        d = five_point_derivative(series(s)).values
+        messages, states = [], []
+        for feed in (lambda det: det._feed_kernel(minima, d), lambda det: det._feed_python(d)):
+            det = MinimaDetector("series", 0.0, RATE, EventConfig())
+            det.extend_series(s[:40])
+            with pytest.raises(GaitInputError) as err:
+                feed(det)
+            messages.append(str(err.value))
+            states.append(state_bits(det))
+        assert messages[0] == messages[1] and "index 40 outruns series of 40" in messages[0]
+        assert states[0] == states[1] and states[0][:2] == (41, d[40].hex())
+
+    def test_detect_minima_without_the_kernel_gives_the_same_events(self, minima, monkeypatch):
+        rng = np.random.default_rng(7)
+        t = np.arange(0, 12, 1 / RATE)
+        s = series(20.0 * np.sin(2 * np.pi * t) + rng.normal(0, 0.5, len(t)))
+        calls = []
+
+        def counted(values, derivs, *state):
+            calls.append(len(derivs))
+            return minima(values, derivs, *state)
+
+        monkeypatch.setattr(orientation, "_kernel_module", lambda: SimpleNamespace(minima=counted))
+        with_kernel = detect_minima(s)
+        assert calls == [len(t)]
+        # A live feed of fewer than _SMALL_FEED derivatives stays in Python.
+        det = MinimaDetector("series", 0.0, RATE, EventConfig())
+        det.extend_series(s.values)
+        det.feed_derivative(np.zeros(_SMALL_FEED - 1))
+        det.feed_derivative(np.zeros(_SMALL_FEED))
+        assert calls == [len(t), _SMALL_FEED]
+        monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+        without = detect_minima(s)
+        assert len(without) == 12
+        assert event_bits(with_kernel) == event_bits(without)
+
+    @pytest.mark.parametrize(
+        "values_bytes, i, d_prev, pending",
+        [(40, 0, 0.5, None), (40, 3, 0.5, 5), (40, 3, 0.5, -1), (36, 3, 0.5, None)],
+        ids=["d_prev_at_index_0", "pending_past_the_series", "pending_negative", "partial_double"],
+    )
+    def test_state_outside_the_series_rejected(self, minima, values_bytes, i, d_prev, pending):
+        with pytest.raises(ValueError):
+            minima(bytes(values_bytes), array("d", [1.0, -1.0]), i, d_prev, pending,
+                   -math.inf, None, 1.0, 0.3, 0.0, RATE)
 
 
 def cosine_quad(n_cycles=6, T=1.0, delta=0.1, rate=RATE):

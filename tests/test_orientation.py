@@ -427,3 +427,32 @@ class TestMounting:
     def test_unknown_mounting_rejected(self):
         with pytest.raises(GaitInputError):
             remap_mounting(np.zeros((1, 3)), "z")
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3,), (2, 3, 3), (0,), (4, 4)])
+    def test_non_n_by_3_input_rejected(self, shape):
+        with pytest.raises(GaitInputError, match="must be"):
+            remap_mounting(np.zeros(shape), "y")
+
+    @pytest.mark.parametrize("axis", MOUNTING_AXES)
+    def test_remap_gives_the_matmul_oracle_bits(self, axis):
+        from gaitlab.orientation import _MOUNT_MATRICES
+
+        rng = np.random.default_rng(MOUNTING_AXES.index(axis))
+        accel, gyro = random_recording(rng, 300)
+        accel[:40] = rng.choice([0.0, -0.0, 1.5, -2.0], size=(40, 3))
+        gyro[:40] = rng.choice([0.0, -0.0, 3.0], size=(40, 3))
+        state = random_state(rng)
+        outputs = []
+        for remap in (
+            lambda v: v @ _MOUNT_MATRICES[axis].T,
+            lambda v: remap_mounting(v, axis),
+        ):
+            with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite row
+                a, g = remap(accel), remap(gyro)
+            for raw, out in ((accel, a), (gyro, g)):
+                finite = np.isfinite(raw).all(axis=1)
+                assert not np.isfinite(out[~finite]).all(axis=1).any()
+                outputs.append(out[finite].tobytes())
+            angles, end = madgwick_batch(a, g, DT, state)
+            outputs.append((angles.tobytes(), end))
+        assert outputs[:3] == outputs[3:]

@@ -10,6 +10,7 @@ from gaitlab.signal import (
     apply_offsets,
     check_stream_timing,
     compute_offsets,
+    _median,
     downsample_smooth,
     smoothed_block,
 )
@@ -92,6 +93,42 @@ class TestComputeOffsets:
             bend.angle_deg[40] = bad
         with pytest.raises(CalibrationError, match=channel):
             compute_offsets(imu, bend)
+
+
+def median_window(rng, n, channels):
+    """A window with ties and signed zeros: few distinct values, -0.0 among them."""
+    levels = np.array([0.0, -0.0, 0.25, -0.25, 1.0, 5e-324, -1e-300])
+    shape = (n,) if channels is None else (n, channels)
+    values = rng.choice(levels, size=shape)
+    noisy = rng.random(shape) < 0.3
+    return np.where(noisy, rng.normal(0.0, 0.1, shape), values)
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 25, 200, 501])
+    @pytest.mark.parametrize("channels", [None, 1, 3])
+    def test_median_gives_np_median_bits(self, n, channels):
+        rng = np.random.default_rng(n * 10 + (channels or 0))
+        for _ in range(50):
+            values = median_window(rng, n, channels)
+            got, want = _median(values), np.median(values, axis=0)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_offsets_are_the_np_median_offsets(self, n):
+        rng = np.random.default_rng(n)
+        imu = still_imu(n=n)
+        imu.accel += median_window(rng, n, 3) * 0.01
+        imu.gyro += median_window(rng, n, 3)
+        bend = still_bend(n=n)
+        bend.angle_deg += median_window(rng, n, None)
+        off = compute_offsets(imu, bend)
+        want_accel = np.median(imu.accel - np.array([0.0, 0.0, 1.0]), axis=0)
+        assert off.accel_g.tobytes() == want_accel.tobytes()
+        assert off.gyro_dps.tobytes() == np.median(imu.gyro, axis=0).tobytes()
+        assert type(off.bend_deg) is float
+        assert np.float64(off.bend_deg).tobytes() == np.median(bend.angle_deg).tobytes()
 
 
 class TestDownsampleSmooth:

@@ -84,8 +84,16 @@ class EventAngles:
     beta_b: float
 
     def __post_init__(self):
-        for name in ("alpha_f", "beta_f", "alpha_b", "beta_b"):
-            _check_angle(name, getattr(self, name))
+        # One chained test for the usual case; NaN and +-inf fail it too.
+        # Only a failure pays for the per-field checks, which name the angle.
+        if not (
+            -180.0 <= self.alpha_f <= 180.0
+            and -180.0 <= self.beta_f <= 180.0
+            and -180.0 <= self.alpha_b <= 180.0
+            and -180.0 <= self.beta_b <= 180.0
+        ):
+            for name in ("alpha_f", "beta_f", "alpha_b", "beta_b"):
+                _check_angle(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -112,7 +120,14 @@ class StepMeasurement:
     length_cm: float = float("nan")
 
     def __post_init__(self):
-        if self.t_back_event < self.t_front_event:
+        # NaN and +-inf fail the chained test, as a back event before the
+        # front one does.
+        if not (-math.inf < self.t_front_event <= self.t_back_event < math.inf):
+            if not (math.isfinite(self.t_front_event) and math.isfinite(self.t_back_event)):
+                raise GaitInputError(
+                    f"step {self.index}: event times must be finite, got front "
+                    f"{self.t_front_event} s, back {self.t_back_event} s"
+                )
             raise GaitInputError(
                 f"step {self.index}: back event at {self.t_back_event} s precedes "
                 f"front event at {self.t_front_event} s"
@@ -148,17 +163,23 @@ def step_length(params: StaticParams, angles: EventAngles) -> StepLengthBreakdow
     Angles are degrees; the result is centimeters. Both back-limb postures
     are covered by the sign of alpha_b alone.
     """
+    d1, d2, d3, d4, d5 = _components(params, angles)
+    return StepLengthBreakdown(d1, d2, d3, d4, d5, d1 + d2 + d3 + d4 + d5)
+
+
+def _components(params: StaticParams, angles: EventAngles) -> tuple[float, ...]:
+    """The five signed components d1..d5 of the step-length model (cm)."""
     af = math.radians(angles.alpha_f)
     bf = math.radians(angles.beta_f)
     ab = math.radians(angles.alpha_b)
     bb = math.radians(angles.beta_b)
-
-    d1 = params.l2_cm * math.sin(af - bf)
-    d2 = params.l1_cm * math.sin(af)
-    d3 = params.l1_cm * math.sin(-ab)
-    d4 = params.l2_cm * math.sin(bb - ab)
-    d5 = params.d5_cm
-    return StepLengthBreakdown(d1, d2, d3, d4, d5, d1 + d2 + d3 + d4 + d5)
+    return (
+        params.l2_cm * math.sin(af - bf),
+        params.l1_cm * math.sin(af),
+        params.l1_cm * math.sin(-ab),
+        params.l2_cm * math.sin(bb - ab),
+        params.d5_cm,
+    )
 
 
 def angle_matrix(steps: Sequence[StepMeasurement]) -> np.ndarray:
@@ -188,26 +209,26 @@ def attach_lengths(
     `bias` is an additive per-angle correction (see gaitlab.calibrate); the
     corrected angles replace the measured ones on the returned steps. Each
     step is evaluated on its own, so N steps in one call give the same bits
-    as N one-step calls: the live path relies on that to match batch.
+    as N one-step calls: the live path relies on that to match batch. The
+    length is `step_length(params, a).total`, summed in the same order
+    without building the breakdown.
     """
     out = []
     for s in steps:
         a = s.angles
         if bias is not None:
             a = EventAngles(
-                alpha_f=a.alpha_f + bias.alpha_f_deg,
-                beta_f=a.beta_f + bias.beta_f_deg,
-                alpha_b=a.alpha_b + bias.alpha_b_deg,
-                beta_b=a.beta_b + bias.beta_b_deg,
+                a.alpha_f + bias.alpha_f_deg,
+                a.beta_f + bias.beta_f_deg,
+                a.alpha_b + bias.alpha_b_deg,
+                a.beta_b + bias.beta_b_deg,
             )
+        d1, d2, d3, d4, d5 = _components(params, a)
+        # Positional arguments: a frozen dataclass matches keywords slowly.
         out.append(
             StepMeasurement(
-                index=s.index,
-                front_side=s.front_side,
-                angles=a,
-                t_front_event=s.t_front_event,
-                t_back_event=s.t_back_event,
-                length_cm=step_length(params, a).total,
+                s.index, s.front_side, a, s.t_front_event, s.t_back_event,
+                d1 + d2 + d3 + d4 + d5,
             )
         )
     return out
@@ -235,37 +256,32 @@ def stride_metrics(steps: Sequence[StepMeasurement]) -> list[Stride]:
                 f"{cur.front_side}; segmentation is inconsistent"
             )
 
-    n_strides = len(steps) // 2
+    # One pass: stride i needs the lengths and times of strides i-4..i only.
     lengths = []
     times = []
-    stances = []
-    for i in range(n_strides):
-        a, b = steps[2 * i], steps[2 * i + 1]
-        lengths.append(a.length_cm + b.length_cm)
-        stances.append(b.t_back_event - a.t_front_event)
-        if 2 * i + 2 < len(steps):
-            times.append(steps[2 * i + 2].t_front_event - a.t_front_event)
-        else:
-            times.append(2.0 * (b.t_front_event - a.t_front_event))
-
     strides = []
-    for i in range(n_strides):
+    for i in range(len(steps) // 2):
+        a, b = steps[2 * i], steps[2 * i + 1]
+        length = a.length_cm + b.length_cm
+        stance = b.t_back_event - a.t_front_event
+        if 2 * i + 2 < len(steps):
+            time = steps[2 * i + 2].t_front_event - a.t_front_event
+        else:
+            time = 2.0 * (b.t_front_event - a.t_front_event)
+        lengths.append(length)
+        times.append(time)
         lo = max(0, i - VELOCITY_WINDOW_STRIDES + 1)
-        span_len = sum(lengths[lo : i + 1])
-        span_time = sum(times[lo : i + 1])
+        span_len = sum(lengths[lo:])
+        span_time = sum(times[lo:])
         if span_time <= 0:
             raise SegmentationError(f"stride {i}: non-positive window time {span_time}")
+        # Positional arguments, in field order: a frozen dataclass matches
+        # keywords slowly.
         strides.append(
             Stride(
-                index=i,
-                step_a=steps[2 * i],
-                step_b=steps[2 * i + 1],
-                length_cm=lengths[i],
-                stride_time_s=times[i],
-                stance_time_s=stances[i],
-                swing_time_s=times[i] - stances[i],
-                velocity_mps=(span_len / 100.0) / span_time,
-                velocity_partial=(i - lo + 1) < VELOCITY_WINDOW_STRIDES,
+                i, a, b, length, time, stance, time - stance,
+                (span_len / 100.0) / span_time,
+                (i - lo + 1) < VELOCITY_WINDOW_STRIDES,
             )
         )
     return strides
@@ -287,4 +303,4 @@ def gait_asymmetry(stride: Stride) -> GaitAsymmetry:
             f"got L={left}, R={right}"
         )
     percent = abs(left - right) / (0.5 * (left + right)) * 100.0
-    return GaitAsymmetry(stride_index=stride.index, percent=percent)
+    return GaitAsymmetry(stride.index, percent)

@@ -21,6 +21,11 @@ feed of `_SMALL_FEED` or more derivatives runs in C where the kernel loads;
 the Python loop is its oracle, its fallback, and the faster of the two for
 the one or two derivatives of a live chunk. Both keep the same operation
 order, so they give the same events and state bit for bit.
+
+A `MinimumEvent` is a NamedTuple rather than a frozen dataclass: a
+one-minute walk yields a few hundred of them, each built, sorted and read
+by the segmenter, and a tuple's construction and field reads cost a
+fraction of a frozen dataclass's per-field `object.__setattr__`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -45,9 +50,14 @@ DEFAULT_PROMINENCE_DEG = 1.0
 DEFAULT_BACK_EVENT_TIMEOUT_S = 2.0
 
 
-@dataclass(frozen=True)
-class MinimumEvent:
-    """A confirmed local minimum on one angle series."""
+class MinimumEvent(NamedTuple):
+    """A confirmed local minimum on one angle series.
+
+    A NamedTuple, not a dataclass, for speed (see the module docstring): a
+    segmentation builds, sorts and reads one per trough. Events are
+    immutable as before, and compare, hash and unpack as tuples of their
+    four fields.
+    """
 
     series: str  # "knee_L", "knee_R", "hip_L", "hip_R"
     index: int
@@ -65,11 +75,17 @@ class MinimumEvent:
     def sort_key(self):
         # Simultaneous minima: earliest first, Left before Right, and the
         # hip event of a pending step ahead of the knee event opening the
-        # next one.
-        return (self.t, 0 if self.side == "L" else 1, 0 if self.kind == "hip" else 1)
+        # next one. `side` and `kind` inline, as this runs once per event.
+        series = self.series
+        return (self.t, 0 if series.endswith("L") else 1, 1 if series.startswith("knee") else 0)
 
 
-@dataclass
+# MinimumEvent's own __new__ ends in tuple.__new__(cls, fields); calling it
+# directly skips a Python frame per event (see `_feed_kernel`).
+_tuple_new = tuple.__new__
+
+
+@dataclass(frozen=True)
 class EventConfig:
     refractory_s: float = DEFAULT_REFRACTORY_S
     prominence_deg: float = DEFAULT_PROMINENCE_DEG
@@ -252,7 +268,10 @@ class MinimaDetector:
         )
         if outrun:
             raise self._outrun(self._i - 1)
-        return [MinimumEvent(self.series_id, j, t, v) for j, t, v in found]
+        # MinimumEvent(series_id, j, t, v), without the Python frame of its
+        # __new__: a whole series yields dozens of events.
+        series_id = self.series_id
+        return [_tuple_new(MinimumEvent, (series_id, j, t, v)) for j, t, v in found]
 
     def _feed_python(self, d_values: np.ndarray) -> list[MinimumEvent]:
         """The detector loop in Python: the fallback and the oracle of the kernel."""
@@ -294,11 +313,7 @@ class MinimaDetector:
                         pending = i
                     elif s[i] - s[j] >= prominence:
                         last_accept_t = t0 + j / rate
-                        events.append(
-                            MinimumEvent(
-                                series=self.series_id, index=j, t=last_accept_t, value=s[j]
-                            )
-                        )
+                        events.append(MinimumEvent(self.series_id, j, last_accept_t, s[j]))
                         pending = None
                         run_max = s[i]
         finally:
@@ -401,66 +416,77 @@ class StepSegmenter:
         )
         self.pending = None
 
-    def _open_front(self, ev: MinimumEvent) -> None:
-        alpha_f = self.sampler(f"hip_{ev.side}", ev.t)
-        self.pending = _PendingFront(
-            side=ev.side, t=ev.t, beta_f=ev.value, alpha_f=alpha_f
-        )
-
     def process(self, ev: MinimumEvent) -> StepMeasurement | None:
-        if (
-            self.pending is not None
-            and ev.t - self.pending.t > self.config.back_event_timeout_s
-        ):
-            self._discard(
-                f"no back-limb hip minimum within "
-                f"{self.config.back_event_timeout_s} s"
-            )
-        if ev.kind == "knee":
-            if self.pending is not None:
-                self._discard(f"front knee minimum on {ev.side} arrived first")
-            self._open_front(ev)
+        # The event's fields, its side and the pending front event are read
+        # into locals once: this runs for every minimum of the recording.
+        series, _, t, value = ev
+        side: Side = "L" if series.endswith("L") else "R"  # ev.side
+        pending = self.pending
+        timeout = self.config.back_event_timeout_s
+        if pending is not None and t - pending.t > timeout:
+            self._discard(f"no back-limb hip minimum within {timeout} s")
+            pending = None
+        if series.startswith("knee"):  # ev.kind == "knee"
+            if pending is not None:
+                self._discard(f"front knee minimum on {side} arrived first")
+            self.pending = _PendingFront(side, t, value, self.sampler(f"hip_{side}", t))
             return None
         # hip minimum
-        if self.pending is None:
+        if pending is None:
             return None
-        if ev.side == self.pending.side:
+        if side == pending.side:
             self.diagnostics.append(
-                f"ignored same-side hip minimum ({ev.side} at {ev.t:.3f} s) "
+                f"ignored same-side hip minimum ({side} at {t:.3f} s) "
                 f"while awaiting the back limb"
             )
             return None
-        if ev.t <= self.pending.t:
+        if t <= pending.t:
             self.diagnostics.append(
-                f"ignored hip minimum ({ev.side} at {ev.t:.3f} s) not after "
+                f"ignored hip minimum ({side} at {t:.3f} s) not after "
                 f"the front event"
             )
             return None
-        if self.last_front_side is not None and self.pending.side == self.last_front_side:
+        if self.last_front_side is not None and pending.side == self.last_front_side:
             self._discard("front side did not alternate")
             self.last_front_side = None  # allow the stream to resync
             return None
-        beta_b = self.sampler(f"knee_{ev.side}", ev.t)
-        step = StepMeasurement(
-            index=self.count,
-            front_side=self.pending.side,
-            angles=EventAngles(
-                alpha_f=self.pending.alpha_f,
-                beta_f=self.pending.beta_f,
-                alpha_b=ev.value,
-                beta_b=beta_b,
-            ),
-            t_front_event=self.pending.t,
-            t_back_event=ev.t,
-        )
+        beta_b = self.sampler(f"knee_{side}", t)
+        # Positional arguments: a frozen dataclass matches keywords slowly.
+        angles = EventAngles(pending.alpha_f, pending.beta_f, value, beta_b)
+        step = StepMeasurement(self.count, pending.side, angles, pending.t, t)
         self.count += 1
-        self.last_front_side = self.pending.side
+        self.last_front_side = pending.side
         self.pending = None
         return step
 
     def finalize(self) -> None:
         if self.pending is not None:
             self._discard("stream ended before the back-limb hip minimum")
+
+
+def _quad_sampler(quad: AngleQuad) -> Callable[[str, float], float]:
+    """`StepSegmenter`'s sampler over a whole quad.
+
+    `sampler(name, t)` is `float(s.values[s.index_near(t)])` for the series
+    `s` named `name`, with the series looked up once per quad rather than
+    once per call, and the index computed inline by `index_near`'s
+    round-and-clamp. `ndarray.item` returns the Python float directly: it
+    is about two lookups per minimum, so converting whole series to lists
+    would cost more than it saves.
+    """
+    grids = {}
+    for name in ("knee_L", "knee_R", "hip_L", "hip_R"):
+        s = quad.series(name)
+        values = np.asarray(s.values, dtype=np.float64)
+        grids[name] = (s.t0, s.rate_hz, values.item, len(values) - 1)
+
+    def sampler(series_id: str, t: float) -> float:
+        t0, rate_hz, item, last = grids[series_id]
+        i = int(round((t - t0) * rate_hz))
+        i = i if i > 0 else 0
+        return item(i if i < last else last)
+
+    return sampler
 
 
 def segment_steps(
@@ -470,11 +496,6 @@ def segment_steps(
 ) -> list[StepMeasurement]:
     """Batch segmentation of an angle quad into steps (lengths unset)."""
     config = config or EventConfig()
-
-    def sampler(series_id: str, t: float) -> float:
-        s = quad.series(series_id)
-        return float(s.values[s.index_near(t)])
-
     events: list[MinimumEvent] = []
     for name in ("knee_L", "knee_R", "hip_L", "hip_R"):
         s = quad.series(name)
@@ -485,7 +506,7 @@ def segment_steps(
         )
     events.sort(key=MinimumEvent.sort_key)
 
-    segmenter = StepSegmenter(config, sampler, diagnostics)
+    segmenter = StepSegmenter(config, _quad_sampler(quad), diagnostics)
     steps = [out for ev in events if (out := segmenter.process(ev)) is not None]
     segmenter.finalize()
     return steps

@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import CalibrationError, GaitInputError
 
@@ -41,17 +42,27 @@ _MAD_TO_SIGMA = 1.4826
 def _median(values: np.ndarray) -> np.ndarray:
     """np.median(values, axis=0) with less overhead: the same bits.
 
-    One np.partition puts the middle value, or the two middle values of an
-    even-length window, in place. np.median then takes their np.mean, a sum
-    that starts from +0.0 divided by the count, so the sum here starts from
-    +0.0 too: a median of -0.0 comes out +0.0. No NaN handling: the windows
-    are checked finite first.
+    The window is copied once, transposed so that each channel is one
+    contiguous row, and `_median_rows` partitions the copy in place.
     """
-    h = len(values) // 2
-    if len(values) % 2:
-        return 0.0 + np.partition(values, h, axis=0)[h]
-    part = np.partition(values, (h - 1, h), axis=0)
-    return (0.0 + part[h - 1] + part[h]) / 2
+    return _median_rows(values.T.copy())
+
+
+def _median_rows(rows: np.ndarray) -> np.ndarray:
+    """np.median(rows, axis=-1), partitioning `rows` in place: the same bits.
+
+    One partition along the last axis puts the middle value, or the two
+    middle values of an even-length row, in place. np.median then takes
+    their np.mean, a sum that starts from +0.0 divided by the count, so the
+    sum here starts from +0.0 too: a median of -0.0 comes out +0.0. No NaN
+    handling: the windows are checked finite first.
+    """
+    h = rows.shape[-1] // 2
+    if rows.shape[-1] % 2:
+        rows.partition(h)
+        return 0.0 + rows[..., h]
+    rows.partition((h - 1, h))
+    return (0.0 + rows[..., h - 1] + rows[..., h]) / 2
 
 MIN_CALIB_SAMPLES = 25
 JITTER_TOLERANCE = 0.2  # fraction of the nominal sample period
@@ -104,7 +115,9 @@ class UniformSeries:
 
     def index_near(self, t: float) -> int:
         i = int(round((t - self.t0) * self.rate_hz))
-        return min(max(i, 0), len(self.values) - 1)
+        last = len(self.values) - 1
+        i = i if i > 0 else 0  # min(max(i, 0), last) without two calls
+        return i if i < last else last
 
 
 @dataclass
@@ -142,25 +155,31 @@ def check_stream_timing(t: np.ndarray, nominal_rate_hz: float, label: str = "str
         )
 
 
-def _check_still(label: str, values: np.ndarray, limit: float, unit: str) -> np.ndarray:
+def _check_still(
+    label: str, values: np.ndarray, limit: float, unit: str
+) -> tuple[np.ndarray, np.ndarray]:
     """Raise CalibrationError unless one channel's standing window can give offsets.
 
-    Returns the window's median, the centre of its MAD-based spread.
+    Returns the window's median, the centre of its MAD-based spread, and
+    the window transposed (a channel per row) in some order within each row.
     """
     if len(values) < MIN_CALIB_SAMPLES:
         raise CalibrationError(
             f"standing window too short: {len(values)} {label} samples "
             f"(need >= {MIN_CALIB_SAMPLES})"
         )
-    if not np.all(np.isfinite(values)):
+    rows = values.T.copy()
+    if not np.isfinite(rows).all():
         raise CalibrationError(f"{label}: standing window holds a NaN or inf sample")
-    median = _median(values)
-    std = _MAD_TO_SIGMA * _median(np.abs(values - median))
-    if np.any(std > limit):
+    median = _median_rows(rows)
+    # The deviations of the partitioned rows: the same values in another
+    # order, so the same median.
+    std = _MAD_TO_SIGMA * _median_rows(np.abs(rows - median[..., None]))
+    if (std > limit).any():
         raise CalibrationError(
             f"{label} not still: std {std} {unit} exceeds {limit} {unit}"
         )
-    return median
+    return median, rows
 
 
 def compute_offsets(imu: ImuStream | None, bend: BendStream | None) -> OffsetSet:
@@ -178,25 +197,57 @@ def compute_offsets(imu: ImuStream | None, bend: BendStream | None) -> OffsetSet
     """
     offsets = OffsetSet()
     if imu is not None:
-        _check_still("accelerometer", imu.accel, STILL_STD_ACCEL_G, "g")
+        _, accel_rows = _check_still("accelerometer", imu.accel, STILL_STD_ACCEL_G, "g")
         # The median of accel - g, which for an even-length window differs
         # in the last bit from the accel median minus g.
-        offsets.accel_g = _median(imu.accel - GRAVITY_G)
-        offsets.gyro_dps = _check_still("gyroscope", imu.gyro, STILL_STD_GYRO_DPS, "deg/s")
+        offsets.accel_g = _median_rows(accel_rows - GRAVITY_G[:, None])
+        offsets.gyro_dps, _ = _check_still("gyroscope", imu.gyro, STILL_STD_GYRO_DPS, "deg/s")
     if bend is not None:
-        offsets.bend_deg = float(
-            _check_still("bend sensor", bend.angle_deg, STILL_STD_BEND_DEG, "deg")
-        )
+        median, _ = _check_still("bend sensor", bend.angle_deg, STILL_STD_BEND_DEG, "deg")
+        offsets.bend_deg = float(median)
     return offsets
+
+
+# From this many rows on, apply_offsets subtracts column by column.
+_COLUMNWISE_MIN_ROWS = 64
+
+
+def _minus_columns(values: ArrayLike, offset: ArrayLike) -> np.ndarray:
+    """values - offset, one column at a time for (N, C) values and a (C,) offset.
+
+    Each column is one strided subtraction of a one-element array, so numpy
+    runs its inner loop N long, where the (N, C) - (C,) broadcast runs it C
+    long N times. The same operation on the same dtypes: the same bits.
+    Other shapes take the broadcast.
+    """
+    values, offset = np.asarray(values), np.asarray(offset)
+    if values.ndim != 2 or offset.shape != values.shape[1:]:
+        return values - offset
+    out = np.empty(values.shape, np.result_type(values, offset))
+    for c in range(values.shape[1]):
+        np.subtract(values[:, c], offset[c : c + 1], out=out[:, c])
+    return out
 
 
 def apply_offsets(
     imu: ImuStream | None, bend: BendStream | None, offsets: OffsetSet
 ) -> tuple[ImuStream | None, BendStream | None]:
-    """Subtract calibration offsets; returns corrected copies."""
+    """Subtract calibration offsets; returns corrected copies.
+
+    The IMU takes one of two paths by row count, with the same bits. From
+    _COLUMNWISE_MIN_ROWS rows on (a whole recording), accel and gyro are
+    subtracted column by column, several times faster than the broadcast.
+    A shorter input (a live chunk holds about ten rows) keeps the one
+    broadcast `accel - offset`, whose fixed cost is the lower.
+    """
     imu_out = None
     if imu is not None:
-        imu_out = ImuStream(imu.t, imu.accel - offsets.accel_g, imu.gyro - offsets.gyro_dps)
+        if len(imu.accel) < _COLUMNWISE_MIN_ROWS:
+            accel, gyro = imu.accel - offsets.accel_g, imu.gyro - offsets.gyro_dps
+        else:
+            accel = _minus_columns(imu.accel, offsets.accel_g)
+            gyro = _minus_columns(imu.gyro, offsets.gyro_dps)
+        imu_out = ImuStream(imu.t, accel, gyro)
     bend_out = None
     if bend is not None:
         bend_out = BendStream(bend.t, bend.angle_deg - offsets.bend_deg)

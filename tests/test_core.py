@@ -246,3 +246,48 @@ class TestGaitAsymmetry:
         )
         with pytest.raises(GaitInputError):
             gait_asymmetry(stride)
+
+
+ANGLE_FIELDS = ("alpha_f", "beta_f", "alpha_b", "beta_b")
+
+
+class TestEventAnglesCheck:
+    """The one chained range test raises the per-field messages it replaced."""
+
+    @pytest.mark.parametrize("field", ANGLE_FIELDS)
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (math.nan, "{} is not finite"),
+            (math.inf, "{} is not finite"),
+            (-math.inf, "{} is not finite"),
+            (180.0000001, r"\|{}\| exceeds 180 deg"),
+            (-180.0000001, r"\|{}\| exceeds 180 deg"),
+        ],
+    )
+    def test_bad_angle_names_the_field(self, field, value, message):
+        angles = dict.fromkeys(ANGLE_FIELDS, 10.0) | {field: value}
+        with pytest.raises(GaitInputError, match=message.format(field)):
+            EventAngles(**angles)
+
+    @pytest.mark.parametrize("field", ANGLE_FIELDS)
+    @pytest.mark.parametrize("value", [180.0, -180.0])
+    def test_exactly_180_accepted(self, field, value):
+        angles = dict.fromkeys(ANGLE_FIELDS, 10.0) | {field: value}
+        assert getattr(EventAngles(**angles), field) == value
+
+
+class TestStepMeasurementTimes:
+    @pytest.mark.parametrize("field", ["t_front_event", "t_back_event"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, field, value):
+        times = {"t_front_event": 1.0, "t_back_event": 1.2} | {field: value}
+        with pytest.raises(GaitInputError, match="finite"):
+            StepMeasurement(0, "L", EventAngles(20.0, 10.0, -8.0, 15.0), **times)
+
+    def test_back_before_front_rejected(self):
+        with pytest.raises(GaitInputError, match="precedes"):
+            make_step(0, "L", 60.0, 1.0, t_back=0.9)
+
+    def test_simultaneous_events_accepted(self):
+        assert make_step(0, "L", 60.0, 1.0, t_back=1.0).t_back_event == 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import shutil
 import sysconfig
@@ -21,6 +22,7 @@ from gaitlab.events import (
     MinimumEvent,
     StepSegmenter,
     _SMALL_FEED,
+    _quad_sampler,
     detect_minima,
     five_point_derivative,
     segment_steps,
@@ -272,6 +274,13 @@ class TestSettings:
         with pytest.raises(GaitInputError):
             detect_minima(s, **{name: math.nan})
 
+    @pytest.mark.parametrize("name", ["refractory_s", "prominence_deg", "back_event_timeout_s"])
+    def test_checked_setting_cannot_be_reassigned(self, name):
+        config = EventConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, math.nan)
+        assert getattr(config, name) == getattr(EventConfig(), name)
+
     @pytest.mark.parametrize("rate", [0.0, -25.0, math.nan, math.inf])
     def test_bad_rate_rejected(self, rate):
         with pytest.raises(GaitInputError, match="rate"):
@@ -394,6 +403,19 @@ class TestMinimaKernel:
         assert len(without) == 12
         assert event_bits(with_kernel) == event_bits(without)
 
+    def test_kernel_events_are_minimum_events(self, minima):
+        s = 20.0 * np.sin(2 * np.pi * np.arange(0, 6, 1 / RATE))
+        d = five_point_derivative(series(s)).values
+        fed_c, fed_py = (MinimaDetector("knee_R", 0.0, RATE, EventConfig()) for _ in range(2))
+        for det in (fed_c, fed_py):
+            det.extend_series(s)
+        got, want = fed_c._feed_kernel(minima, d), fed_py._feed_python(d)
+        assert len(got) == 6 and got == want
+        for ev in got:
+            assert type(ev) is MinimumEvent
+            assert (ev.side, ev.kind) == ("R", "knee")
+            assert ev.sort_key() == (ev.t, 1, 1)
+
     @pytest.mark.parametrize(
         "values_bytes, i, d_prev, pending",
         [(40, 0, 0.5, None), (40, 3, 0.5, 5), (40, 3, 0.5, -1), (36, 3, 0.5, None)],
@@ -503,3 +525,118 @@ class TestTieBreaks:
         ]
         evs.sort(key=MinimumEvent.sort_key)
         assert [e.series for e in evs] == ["hip_L", "knee_L", "hip_R", "knee_R"]
+
+
+class TestQuadSampler:
+    """segment_steps' sampler reads `float(s.values[s.index_near(t)])`."""
+
+    @staticmethod
+    def check(quad, times):
+        sample = _quad_sampler(quad)
+        for name in ("knee_L", "knee_R", "hip_L", "hip_R"):
+            s = quad.series(name)
+            for t in times:
+                got, want = sample(name, t), float(s.values[s.index_near(t)])
+                assert type(got) is float
+                assert got.hex() == want.hex(), (name, t)
+
+    def test_exact_half_sample_ties(self):
+        # At 4 Hz from t0 = 0.25 the times below sit exactly halfway between
+        # samples, so the index rounds half to even.
+        rng = np.random.default_rng(0)
+        quad = AngleQuad(*(series(rng.normal(0, 20, 12), t0=0.25, rate=4.0) for _ in range(4)))
+        halves = [0.25 + (k + 0.5) / 4.0 for k in range(-3, 14)]
+        assert all(((t - 0.25) * 4.0) % 1.0 == 0.5 for t in halves)
+        self.check(quad, halves)
+
+    def test_times_before_the_start_and_past_the_end(self):
+        quad = cosine_quad()
+        t_end = quad.knee_l.t0 + (len(quad.knee_l) - 1) / RATE
+        self.check(quad, [-1e9, -3.0, -0.02, -0.0, 0.0, 0.019, 0.021, t_end, t_end + 0.02, t_end + 1.0, 1e9])
+
+    def test_random_times_with_an_offset_grid(self):
+        rng = np.random.default_rng(1)
+        quad = AngleQuad(*(series(rng.normal(0, 20, 300), t0=0.36) for _ in range(4)))
+        self.check(quad, rng.uniform(-1.0, 14.0, 500).tolist())
+
+
+class SegmenterOracle:
+    """StepSegmenter's state machine written plainly, reading `ev.side`,
+    `ev.kind` and `self.pending` at each use: the reference it must equal."""
+
+    def __init__(self, config, sampler):
+        self.config, self.sampler = config, sampler
+        self.diagnostics, self.pending, self.last_front_side, self.count = [], None, None, 0
+
+    def _discard(self, reason):
+        p = self.pending
+        self.diagnostics.append(f"discarded front event ({p['side']} at {p['t']:.3f} s): {reason}")
+        self.pending = None
+
+    def process(self, ev):
+        timeout = self.config.back_event_timeout_s
+        if self.pending is not None and ev.t - self.pending["t"] > timeout:
+            self._discard(f"no back-limb hip minimum within {timeout} s")
+        if ev.kind == "knee":
+            if self.pending is not None:
+                self._discard(f"front knee minimum on {ev.side} arrived first")
+            alpha_f = self.sampler(f"hip_{ev.side}", ev.t)
+            self.pending = dict(side=ev.side, t=ev.t, beta_f=ev.value, alpha_f=alpha_f)
+            return None
+        if self.pending is None:
+            return None
+        if ev.side == self.pending["side"]:
+            self.diagnostics.append(
+                f"ignored same-side hip minimum ({ev.side} at {ev.t:.3f} s) while awaiting the back limb"
+            )
+            return None
+        if ev.t <= self.pending["t"]:
+            self.diagnostics.append(
+                f"ignored hip minimum ({ev.side} at {ev.t:.3f} s) not after the front event"
+            )
+            return None
+        if self.last_front_side is not None and self.pending["side"] == self.last_front_side:
+            self._discard("front side did not alternate")
+            self.last_front_side = None
+            return None
+        p = self.pending
+        step = (self.count, p["side"], p["alpha_f"], p["beta_f"], ev.value,
+                self.sampler(f"knee_{ev.side}", ev.t), p["t"], ev.t)
+        self.count += 1
+        self.last_front_side = p["side"]
+        self.pending = None
+        return step
+
+
+@st.composite
+def event_stream(draw):
+    """Minimum events in sort_key order on a coarse grid, so that equal times,
+    same-side repeats, missing back events and timeouts all occur."""
+    names = st.sampled_from(["knee_L", "knee_R", "hip_L", "hip_R"])
+    raw = draw(st.lists(st.tuples(names, st.integers(0, 120), st.floats(-90.0, 90.0)), max_size=60))
+    events = [MinimumEvent(name, k, k / 8.0, value) for name, k, value in raw]
+    return sorted(events, key=MinimumEvent.sort_key)
+
+
+class TestStepSegmenter:
+    @PROPERTY
+    @given(event_stream(), st.sampled_from([0.125, 0.5, 2.0]))
+    def test_equals_the_oracle(self, events, timeout):
+        def sampler(name, t):
+            return float(len(name)) + t / 3.0 if name.startswith("hip") else 5.0 - t / 7.0
+
+        config = EventConfig(back_event_timeout_s=timeout)
+        seg = StepSegmenter(config, sampler)
+        oracle = SegmenterOracle(config, sampler)
+        for ev in events:
+            got, want = seg.process(ev), oracle.process(ev)
+            if want is None:
+                assert got is None
+            else:
+                a = got.angles
+                assert (got.index, got.front_side, a.alpha_f, a.beta_f, a.alpha_b, a.beta_b,
+                        got.t_front_event, got.t_back_event) == want
+                assert math.isnan(got.length_cm)
+            assert seg.diagnostics == oracle.diagnostics
+            assert (seg.count, seg.last_front_side) == (oracle.count, oracle.last_front_side)
+            assert (seg.pending is None) == (oracle.pending is None)

@@ -274,3 +274,76 @@ class TestOffsetSetDefaults:
         off = OffsetSet()
         assert np.all(off.accel_g == 0) and np.all(off.gyro_dps == 0)
         assert off.bend_deg == 0.0
+
+
+def offset_inputs(rng, n, layout):
+    """(n, 3) accel and gyro in a given memory layout, rows of NaN and +-inf among them."""
+    accel = rng.normal(0.0, 1.0, (2 * n, 3))
+    gyro = rng.normal(0.0, 50.0, (2 * n, 3))
+    for a in (accel, gyro):
+        a[rng.random(2 * n) < 0.1] = np.nan
+        a[rng.random(2 * n) < 0.1, 1] = np.inf
+        a[rng.random(2 * n) < 0.1, 2] = -np.inf
+        a[rng.random((2 * n, 3)) < 0.1] = -0.0
+    if layout == "strided":
+        return accel[::2], gyro[::2]
+    accel, gyro = accel[:n], gyro[:n]
+    if layout == "fortran":
+        return np.asfortranarray(accel), np.asfortranarray(gyro)
+    return accel, gyro
+
+
+class TestApplyOffsetsPaths:
+    """Both of apply_offsets' paths give the bits of the `a - o` broadcast."""
+
+    @pytest.mark.parametrize("n", [1, 10, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("layout", ["contiguous", "fortran", "strided"])
+    def test_equals_the_broadcast(self, n, layout):
+        rng = np.random.default_rng(n)
+        accel, gyro = offset_inputs(rng, n, layout)
+        offsets = OffsetSet(np.array([0.01, -0.0, -0.02]), np.array([-0.0, 1.5, -2.25]), 0.5)
+        bend = BendStream(np.arange(n) / 100.0, rng.normal(0.0, 30.0, n))
+        imu, bend_out = apply_offsets(ImuStream(np.arange(n) / 250.0, accel, gyro), bend, offsets)
+        for got, want in ((imu.accel, accel - offsets.accel_g), (imu.gyro, gyro - offsets.gyro_dps)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(
+            bend_out.angle_deg.view(np.uint64), (bend.angle_deg - 0.5).view(np.uint64)
+        )
+
+    def test_input_left_unchanged(self):
+        accel, gyro = offset_inputs(np.random.default_rng(3), 200, "contiguous")
+        before = accel.copy(), gyro.copy()
+        apply_offsets(ImuStream(np.arange(200) / 250.0, accel, gyro), None, OffsetSet(np.ones(3), np.ones(3)))
+        assert np.array_equal(accel.view(np.uint64), before[0].view(np.uint64))
+        assert np.array_equal(gyro.view(np.uint64), before[1].view(np.uint64))
+
+
+class TestMedianLayouts:
+    @pytest.mark.parametrize("n", [24, 25, 500, 501])
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "strided_1d"])
+    def test_any_layout_gives_np_median_bits(self, n, layout):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            values = median_window(rng, 2 * n, 3)
+            if layout == "fortran":
+                values = np.asfortranarray(values[:n])
+            elif layout == "strided":
+                values = values[::2]
+            else:
+                values = values[::2, 1]
+            got, want = _median(values), np.median(values, axis=0)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_compute_offsets_leaves_the_window_unchanged(self, n):
+        rng = np.random.default_rng(n)
+        imu = still_imu(n=n)
+        imu.accel += median_window(rng, n, 3) * 0.01
+        imu.gyro += median_window(rng, n, 3)
+        bend = still_bend(n=n)
+        bend.angle_deg += median_window(rng, n, None)
+        before = [a.copy() for a in (imu.accel, imu.gyro, bend.angle_deg)]
+        compute_offsets(imu, bend)
+        for got, want in zip((imu.accel, imu.gyro, bend.angle_deg), before):
+            assert got.tobytes() == want.tobytes()

@@ -114,16 +114,13 @@ static PyObject *loop(PyObject *self, PyObject *args)
     return result;
 }
 
-/* The minima detector's state between derivatives, as on MinimaDetector;
- * a clear has_* flag or a negative `pending` stands for None. */
+/* The minima detector's state between derivatives, as on MinimaDetector. */
 typedef struct {
-    Py_ssize_t i; /* index of the next derivative */
-    double d_prev;
-    int has_d_prev;
-    Py_ssize_t pending;
-    double run_max;
-    double last_accept_t;
-    int has_last_accept_t;
+    Py_ssize_t i;         /* index of the next derivative */
+    double d_prev;        /* read only once i > 0 */
+    Py_ssize_t pending;   /* the trough awaiting confirmation, or -1 */
+    double run_max;       /* starts at -inf */
+    double last_accept_t; /* starts at -inf: the first trough clears refractory */
 } minima_state;
 
 /* Processes derivatives d[0..m) against the series s[0..n), appending each
@@ -131,7 +128,7 @@ typedef struct {
  * 1 when a derivative outruns the series (the state then includes that
  * derivative's index and value, as the Python loop leaves it), or -1 with a
  * Python error set when an append fails. The state must index inside s:
- * i >= 1 if d_prev is set, and pending < n.
+ * i >= 0 and -1 <= pending < n.
  */
 static int minima_loop(minima_state *st, const double *s, Py_ssize_t n, const double *d,
                        Py_ssize_t m, double prominence, double refractory, double t0,
@@ -140,11 +137,9 @@ static int minima_loop(minima_state *st, const double *s, Py_ssize_t n, const do
     for (Py_ssize_t k = 0; k < m; k++) {
         Py_ssize_t i = st->i;
         double before = st->d_prev;
-        int had_before = st->has_d_prev;
         st->i = i + 1;
         st->d_prev = d[k];
-        st->has_d_prev = 1;
-        if (!had_before)
+        if (i == 0)
             continue;
         if (i >= n)
             return 1;
@@ -154,8 +149,7 @@ static int minima_loop(minima_state *st, const double *s, Py_ssize_t n, const do
             if (d[k] > 0.0 && before <= 0.0) {
                 Py_ssize_t j = s[i - 1] <= s[i] ? i - 1 : i;
                 double t_j = t0 + (double)j / rate;
-                if ((!st->has_last_accept_t || t_j - st->last_accept_t >= refractory)
-                    && st->run_max - s[j] >= prominence)
+                if (t_j - st->last_accept_t >= refractory && st->run_max - s[j] >= prominence)
                     st->pending = j;
             }
         }
@@ -165,7 +159,6 @@ static int minima_loop(minima_state *st, const double *s, Py_ssize_t n, const do
                 st->pending = i;
             else if (s[i] - s[j] >= prominence) {
                 st->last_accept_t = t0 + (double)j / rate;
-                st->has_last_accept_t = 1;
                 PyObject *event = Py_BuildValue("(ndd)", j, st->last_accept_t, s[j]);
                 if (event == NULL)
                     return -1;
@@ -181,74 +174,37 @@ static int minima_loop(minima_state *st, const double *s, Py_ssize_t n, const do
     return 0;
 }
 
-/* Reads a float-or-None argument into *value and *present. */
-static int optional_double(PyObject *obj, double *value, int *present)
-{
-    *present = obj != Py_None;
-    if (*present) {
-        *value = PyFloat_AsDouble(obj);
-        if (*value == -1.0 && PyErr_Occurred())
-            return -1;
-    }
-    return 0;
-}
-
-static PyObject *float_or_none(int present, double value)
-{
-    if (present)
-        return PyFloat_FromDouble(value);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-
-static PyObject *index_or_none(Py_ssize_t index)
-{
-    if (index >= 0)
-        return PyLong_FromSsize_t(index);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-
 /* minima(values, derivs, i, d_prev, pending, run_max, last_accept_t,
  *        prominence, refractory, t0, rate)
  *
  * values and derivs are read-only C-contiguous buffers of doubles; the
  * caller guarantees the double format, this function checks the lengths and
- * that the state indexes inside values. d_prev, pending and last_accept_t
- * are a number or None, as on the detector. Returns (i, d_prev, pending,
- * run_max, last_accept_t, events, outrun): the state after the derivatives
+ * that the state indexes inside values. The state is the detector's, in
+ * numbers (see minima_state). Returns (i, d_prev, pending, run_max,
+ * last_accept_t, events, outrun): the state after the derivatives
  * processed, the confirmed minima as a list of (index, t, value), and
  * whether the last derivative processed outran the series.
  */
 static PyObject *minima(PyObject *self, PyObject *args)
 {
     Py_buffer values, derivs;
-    PyObject *d_prev, *pending, *last_accept_t, *events = NULL, *result = NULL;
+    PyObject *events = NULL, *result = NULL;
     double prominence, refractory, t0, rate;
     minima_state st;
     (void)self;
 
-    if (!PyArg_ParseTuple(args, "y*y*nOOdOdddd:minima", &values, &derivs, &st.i, &d_prev,
-                          &pending, &st.run_max, &last_accept_t, &prominence, &refractory,
-                          &t0, &rate))
+    if (!PyArg_ParseTuple(args, "y*y*ndndddddd:minima", &values, &derivs, &st.i,
+                          &st.d_prev, &st.pending, &st.run_max, &st.last_accept_t,
+                          &prominence, &refractory, &t0, &rate))
         return NULL;
     Py_ssize_t n = values.len / (Py_ssize_t)sizeof(double);
-    st.pending = -1;
-    if (pending != Py_None) {
-        st.pending = PyLong_AsSsize_t(pending);
-        if (st.pending == -1 && PyErr_Occurred())
-            goto done;
-    }
-    if (optional_double(d_prev, &st.d_prev, &st.has_d_prev) < 0
-        || optional_double(last_accept_t, &st.last_accept_t, &st.has_last_accept_t) < 0)
-        goto done;
     if (values.len % sizeof(double) != 0 || derivs.len % sizeof(double) != 0) {
         PyErr_Format(PyExc_ValueError,
                      "minima needs whole doubles, got %zd and %zd bytes", values.len,
                      derivs.len);
         goto done;
     }
-    if (st.i < st.has_d_prev || (pending != Py_None && (st.pending < 0 || st.pending >= n))) {
+    if (st.i < 0 || st.pending < -1 || st.pending >= n) {
         PyErr_Format(PyExc_ValueError,
                      "minima state indexes outside the series of %zd samples", n);
         goto done;
@@ -261,10 +217,8 @@ static PyObject *minima(PyObject *self, PyObject *args)
                              t0, rate, events);
     if (outrun < 0)
         goto done;
-    result = Py_BuildValue("(nNNdNOO)", st.i, float_or_none(st.has_d_prev, st.d_prev),
-                           index_or_none(st.pending), st.run_max,
-                           float_or_none(st.has_last_accept_t, st.last_accept_t), events,
-                           outrun ? Py_True : Py_False);
+    result = Py_BuildValue("(ndnddOO)", st.i, st.d_prev, st.pending, st.run_max,
+                           st.last_accept_t, events, outrun ? Py_True : Py_False);
 done:
     Py_XDECREF(events);
     PyBuffer_Release(&values);

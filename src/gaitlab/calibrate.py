@@ -285,8 +285,8 @@ def rls_init(
     lam: float = DEFAULT_RLS_LAMBDA,
 ) -> RlsState:
     """Warm-start at the nominal parameters with covariance p0_scale * I."""
-    if not p0_scale > 0:
-        raise GaitInputError(f"p0_scale must be > 0, got {p0_scale}")
+    if not (math.isfinite(p0_scale) and p0_scale > 0):
+        raise GaitInputError(f"p0_scale must be finite and > 0, got {p0_scale}")
     if not (0.9 < lam <= 1.0):
         raise GaitInputError(f"forgetting factor must be in (0.9, 1], got {lam}")
     return RlsState(
@@ -321,6 +321,8 @@ def rls_update(state: RlsState, h: FeatureVector, d_ref_cm: float) -> RlsState:
 
 def mape_percent(estimated: np.ndarray, reference: np.ndarray) -> float:
     est, ref = np.asarray(estimated, float), np.asarray(reference, float)
+    if est.shape != ref.shape:
+        raise GaitInputError(f"estimates {est.shape} and references {ref.shape} differ in shape")
     if len(est) == 0:
         return float("nan")
     return float(np.mean(np.abs(est - ref) / np.abs(ref)) * 100.0)

@@ -20,7 +20,8 @@ point of the C kernel that also holds the Madgwick filter's loop (see
 feed of `_SMALL_FEED` or more derivatives runs in C where the kernel loads;
 the Python loop is its oracle, its fallback, and the faster of the two for
 the one or two derivatives of a live chunk. Both keep the same operation
-order, so they give the same events and state bit for bit.
+order on the same state, five plain numbers, so they give the same events
+and state bit for bit.
 
 A `MinimumEvent` is a NamedTuple rather than a frozen dataclass: a
 one-minute walk yields a few hundred of them, each built, sorted and read
@@ -41,7 +42,7 @@ from numpy.typing import ArrayLike
 from . import orientation
 from .core import EventAngles, Side, StepMeasurement, attach_lengths  # noqa: F401  (re-exported)
 from .errors import GaitInputError
-from .signal import UniformSeries
+from .signal import UniformSeries, _check_rate
 
 SeriesKind = Literal["knee", "hip"]
 
@@ -101,11 +102,6 @@ class EventConfig:
             raise GaitInputError(
                 f"back-event timeout must be > 0, got {self.back_event_timeout_s}"
             )
-
-
-def _check_rate(rate_hz: float) -> None:
-    if not (math.isfinite(rate_hz) and rate_hz > 0):
-        raise GaitInputError(f"rate must be finite and > 0, got {rate_hz}")
 
 
 # Below this many derivatives per feed, Python floats beat the fixed cost of
@@ -211,27 +207,25 @@ class MinimaDetector:
 
     def __init__(self, series_id: str, t0: float, rate_hz: float, config: EventConfig):
         _check_rate(rate_hz)
+        if not math.isfinite(t0):
+            raise GaitInputError(f"{series_id}: start time must be finite, got {t0}")
         self.series_id = series_id
         self.t0 = t0
         self.rate_hz = rate_hz
         self.config = config
         # Doubles, so the kernel reads the series in place as a buffer.
         self.values = array("d")
-        self._d_prev: float | None = None
         self._i = 0  # next derivative index to process
-        self.run_max = -np.inf
-        self.pending: int | None = None
-        self.last_accept_t: float | None = None
-
-    def time_at(self, index: int) -> float:
-        return self.t0 + index / self.rate_hz
+        self._d_prev = 0.0  # read only once _i > 0
+        self.pending = -1  # index of the trough awaiting confirmation, or -1
+        self.run_max = -math.inf
+        self.last_accept_t = -math.inf  # so the first trough clears the refractory test
 
     @property
     def frontier_t(self) -> float:
         """No event earlier than this can still be emitted."""
-        if self.pending is not None:
-            return self.time_at(self.pending)
-        return self.time_at(max(self._i - 1, 0))
+        index = self.pending if self.pending >= 0 else max(self._i - 1, 0)
+        return self.t0 + index / self.rate_hz
 
     def extend_series(self, values: ArrayLike) -> None:
         self.values.frombytes(np.asarray(values, dtype=np.float64).tobytes())
@@ -293,19 +287,17 @@ class MinimaDetector:
                 i = nxt
                 nxt = i + 1
                 before, d_prev = d_prev, d
-                if before is None:
+                if i == 0:
                     continue
                 if i >= n:
                     raise self._outrun(i)
-                if pending is None:
+                if pending < 0:
                     if s[i - 1] > run_max:
                         run_max = s[i - 1]
                     if d > 0.0 and before <= 0.0:
                         j = i - 1 if s[i - 1] <= s[i] else i
                         t_j = t0 + j / rate
-                        if (
-                            last_accept_t is None or t_j - last_accept_t >= refractory
-                        ) and run_max - s[j] >= prominence:
+                        if t_j - last_accept_t >= refractory and run_max - s[j] >= prominence:
                             pending = j
                 else:
                     j = pending
@@ -314,7 +306,7 @@ class MinimaDetector:
                     elif s[i] - s[j] >= prominence:
                         last_accept_t = t0 + j / rate
                         events.append(MinimumEvent(self.series_id, j, last_accept_t, s[j]))
-                        pending = None
+                        pending = -1
                         run_max = s[i]
         finally:
             self._i = nxt
@@ -326,7 +318,7 @@ class MinimaDetector:
 
     def finalize(self) -> list[MinimumEvent]:
         # An unconfirmed trough at stream end never cleared prominence.
-        self.pending = None
+        self.pending = -1
         return []
 
 
@@ -363,10 +355,10 @@ class AngleQuad:
             raise GaitInputError(f"angle series rates differ: {sorted(rates)}")
         half_period = 0.5 / self.knee_l.rate_hz
         t0s = [s.t0 for s in (self.knee_l, self.knee_r, self.hip_l, self.hip_r)]
-        if max(t0s) - min(t0s) > half_period:
+        if not np.ptp(t0s) <= half_period:  # a NaN start time fails too
             raise GaitInputError(
-                f"angle series misaligned by {max(t0s) - min(t0s):.4f} s "
-                f"(more than half a sample period)"
+                f"angle series start times {t0s} spread more than half a sample "
+                f"period"
             )
 
     def series(self, name: str) -> UniformSeries:

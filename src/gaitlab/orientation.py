@@ -111,8 +111,8 @@ def madgwick_batch(
             f"accel and gyro must both be (N, 3) with the same N, got "
             f"{a.shape} and {g.shape}"
         )
-    if not dt > 0:
-        raise GaitInputError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise GaitInputError(f"dt must be finite and > 0, got {dt}")
     loop = _kernel() or _madgwick_loop
     rad, state = loop(a, g * DEG, float(dt), state)
     return np.degrees(rad), state

@@ -18,6 +18,7 @@ that a calibrated, standing sensor reads exactly (0, 0, 1) g.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,6 +38,11 @@ STILL_STD_GYRO_DPS = 2.0
 STILL_STD_BEND_DEG = 1.0
 
 _MAD_TO_SIGMA = 1.4826
+
+
+def _check_rate(rate_hz: float) -> None:
+    if not (math.isfinite(rate_hz) and rate_hz > 0):
+        raise GaitInputError(f"rate must be finite and > 0, got {rate_hz}")
 
 
 def _median(values: np.ndarray) -> np.ndarray:
@@ -103,8 +109,9 @@ class UniformSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if not self.rate_hz > 0:
-            raise GaitInputError(f"rate must be positive, got {self.rate_hz}")
+        _check_rate(self.rate_hz)
+        if not math.isfinite(self.t0):
+            raise GaitInputError(f"start time must be finite, got {self.t0}")
 
     def __len__(self):
         return len(self.values)
@@ -135,8 +142,11 @@ def check_stream_timing(t: np.ndarray, nominal_rate_hz: float, label: str = "str
     The filter below is index-based, so jittered timestamps are tolerated
     (samples are re-indexed by order); jitter beyond 20% of the nominal
     period raises a data-quality warning, and backwards jumps beyond the
-    tolerance are an error.
+    tolerance are an error, as are non-finite timestamps and a rate <= 0 or non-finite.
     """
+    _check_rate(nominal_rate_hz)
+    if not np.isfinite(t).all():
+        raise GaitInputError(f"{label}: timestamps must be finite")
     if len(t) < 2:
         return
     period = 1.0 / nominal_rate_hz

@@ -433,6 +433,12 @@ class TestRls:
         with pytest.raises(GaitInputError):
             rls_init(NOMINAL, p0_scale=0.0)
 
+    @pytest.mark.parametrize("p0_scale", [math.inf, math.nan])
+    def test_non_finite_p0_scale_rejected(self, p0_scale):
+        # inf * I would put NaN off the diagonal and so in every weight.
+        with pytest.raises(GaitInputError, match="p0_scale"):
+            rls_init(NOMINAL, p0_scale=p0_scale)
+
     def test_zero_innovation_leaves_w(self):
         rng = np.random.default_rng(13)
         state = rls_init(NOMINAL, lam=1.0)
@@ -540,6 +546,12 @@ class TestRls:
 class TestMetricsHelpers:
     def test_mape(self):
         assert mape_percent([55.0, 66.0], [50.0, 60.0]) == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("reference", [[1.0], [1.0, 2.0, 3.0], [[1.0], [2.0]]])
+    def test_mape_rejects_unpaired_inputs(self, reference):
+        # Broadcasting would pair one reference with every estimate.
+        with pytest.raises(GaitInputError, match="shape"):
+            mape_percent([1.0, 2.0], reference)
 
     def test_split(self):
         train, test = split_train_test(10)

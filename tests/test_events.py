@@ -234,7 +234,7 @@ class TestDetectMinima:
             whole.extend_series(s)
             whole.feed_derivative(d[:m])
             assert state(det) == state(whole), f"after {m} derivatives"
-            seen.add((det.pending is None, det.last_accept_t is None))
+            seen.add((det.pending == -1, det.last_accept_t == -math.inf))
         # Both a pending trough and a confirmed event were passed through.
         assert (False, False) in seen and (True, False) in seen
 
@@ -287,6 +287,30 @@ class TestSettings:
             DerivativeStream(rate)
         with pytest.raises(GaitInputError, match="rate"):
             MinimaDetector("series", 0.0, rate, EventConfig())
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_time_rejected(self, t0):
+        # With last_accept_t starting at -inf, a trough at a NaN or -inf
+        # time would fail the refractory test that a first trough must pass.
+        with pytest.raises(GaitInputError, match="start time"):
+            MinimaDetector("series", t0, RATE, EventConfig())
+
+
+class TestDetectorState:
+    def test_fresh_and_finalized_detectors_hold_no_pending_trough(self):
+        s = 20.0 * np.sin(2 * np.pi * np.arange(0, 2, 1 / RATE))
+        d = five_point_derivative(series(s)).values
+        det = MinimaDetector("series", 0.0, RATE, EventConfig())
+        assert (det._i, det.pending, det.run_max, det.last_accept_t) == (
+            0, -1, -math.inf, -math.inf
+        )
+        det.extend_series(s)
+        # The trough nearest 0.75 s is sample 19, and by sample 20 the
+        # series has risen less than the 1 degree prominence above it.
+        det.feed_derivative(d[:21])
+        assert det.pending == 19 and det.frontier_t == 19 / RATE
+        assert det.finalize() == [] and det.pending == -1
+        assert det.frontier_t == 20 / RATE
 
 
 def state_bits(det):
@@ -418,13 +442,24 @@ class TestMinimaKernel:
 
     @pytest.mark.parametrize(
         "values_bytes, i, d_prev, pending",
-        [(40, 0, 0.5, None), (40, 3, 0.5, 5), (40, 3, 0.5, -1), (36, 3, 0.5, None)],
-        ids=["d_prev_at_index_0", "pending_past_the_series", "pending_negative", "partial_double"],
+        [(40, -1, 0.5, -1), (40, 3, 0.5, 5), (40, 3, 0.5, -2), (36, 3, 0.5, -1)],
+        ids=["i_negative", "pending_past_the_series", "pending_below_minus_one", "partial_double"],
     )
     def test_state_outside_the_series_rejected(self, minima, values_bytes, i, d_prev, pending):
         with pytest.raises(ValueError):
             minima(bytes(values_bytes), array("d", [1.0, -1.0]), i, d_prev, pending,
-                   -math.inf, None, 1.0, 0.3, 0.0, RATE)
+                   -math.inf, -math.inf, 1.0, 0.3, 0.0, RATE)
+
+    @pytest.mark.parametrize("i, pending", [(0, -1), (3, -1), (3, 4)])
+    def test_state_inside_the_series_accepted(self, minima, i, pending):
+        # The edges of the accepted range: i = 0 (d_prev unread) and
+        # pending from -1 (no trough) to the last sample.
+        got = minima(bytes(40), array("d", [1.0, -1.0]), i, 0.5, pending,
+                     -math.inf, -math.inf, 1.0, 0.3, 0.0, RATE)
+        # A zero series: no event, and run_max rises to 0 only while no
+        # trough is pending.
+        run_max = 0.0 if pending == -1 else -math.inf
+        assert got == (i + 2, -1.0, pending, run_max, -math.inf, [], False)
 
 
 def cosine_quad(n_cycles=6, T=1.0, delta=0.1, rate=RATE):
@@ -502,6 +537,17 @@ class TestSegmentSteps:
                 hip_l=good.hip_l,
                 hip_r=good.hip_r,
             )
+
+    def test_nan_start_time_rejected(self):
+        # A NaN t0 set after construction passes UniformSeries' own check;
+        # the quad's spread test fails on it rather than reading NaN as 0.
+        quad = cosine_quad()
+        for name in ("knee_l", "hip_r"):
+            parts = {k: getattr(quad, k) for k in ("knee_l", "knee_r", "hip_l", "hip_r")}
+            parts[name] = series(parts[name].values)
+            parts[name].t0 = math.nan
+            with pytest.raises(GaitInputError, match="start times"):
+                AngleQuad(**parts)
 
     def test_mismatched_rates_rejected(self):
         good = cosine_quad()

@@ -146,6 +146,12 @@ class TestMadgwick:
         with pytest.raises(GaitInputError):
             madgwick_batch(accel, gyro, dt, filter_init())
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_batch_rejects_non_finite_dt(self, dt):
+        # dt = inf used to return all-NaN angles without an error.
+        with pytest.raises(GaitInputError, match="dt"):
+            madgwick_batch(np.zeros((10, 3)), np.zeros((10, 3)), dt, filter_init())
+
 
 def random_recording(rng, n):
     """Walk-like accel (g) and gyro (deg/s) with zero-accel and non-finite rows."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -7,6 +9,7 @@ from gaitlab.signal import (
     BendStream,
     ImuStream,
     OffsetSet,
+    UniformSeries,
     apply_offsets,
     check_stream_timing,
     compute_offsets,
@@ -114,6 +117,15 @@ class TestMedian:
             got, want = _median(values), np.median(values, axis=0)
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_even_window_needs_both_middle_values(self):
+        # A shuffle of 0..399 for which numpy's introselect, partitioning at
+        # index 200 alone, leaves a value below 199 at index 199; random
+        # windows almost never do. Only the partition at (199, 200) puts
+        # both middle values in place for the median 199.5.
+        values = np.random.default_rng(4).permutation(400).astype(float)
+        assert _median(values) == 199.5
+        assert _median(np.stack([values, values[::-1]], axis=1)).tolist() == [199.5, 199.5]
 
     @pytest.mark.parametrize("n", [100, 101])
     def test_offsets_are_the_np_median_offsets(self, n):
@@ -248,6 +260,18 @@ class TestStreamTiming:
         t = np.arange(100) / 100.0
         check_stream_timing(t, 100.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_timestamp_rejected(self, bad):
+        t = np.arange(100) / 100.0
+        t[50] = bad
+        with pytest.raises(GaitInputError, match="finite"):
+            check_stream_timing(t, 100.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -100.0, math.nan, math.inf])
+    def test_bad_nominal_rate_rejected(self, rate):
+        with pytest.raises(GaitInputError, match="rate"):
+            check_stream_timing(np.arange(100) / 100.0, rate)
+
     def test_small_jitter_warns(self):
         rng = np.random.default_rng(2)
         t = np.arange(100) / 100.0 + rng.uniform(-0.004, 0.004, 100)
@@ -267,6 +291,19 @@ class TestStreamTiming:
         t = np.arange(200) / 100.0 + rng.uniform(-0.001, 0.001, 200)
         t.sort()
         check_stream_timing(t, 100.0)
+
+
+class TestUniformSeries:
+    @pytest.mark.parametrize("rate", [0.0, math.nan, math.inf])
+    def test_bad_rate_rejected(self, rate):
+        # At rate inf, index_near used to raise OverflowError.
+        with pytest.raises(GaitInputError, match="rate"):
+            UniformSeries(0.0, rate, np.zeros(10))
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_time_rejected(self, t0):
+        with pytest.raises(GaitInputError, match="start time"):
+            UniformSeries(t0, 25.0, np.zeros(10))
 
 
 class TestOffsetSetDefaults:

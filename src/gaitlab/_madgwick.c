@@ -3,16 +3,32 @@
  *
  * `madgwick_loop` is the loop of gaitlab.orientation.madgwick_batch and
  * `minima_loop` the loop of gaitlab.events.MinimaDetector.feed_derivative,
- * each a line-by-line translation of its Python loop (`_madgwick_loop`,
- * `MinimaDetector._feed_python`) in the same operation order. Built without
- * floating-point contraction or reassociation (-O2 -ffp-contract=off, no
- * -ffast-math), they give the same bits. The module's functions, `loop` and
- * `minima`, pass them the buffers without copying them; building the module
- * needs the interpreter's headers (Python.h).
+ * each a translation of its Python loop (`_madgwick_loop`,
+ * `MinimaDetector._feed_python`) that does the same operations on the same
+ * operands. Built without floating-point contraction or reassociation (-O2
+ * -ffp-contract=off, no -ffast-math), they give the same bits.
+ *
+ * `madgwick_loop` is arranged so that little sits on its per-sample
+ * dependency chain, the quaternion recurrence. The proportional gain
+ * beta / gradient_ref is divided once per call and the per-sample
+ * beta / ns is taken only in a branch when the gradient norm exceeds
+ * gradient_ref: each is the Python loop's divide on the same operands, and
+ * a predicted branch lets the CPU run ahead without waiting on the sqrt and
+ * the divide. The hip angle's atan2, which reads the quaternion but feeds
+ * nothing back, runs per block of samples after the recurrence, on the
+ * numerator and denominator stored as they were computed.
+ *
+ * The module's functions, `loop` and `minima`, pass them the buffers
+ * without copying them; building the module needs the interpreter's
+ * headers (Python.h).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+
+/* Samples per atan2 pass: den[] is 2 KiB of stack, and out[] is still in
+ * cache when the pass reads it back. */
+#define ANGLE_BLOCK 256
 
 /* `q` is read and written as (w, x, y, z); accel (g) and gyro (rad/s) are
  * C-contiguous (n, 3); `out` receives the hip angle in radians after each
@@ -24,50 +40,61 @@ static int madgwick_loop(double *q, const double *accel, const double *gyro, lon
                          int accel_rejected, double *out)
 {
     double w = q[0], x = q[1], y = q[2], z = q[3];
-    for (long i = 0; i < n; i++) {
-        double ax = accel[3 * i], ay = accel[3 * i + 1], az = accel[3 * i + 2];
-        double gx = gyro[3 * i], gy = gyro[3 * i + 1], gz = gyro[3 * i + 2];
-        double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-        if (!(isfinite(gx) && isfinite(gy) && isfinite(gz)))
-            gx = gy = gz = 0.0;
-        double an = sqrt(ax * ax + ay * ay + az * az);
-        accel_rejected = !(an > 0.0 && isfinite(ax) && isfinite(ay) && isfinite(az));
-        if (!accel_rejected) {
-            double axn = ax / an, ayn = ay / an, azn = az / an;
-            double _2w = 2.0 * w, _2x = 2.0 * x, _2y = 2.0 * y, _2z = 2.0 * z;
-            /* Objective: predicted gravity in the sensor frame minus measurement. */
-            double f1 = _2x * z - _2w * y - axn;
-            double f2 = _2w * x + _2y * z - ayn;
-            double f3 = 1.0 - _2x * x - _2y * y - azn;
-            double s0 = -_2y * f1 + _2x * f2;
-            double s1 = _2z * f1 + _2w * f2 - 2.0 * _2x * f3;
-            double s2 = -_2w * f1 + _2z * f2 - 2.0 * _2y * f3;
-            double s3 = _2x * f1 + _2y * f2;
-            double ns = sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3);
-            if (ns > 0.0) {
-                double k = beta / (ns > gradient_ref ? ns : gradient_ref);
-                c0 = k * s0;
-                c1 = k * s1;
-                c2 = k * s2;
-                c3 = k * s3;
+    double k_ref = beta / gradient_ref;
+    double den[ANGLE_BLOCK];
+    for (long b = 0; b < n; b += ANGLE_BLOCK) {
+        long e = n - b < ANGLE_BLOCK ? n : b + ANGLE_BLOCK;
+        for (long i = b; i < e; i++) {
+            double ax = accel[3 * i], ay = accel[3 * i + 1], az = accel[3 * i + 2];
+            double gx = gyro[3 * i], gy = gyro[3 * i + 1], gz = gyro[3 * i + 2];
+            double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
+            if (!(isfinite(gx) && isfinite(gy) && isfinite(gz)))
+                gx = gy = gz = 0.0;
+            double an = sqrt(ax * ax + ay * ay + az * az);
+            accel_rejected = !(an > 0.0 && isfinite(ax) && isfinite(ay) && isfinite(az));
+            if (!accel_rejected) {
+                double axn = ax / an, ayn = ay / an, azn = az / an;
+                double _2w = 2.0 * w, _2x = 2.0 * x, _2y = 2.0 * y, _2z = 2.0 * z;
+                /* Objective: predicted gravity in the sensor frame minus measurement. */
+                double f1 = _2x * z - _2w * y - axn;
+                double f2 = _2w * x + _2y * z - ayn;
+                double f3 = 1.0 - _2x * x - _2y * y - azn;
+                double s0 = -_2y * f1 + _2x * f2;
+                double s1 = _2z * f1 + _2w * f2 - 2.0 * _2x * f3;
+                double s2 = -_2w * f1 + _2z * f2 - 2.0 * _2y * f3;
+                double s3 = _2x * f1 + _2y * f2;
+                double ns = sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3);
+                if (ns > 0.0) {
+                    double k = k_ref;
+                    if (ns > gradient_ref)
+                        k = beta / ns;
+                    c0 = k * s0;
+                    c1 = k * s1;
+                    c2 = k * s2;
+                    c3 = k * s3;
+                }
             }
+
+            double qdw = 0.5 * (-x * gx - y * gy - z * gz) - c0;
+            double qdx = 0.5 * (w * gx + y * gz - z * gy) - c1;
+            double qdy = 0.5 * (w * gy - x * gz + z * gx) - c2;
+            double qdz = 0.5 * (w * gz + x * gy - y * gx) - c3;
+
+            w += qdw * dt;
+            x += qdx * dt;
+            y += qdy * dt;
+            z += qdz * dt;
+            double inv = 1.0 / sqrt(w * w + x * x + y * y + z * z);
+            w *= inv;
+            x *= inv;
+            y *= inv;
+            z *= inv;
+            /* The hip angle is atan2(out[i], den[i - b]), taken below. */
+            out[i] = 2.0 * (x * z - w * y);
+            den[i - b] = 1.0 - 2.0 * (x * x + y * y);
         }
-
-        double qdw = 0.5 * (-x * gx - y * gy - z * gz) - c0;
-        double qdx = 0.5 * (w * gx + y * gz - z * gy) - c1;
-        double qdy = 0.5 * (w * gy - x * gz + z * gx) - c2;
-        double qdz = 0.5 * (w * gz + x * gy - y * gx) - c3;
-
-        w += qdw * dt;
-        x += qdx * dt;
-        y += qdy * dt;
-        z += qdz * dt;
-        double inv = 1.0 / sqrt(w * w + x * x + y * y + z * z);
-        w *= inv;
-        x *= inv;
-        y *= inv;
-        z *= inv;
-        out[i] = atan2(2.0 * (x * z - w * y), 1.0 - 2.0 * (x * x + y * y));
+        for (long i = b; i < e; i++)
+            out[i] = atan2(out[i], den[i - b]);
     }
     q[0] = w;
     q[1] = x;
@@ -233,7 +260,7 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_madgwick", NULL, -1, methods,
+    PyModuleDef_HEAD_INIT, "_madgwick", NULL, -1, methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC PyInit__madgwick(void)

@@ -320,11 +320,20 @@ def rls_update(state: RlsState, h: FeatureVector, d_ref_cm: float) -> RlsState:
 
 
 def mape_percent(estimated: np.ndarray, reference: np.ndarray) -> float:
+    """Mean absolute percentage error of paired estimates; NaN when there are none.
+
+    A zero or non-finite reference, or a non-finite estimate, raises
+    `GaitInputError` rather than returning inf or NaN.
+    """
     est, ref = np.asarray(estimated, float), np.asarray(reference, float)
     if est.shape != ref.shape:
         raise GaitInputError(f"estimates {est.shape} and references {ref.shape} differ in shape")
     if len(est) == 0:
         return float("nan")
+    if not (np.isfinite(ref).all() and (ref != 0.0).all()):
+        raise GaitInputError("references must be finite and non-zero")
+    if not np.isfinite(est).all():
+        raise GaitInputError("estimates must be finite")
     return float(np.mean(np.abs(est - ref) / np.abs(ref)) * 100.0)
 
 

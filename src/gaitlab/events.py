@@ -32,6 +32,7 @@ fraction of a frozen dataclass's per-field `object.__setattr__`.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple
@@ -80,6 +81,12 @@ class MinimumEvent(NamedTuple):
         series = self.series
         return (self.t, 0 if series.endswith("L") else 1, 1 if series.startswith("knee") else 0)
 
+
+# The four series in `sort_key`'s tie order. `segment_steps` concatenates
+# their events in this order and sorts stably by `t` alone, which gives the
+# `sort_key` order without a Python key call per event.
+_TIE_ORDER = ("hip_L", "knee_L", "hip_R", "knee_R")
+_event_t = operator.itemgetter(2)
 
 # MinimumEvent's own __new__ ends in tuple.__new__(cls, fields); calling it
 # directly skips a Python frame per event (see `_feed_kernel`).
@@ -489,14 +496,14 @@ def segment_steps(
     """Batch segmentation of an angle quad into steps (lengths unset)."""
     config = config or EventConfig()
     events: list[MinimumEvent] = []
-    for name in ("knee_L", "knee_R", "hip_L", "hip_R"):
+    for name in _TIE_ORDER:
         s = quad.series(name)
         events.extend(
             detect_minima(
                 s, config.refractory_s, config.prominence_deg, series_id=name
             )
         )
-    events.sort(key=MinimumEvent.sort_key)
+    events.sort(key=_event_t)
 
     segmenter = StepSegmenter(config, _quad_sampler(quad), diagnostics)
     steps = [out for ev in events if (out := segmenter.process(ev)) is not None]

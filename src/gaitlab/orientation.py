@@ -21,9 +21,18 @@ take the arrays as buffers, so a 10-sample live chunk pays about as much to
 call the kernel as to run it. Importing the module builds and loads
 nothing. The Python loop `_madgwick_loop` is the kernel's oracle and the
 fallback wherever the build or the load fails (no compiler or no headers, a
-read-only package directory). The kernel keeps the Python loop's operation
-order and is built without floating-point contraction, so the two give the
-same bits.
+read-only package directory). The kernel does the Python loop's
+operations on the same operands and is built without floating-point
+contraction, so the two give the same bits. Two of them run at other points
+of the kernel's loop, to keep them off the per-sample quaternion
+recurrence. The gain's divide is a branch: `BETA / GRADIENT_REF` is divided
+once per call and `BETA / ns` only on a sample whose gradient norm exceeds
+`GRADIENT_REF`, the same operands as the Python loop's
+`beta / (ns if ns > GRADIENT_REF else GRADIENT_REF)`. The hip angle's
+`atan2` runs per block of 256 samples on the numerator and denominator the
+recurrence stored, which it reads and never feeds back. IEEE arithmetic
+rounds each operation on its own, so when it runs does not change its
+result.
 
 Frame convention (after mounting remap): x forward, y left, z up along the
 thigh. A positive hip angle (thigh in front of the torso) tilts the sensor

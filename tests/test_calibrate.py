@@ -553,6 +553,24 @@ class TestMetricsHelpers:
         with pytest.raises(GaitInputError, match="shape"):
             mape_percent([1.0, 2.0], reference)
 
+    @pytest.mark.parametrize(
+        "estimated, reference, match",
+        [
+            ([1.0, 2.0], [0.0, 2.0], "references"),
+            ([1.0, 2.0], [-0.0, 2.0], "references"),
+            ([1.0, 2.0], [np.nan, 2.0], "references"),
+            ([1.0, 2.0], [np.inf, 2.0], "references"),
+            ([np.nan, 2.0], [1.0, 2.0], "estimates"),
+            ([1.0, -np.inf], [1.0, 2.0], "estimates"),
+        ],
+    )
+    def test_mape_rejects_what_would_give_inf_or_nan(self, estimated, reference, match):
+        with pytest.raises(GaitInputError, match=match):
+            mape_percent(estimated, reference)
+
+    def test_mape_of_nothing_is_nan(self):
+        assert math.isnan(mape_percent([], []))
+
     def test_split(self):
         train, test = split_train_test(10)
         assert (train.stop, test.start, test.stop) == (7, 7, 10)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaitlab import events as events_module
 from gaitlab import orientation
 from gaitlab.errors import GaitInputError
 from gaitlab.events import (
@@ -571,6 +572,26 @@ class TestTieBreaks:
         ]
         evs.sort(key=MinimumEvent.sort_key)
         assert [e.series for e in evs] == ["hip_L", "knee_L", "hip_R", "knee_R"]
+
+    def test_segment_steps_feeds_events_in_sort_key_order(self, monkeypatch):
+        # All four series share their minima, so every event time is a
+        # four-way tie; segment_steps sorts by t alone and must still give
+        # the sort_key order.
+        values = 20.0 - 20.0 * np.cos(2 * np.pi * np.arange(0, 6, 1 / RATE))
+        quad = AngleQuad(*(series(values) for _ in range(4)))
+        fed = []
+
+        class Recording(StepSegmenter):
+            def process(self, ev):
+                fed.append(ev)
+                return super().process(ev)
+
+        monkeypatch.setattr(events_module, "StepSegmenter", Recording)
+        segment_steps(quad)
+        found = [ev for name in ("knee_L", "knee_R", "hip_L", "hip_R")
+                 for ev in detect_minima(quad.series(name), series_id=name)]
+        assert len(found) == 4 * 5 and len({ev.t for ev in found}) == 5
+        assert fed == sorted(found, key=MinimumEvent.sort_key)
 
 
 class TestQuadSampler:

@@ -185,6 +185,25 @@ def run_chunks(loop, accel, gyro, state, chunk):
     return np.concatenate(parts), state
 
 
+def assert_same_bits(got, want):
+    """Angles and state equal bit for bit; NaN matches NaN and -0.0 does not match 0.0."""
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array(got[1][:4]).tobytes() == np.array(want[1][:4]).tobytes()
+    assert got[1].accel_rejected == want[1].accel_rejected
+
+
+def gradient_norms(accel, states):
+    """The filter's objective-gradient norm at each sample, from the state before it."""
+    w, x, y, z = np.array([s[:4] for s in states]).T
+    a = accel / np.linalg.norm(accel, axis=1, keepdims=True)
+    f1 = 2 * x * z - 2 * w * y - a[:, 0]
+    f2 = 2 * w * x + 2 * y * z - a[:, 1]
+    f3 = 1 - 2 * x * x - 2 * y * y - a[:, 2]
+    s = (-2 * y * f1 + 2 * x * f2, 2 * z * f1 + 2 * w * f2 - 4 * x * f3,
+         -2 * w * f1 + 2 * z * f2 - 4 * y * f3, 2 * x * f1 + 2 * y * f2)
+    return np.sqrt(sum(c * c for c in s))
+
+
 def has_python_headers():
     return (Path(sysconfig.get_paths()["include"]) / "Python.h").exists()
 
@@ -227,8 +246,7 @@ class TestNonFiniteSamples:
         assert np.isfinite(angles).all()
         assert np.isfinite(state[:4]).all()
         oracle = orientation._madgwick_loop(accel, gyro * DEG, DT, filter_init())
-        assert np.array_equal(np.degrees(oracle[0]), angles)
-        assert oracle[1] == state
+        assert_same_bits((angles, state), (np.degrees(oracle[0]), oracle[1]))
 
     def test_bad_accel_row_is_a_zero_accel_row(self):
         rng = np.random.default_rng(4)
@@ -269,14 +287,52 @@ class TestKernel:
         want = orientation._madgwick_loop(accel, gyro * DEG, DT, state)
         assert np.isfinite(want[0]).all()
         got = kernel(accel, gyro * DEG, DT, state)
-        assert np.array_equal(got[0], want[0])
+        assert_same_bits(got, want)
         assert type(got[1]) is type(want[1]) is OrientationFilterState
-        assert got[1] == want[1]
         for chunk in (1, 7, 10):
             for loop in (kernel, orientation._madgwick_loop):
-                got = run_chunks(loop, accel, gyro, state, chunk)
-                assert np.array_equal(got[0], want[0]), f"chunk {chunk}"
-                assert got[1] == want[1], f"chunk {chunk}"
+                assert_same_bits(run_chunks(loop, accel, gyro, state, chunk), want)
+
+    # The kernel takes atan2 per block of 256 samples, after the recurrence.
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513, 15000])
+    def test_every_length_around_the_angle_block(self, kernel, n):
+        rng = np.random.default_rng(n)
+        accel, gyro = random_recording(rng, max(n, 6))
+        accel, gyro = accel[:n], gyro[:n]
+        state = random_state(rng, True)
+        want = orientation._madgwick_loop(accel, gyro * DEG, DT, state)
+        got = kernel(accel, gyro * DEG, DT, state)
+        assert len(got[0]) == n
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("chunk", [100, 255, 257, 300])
+    def test_chunks_that_split_an_angle_block(self, kernel, chunk):
+        rng = np.random.default_rng(chunk)
+        accel, gyro = random_recording(rng, 1000)
+        state = random_state(rng)
+        want = orientation._madgwick_loop(accel, gyro * DEG, DT, state)
+        assert_same_bits(run_chunks(kernel, accel, gyro, state, chunk), want)
+
+    def test_gradient_norm_crossing_the_reference_both_ways(self, kernel):
+        # Settled on gravity the gradient norm is small and the gain
+        # proportional; random accel directions push it above GRADIENT_REF,
+        # where the kernel takes the gain's divide in its branch.
+        rng = np.random.default_rng(12)
+        settled = rng.normal([0.0, 0.0, 1.0], 0.002, (300, 3))
+        random_dirs = rng.normal(0.0, 1.0, (300, 3))
+        accel = np.concatenate([settled, random_dirs, settled[::-1]])
+        gyro = rng.normal(0.0, 0.5, accel.shape)
+        state = filter_init()
+        want = orientation._madgwick_loop(accel, gyro * DEG, DT, state)
+        assert_same_bits(kernel(accel, gyro * DEG, DT, state), want)
+        before = [state]
+        for a, g in zip(accel[:-1], gyro[:-1]):
+            before.append(orientation._madgwick_loop(a[None], g[None] * DEG, DT, before[-1])[1])
+        norms = gradient_norms(accel, before)
+        above = norms > orientation.GRADIENT_REF
+        assert ((norms > 0.0) & ~above).any() and above.any()
+        steps = np.diff(above.astype(int))
+        assert (steps == 1).any() and (steps == -1).any()
 
     @pytest.mark.parametrize("layout", ["read_only", "fortran", "column_view"])
     def test_any_array_layout_gives_the_oracle_bits(self, kernel, layout):
@@ -298,11 +354,9 @@ class TestKernel:
 
         a, g = arrange(accel), arrange(gyro * DEG)
         assert not (layout == "column_view" and a.flags.c_contiguous)
-        got = kernel(a, g, DT, state)
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert_same_bits(kernel(a, g, DT, state), want)
         angles, state = madgwick_batch(arrange(accel), arrange(gyro), DT, state)
-        assert np.array_equal(angles, np.degrees(want[0]))
-        assert state == want[1]
+        assert_same_bits((angles, state), (np.degrees(want[0]), want[1]))
 
     @pytest.mark.parametrize(
         "accel_bytes, gyro_bytes, out_bytes",
@@ -342,8 +396,7 @@ class TestKernel:
         accel, gyro = random_recording(rng, 200)
         angles, state = madgwick_batch(accel, gyro, DT, filter_init())
         want = orientation._madgwick_loop(accel, gyro * DEG, DT, filter_init())
-        assert np.array_equal(angles, np.degrees(want[0]))
-        assert state == want[1]
+        assert_same_bits((angles, state), (np.degrees(want[0]), want[1]))
         assert list(tmp_path.iterdir()) == []
 
     def test_cached_kernel_loads_without_the_compiler(self, kernel, tmp_path, monkeypatch):

@@ -3,10 +3,12 @@
  *
  * `madgwick_loop` is the loop of gaitlab.orientation.madgwick_batch and
  * `minima_loop` the loop of gaitlab.events.MinimaDetector.feed_derivative,
- * each a translation of its Python loop (`_madgwick_loop`,
- * `MinimaDetector._feed_python`) that does the same operations on the same
+ * each a translation of its Python loop (`orientation._madgwick_loop`,
+ * `events._minima_loop`) that does the same operations on the same
  * operands. Built without floating-point contraction or reassociation (-O2
- * -ffp-contract=off, no -ffast-math), they give the same bits.
+ * -ffp-contract=off, no -ffast-math), they give the same bits. Each entry
+ * point, `loop` and `minima`, takes the same arguments and returns the same
+ * values as its Python loop, so the callers call either one the same way.
  *
  * `madgwick_loop` is arranged so that little sits on its per-sample
  * dependency chain, the quaternion recurrence. The proportional gain
@@ -18,9 +20,8 @@
  * nothing back, runs per block of samples after the recurrence, on the
  * numerator and denominator stored as they were computed.
  *
- * The module's functions, `loop` and `minima`, pass them the buffers
- * without copying them; building the module needs the interpreter's
- * headers (Python.h).
+ * The entry points pass the loops the buffers without copying them;
+ * building the module needs the interpreter's headers (Python.h).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -14,14 +14,14 @@ few samples beyond the derivative stencil's two-sample look-ahead.
 
 The detector and segmenter are incremental; the batch operations feed them
 a whole series at once and produce identical results. The detector's loop
-runs in two languages: `MinimaDetector._feed_python`, and the `minima` entry
-point of the C kernel that also holds the Madgwick filter's loop (see
-`gaitlab.orientation`, whose loader builds and loads it on first use). A
-feed of `_SMALL_FEED` or more derivatives runs in C where the kernel loads;
-the Python loop is its oracle, its fallback, and the faster of the two for
-the one or two derivatives of a live chunk. Both keep the same operation
-order on the same state, five plain numbers, so they give the same events
-and state bit for bit.
+runs in two languages with one calling convention: `_minima_loop`, and the
+`minima` entry point of the C kernel that also holds the Madgwick filter's
+loop (see `gaitlab.orientation`, whose loader builds and loads it on first
+use). A feed of `_SMALL_FEED` or more derivatives runs in C where the
+kernel loads; the Python loop is its oracle, its fallback, and the faster
+of the two for the one or two derivatives of a live chunk. Both keep the
+same operation order on the same state, five plain numbers, so they give
+the same events and state bit for bit.
 
 A `MinimumEvent` is a NamedTuple rather than a frozen dataclass: a
 one-minute walk yields a few hundred of them, each built, sorted and read
@@ -89,7 +89,7 @@ _TIE_ORDER = ("hip_L", "knee_L", "hip_R", "knee_R")
 _event_t = operator.itemgetter(2)
 
 # MinimumEvent's own __new__ ends in tuple.__new__(cls, fields); calling it
-# directly skips a Python frame per event (see `_feed_kernel`).
+# directly skips a Python frame per event (see `feed_derivative`).
 _tuple_new = tuple.__new__
 
 
@@ -200,6 +200,49 @@ def five_point_derivative(series: UniformSeries) -> UniformSeries:
     return UniformSeries(series.t0, series.rate_hz, np.concatenate([head, tail]))
 
 
+def _minima_loop(
+    values, derivs, i, d_prev, pending, run_max, last_accept_t, prominence, refractory, t0, rate
+):
+    """The detector loop in Python: the fallback and the oracle of the kernel's `minima`.
+
+    Takes the series, the derivatives, the detector's state as five numbers
+    and the settings. Returns the state after the derivatives processed, the
+    confirmed minima as `(index, t, value)` and whether the last derivative
+    processed outran the series; the loop stops there, with that
+    derivative's index and value in the state.
+    """
+    found = []
+    s = values
+    n = len(s)
+    nxt = i
+    for d in derivs.tolist():
+        i = nxt
+        nxt = i + 1
+        before, d_prev = d_prev, d
+        if i == 0:
+            continue
+        if i >= n:
+            return nxt, d_prev, pending, run_max, last_accept_t, found, True
+        if pending < 0:
+            if s[i - 1] > run_max:
+                run_max = s[i - 1]
+            if d > 0.0 and before <= 0.0:
+                j = i - 1 if s[i - 1] <= s[i] else i
+                t_j = t0 + j / rate
+                if t_j - last_accept_t >= refractory and run_max - s[j] >= prominence:
+                    pending = j
+        else:
+            j = pending
+            if s[i] < s[j]:
+                pending = i
+            elif s[i] - s[j] >= prominence:
+                last_accept_t = t0 + j / rate
+                found.append((j, last_accept_t, s[j]))
+                pending = -1
+                run_max = s[i]
+    return nxt, d_prev, pending, run_max, last_accept_t, found, False
+
+
 class MinimaDetector:
     """Single-pass trough detection with refractory and prominence debounce.
 
@@ -242,86 +285,35 @@ class MinimaDetector:
 
         A derivative whose index outruns the series raises GaitInputError and
         leaves the state of the derivatives processed before it. A feed of
-        `_SMALL_FEED` or more runs the C kernel's loop where it loads, others
-        `_feed_python`; both give the same events and state.
+        `_SMALL_FEED` or more runs the C kernel's `minima` where it loads,
+        others `_minima_loop`; both take the same arguments and give the
+        same events and state.
         """
         d = np.asarray(d_values, dtype=np.float64)
+        loop = _minima_loop
         if len(d) >= _SMALL_FEED:
             kernel = orientation._kernel_module()
             if kernel is not None:
-                return self._feed_kernel(kernel.minima, d)
-        return self._feed_python(d)
-
-    def _outrun(self, i: int) -> GaitInputError:
-        return GaitInputError(
-            f"{self.series_id}: derivative index {i} outruns series of "
-            f"{len(self.values)} samples"
-        )
-
-    def _feed_kernel(self, minima, d: np.ndarray) -> list[MinimumEvent]:
-        """`_feed_python` through the kernel's `minima`, which returns the state."""
+                loop, d = kernel.minima, np.ascontiguousarray(d)
+        config = self.config
         (
             self._i, self._d_prev, self.pending, self.run_max, self.last_accept_t, found, outrun
-        ) = minima(
-            self.values, np.ascontiguousarray(d), self._i, self._d_prev, self.pending,
-            self.run_max, self.last_accept_t, self.config.prominence_deg,
-            self.config.refractory_s, self.t0, self.rate_hz,
+        ) = loop(
+            self.values, d, self._i, self._d_prev, self.pending, self.run_max,
+            self.last_accept_t, config.prominence_deg, config.refractory_s, self.t0,
+            self.rate_hz,
         )
         if outrun:
-            raise self._outrun(self._i - 1)
+            raise GaitInputError(
+                f"{self.series_id}: derivative index {self._i - 1} outruns series of "
+                f"{len(self.values)} samples"
+            )
+        if not found:  # most live feeds: skip the comprehension's frame
+            return found
         # MinimumEvent(series_id, j, t, v), without the Python frame of its
         # __new__: a whole series yields dozens of events.
         series_id = self.series_id
         return [_tuple_new(MinimumEvent, (series_id, j, t, v)) for j, t, v in found]
-
-    def _feed_python(self, d_values: np.ndarray) -> list[MinimumEvent]:
-        """The detector loop in Python: the fallback and the oracle of the kernel."""
-        events: list[MinimumEvent] = []
-        s = self.values
-        n = len(s)
-        prominence = self.config.prominence_deg
-        refractory = self.config.refractory_s
-        t0, rate = self.t0, self.rate_hz
-        # The loop runs on locals; the finally writes them back, so an error
-        # leaves the state of the derivatives processed before it.
-        nxt = self._i
-        d_prev = self._d_prev
-        pending = self.pending
-        run_max = self.run_max
-        last_accept_t = self.last_accept_t
-        try:
-            for d in d_values.tolist():
-                i = nxt
-                nxt = i + 1
-                before, d_prev = d_prev, d
-                if i == 0:
-                    continue
-                if i >= n:
-                    raise self._outrun(i)
-                if pending < 0:
-                    if s[i - 1] > run_max:
-                        run_max = s[i - 1]
-                    if d > 0.0 and before <= 0.0:
-                        j = i - 1 if s[i - 1] <= s[i] else i
-                        t_j = t0 + j / rate
-                        if t_j - last_accept_t >= refractory and run_max - s[j] >= prominence:
-                            pending = j
-                else:
-                    j = pending
-                    if s[i] < s[j]:
-                        pending = i
-                    elif s[i] - s[j] >= prominence:
-                        last_accept_t = t0 + j / rate
-                        events.append(MinimumEvent(self.series_id, j, last_accept_t, s[j]))
-                        pending = -1
-                        run_max = s[i]
-        finally:
-            self._i = nxt
-            self._d_prev = d_prev
-            self.pending = pending
-            self.run_max = run_max
-            self.last_accept_t = last_accept_t
-        return events
 
     def finalize(self) -> list[MinimumEvent]:
         # An unconfirmed trough at stream end never cleared prominence.

@@ -8,31 +8,33 @@ bias in steady state. Its state is one tuple, `OrientationFilterState(w, x,
 y, z, accel_rejected)`, and a recording fed in chunks of any size, the
 state passed along, gives the one-call output bit for bit.
 
-The filter has one loop in two languages, with one signature:
-`loop(accel, gyro_rad, dt, state) -> (angles_rad, state)`. The fast path is
-the C kernel `_madgwick.c`, a CPython extension module that holds two
-loops: this filter's (`loop`) and the minima detector's of
-`gaitlab.events` (`minima`). The first call in a process that runs either
-loads the module from the package's `__pycache__/`. It is named by a hash
-of the source, the compiler flags and the interpreter's include directory,
-and is first compiled there with the system C compiler (`cc`) and the
-interpreter's headers (`Python.h`) if it is not there yet. Its entry points
-take the arrays as buffers, so a 10-sample live chunk pays about as much to
-call the kernel as to run it. Importing the module builds and loads
-nothing. The Python loop `_madgwick_loop` is the kernel's oracle and the
-fallback wherever the build or the load fails (no compiler or no headers, a
-read-only package directory). The kernel does the Python loop's
-operations on the same operands and is built without floating-point
-contraction, so the two give the same bits. Two of them run at other points
-of the kernel's loop, to keep them off the per-sample quaternion
-recurrence. The gain's divide is a branch: `BETA / GRADIENT_REF` is divided
-once per call and `BETA / ns` only on a sample whose gradient norm exceeds
-`GRADIENT_REF`, the same operands as the Python loop's
-`beta / (ns if ns > GRADIENT_REF else GRADIENT_REF)`. The hip angle's
-`atan2` runs per block of 256 samples on the numerator and denominator the
-recurrence stored, which it reads and never feeds back. IEEE arithmetic
-rounds each operation on its own, so when it runs does not change its
-result.
+The filter has one loop in two languages, with one calling convention:
+`loop(accel, gyro_rad, out, dt, w, x, y, z, accel_rejected, beta,
+gradient_ref)` writes the hip angles (rad) into `out` and returns the
+state's five fields. The fast path is the C kernel `_madgwick.c`, a CPython
+extension module that holds two loops: this filter's (`loop`) and the
+minima detector's of `gaitlab.events` (`minima`). The first call in a
+process that runs either loads the module from the package's
+`__pycache__/`. It is named by a hash of the source, the compiler flags
+and the interpreter's include directory, and is first compiled there with
+the system C compiler (`cc`) and the interpreter's headers (`Python.h`) if
+it is not there yet. Its entry points take the arrays as buffers, so a
+10-sample live chunk pays about as much to call the kernel as to run it.
+Importing the module builds and loads nothing. The Python loop
+`_madgwick_loop` is the kernel's oracle and the fallback wherever the build
+or the load fails (no compiler or no headers, a read-only package
+directory); `madgwick_batch` calls whichever it has with the same
+arguments. The kernel does the Python loop's operations on the same
+operands and is built without floating-point contraction, so the two give
+the same bits. Two of them run at other points of the kernel's loop, to
+keep them off the per-sample quaternion recurrence. The gain's divide is a
+branch: `beta / gradient_ref` is divided once per call and `beta / ns` only
+on a sample whose gradient norm exceeds `gradient_ref`, the same operands
+as the Python loop's `beta / (ns if ns > gradient_ref else gradient_ref)`.
+The hip angle's `atan2` runs per block of 256 samples on the numerator and
+denominator the recurrence stored, which it reads and never feeds back.
+IEEE arithmetic rounds each operation on its own, so when it runs does not
+change its result.
 
 Frame convention (after mounting remap): x forward, y left, z up along the
 thigh. A positive hip angle (thigh in front of the torso) tilts the sensor
@@ -108,10 +110,10 @@ def madgwick_batch(
     `accel_rejected`; a gyro sample with a non-finite component counts as
     zero rate.
 
-    The loop takes and returns the state as it is: the C kernel
-    `_madgwick.c`, built on the first call, or the Python loop
-    `_madgwick_loop` where the kernel cannot be built or loaded. The two
-    give the same bits (see the module docstring).
+    The loop is the C kernel's `loop`, built on the first call, or the
+    Python loop `_madgwick_loop` where the kernel cannot be built or
+    loaded. Both take the same arguments, prepared here, and give the same
+    bits (see the module docstring).
     """
     a = np.asarray(accel, dtype=np.float64)
     g = np.asarray(gyro, dtype=np.float64)
@@ -122,26 +124,31 @@ def madgwick_batch(
         )
     if not (math.isfinite(dt) and dt > 0):
         raise GaitInputError(f"dt must be finite and > 0, got {dt}")
-    loop = _kernel() or _madgwick_loop
-    rad, state = loop(a, g * DEG, float(dt), state)
-    return np.degrees(rad), state
+    module = _kernel_module()
+    loop = _madgwick_loop if module is None else module.loop
+    out = np.empty(len(a))
+    state = loop(
+        np.ascontiguousarray(a), np.ascontiguousarray(g * DEG), out, float(dt), *state,
+        BETA, GRADIENT_REF,
+    )
+    return np.degrees(out, out=out), OrientationFilterState._make(state)
 
 
-def _madgwick_loop(a, g, dt, state):
-    """The filter loop in Python: the fallback and the oracle of the C kernel.
+def _madgwick_loop(accel, gyro_rad, out, dt, w, x, y, z, accel_rejected, beta, gradient_ref):
+    """The filter loop in Python: the fallback and the oracle of the kernel's `loop`.
 
-    Takes (N, 3) accel (g) and gyro (rad/s) and the incoming state; returns
-    the hip angles (rad) and the state after the last sample.
+    Takes what the kernel's `loop` takes: (N, 3) accel (g) and gyro (rad/s),
+    the array of N that receives the hip angles (rad), the time step, the
+    incoming state's five fields and the gain constants. Returns the state
+    after the last sample as the same five plain values.
     """
-    w, x, y, z, accel_rejected = state
-    out = []
+    angles = []
     sqrt = math.sqrt
     atan2 = math.atan2
     isfinite = math.isfinite
-    beta = BETA
     accel_used = not accel_rejected
     # The loop runs on plain floats for throughput.
-    for (ax, ay, az), (gx, gy, gz) in zip(a.tolist(), g.tolist()):
+    for (ax, ay, az), (gx, gy, gz) in zip(accel.tolist(), gyro_rad.tolist()):
         if not (isfinite(gx) and isfinite(gy) and isfinite(gz)):
             gx = gy = gz = 0.0
         an = sqrt(ax * ax + ay * ay + az * az)
@@ -164,7 +171,7 @@ def _madgwick_loop(a, g, dt, state):
             s3 = _2x * f1 + _2y * f2
             ns = sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
             if ns > 0.0:
-                k = beta / (ns if ns > GRADIENT_REF else GRADIENT_REF)
+                k = beta / (ns if ns > gradient_ref else gradient_ref)
                 c0 = k * s0
                 c1 = k * s1
                 c2 = k * s2
@@ -185,8 +192,9 @@ def _madgwick_loop(a, g, dt, state):
         z += qdz * dt
         inv = 1.0 / sqrt(w * w + x * x + y * y + z * z)
         w, x, y, z = w * inv, x * inv, y * inv, z * inv
-        out.append(atan2(2.0 * (x * z - w * y), 1.0 - 2.0 * (x * x + y * y)))
-    return np.array(out, dtype=np.float64), OrientationFilterState(w, x, y, z, not accel_used)
+        angles.append(atan2(2.0 * (x * z - w * y), 1.0 - 2.0 * (x * x + y * y)))
+    out[:] = angles
+    return w, x, y, z, not accel_used
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_madgwick.c")
@@ -254,25 +262,6 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
 
 # Built and loaded by the first call that runs a kernel loop, not at import.
 _kernel_module = functools.cache(_load_kernel)
-
-
-@functools.cache
-def _kernel():
-    """The C filter loop with `_madgwick_loop`'s signature, or None without a kernel."""
-    module = _kernel_module()
-    if module is None:
-        return None
-    fn = module.loop
-
-    def loop(a, g, dt, state):
-        # The entry point reads the buffers as C-contiguous doubles, checks
-        # only their lengths, and takes and returns the state's five fields.
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        g = np.ascontiguousarray(g, dtype=np.float64)
-        out = np.empty(len(a))
-        return out, OrientationFilterState._make(fn(a, g, out, dt, *state, BETA, GRADIENT_REF))
-
-    return loop
 
 
 MOUNTING_AXES = ("y", "-y", "x", "-x")

@@ -19,6 +19,7 @@ that a calibrated, standing sensor reads exactly (0, 0, 1) g.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,15 +44,6 @@ _MAD_TO_SIGMA = 1.4826
 def _check_rate(rate_hz: float) -> None:
     if not (math.isfinite(rate_hz) and rate_hz > 0):
         raise GaitInputError(f"rate must be finite and > 0, got {rate_hz}")
-
-
-def _median(values: np.ndarray) -> np.ndarray:
-    """np.median(values, axis=0) with less overhead: the same bits.
-
-    The window is copied once, transposed so that each channel is one
-    contiguous row, and `_median_rows` partitions the copy in place.
-    """
-    return _median_rows(values.T.copy())
 
 
 def _median_rows(rows: np.ndarray) -> np.ndarray:
@@ -97,11 +89,12 @@ class BendStream:
         return len(self.t)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UniformSeries:
     """A uniform-rate scalar (or fixed-width vector) series.
 
-    Sample k is stamped t0 + k / rate.
+    Sample k is stamped t0 + k / rate. Frozen, so the checks on the rate
+    and the start time hold for the series' life.
     """
 
     t0: float
@@ -264,6 +257,17 @@ def apply_offsets(
     return imu_out, bend_out
 
 
+def _check_factor(m: int) -> int:
+    """The downsampling factor as an int; GaitInputError unless an integer >= 1."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise GaitInputError(f"downsampling factor must be an integer, got {m!r}") from None
+    if m < 1:
+        raise GaitInputError(f"downsampling factor must be >= 1, got {m}")
+    return m
+
+
 def smoothed_block(values: np.ndarray, m: int, k_start: int, k_stop: int) -> np.ndarray:
     """Filter outputs for output indices [k_start, k_stop) of a value buffer.
 
@@ -276,9 +280,13 @@ def smoothed_block(values: np.ndarray, m: int, k_start: int, k_stop: int) -> np.
     one strided view over a contiguous copy of the samples they cover (no
     copy for contiguous input), far cheaper to set up than a general
     sliding-window view. The copy also makes the bits independent of the
-    input's memory layout. A buffer too short for output k_stop - 1 raises
+    input's memory layout. A buffer too short for output k_stop - 1, a
+    negative k_start and a factor M that is not an integer >= 1 raise
     GaitInputError.
     """
+    m = _check_factor(m)
+    if k_start < 0:
+        raise GaitInputError(f"output indices start at 0, got k_start {k_start}")
     if k_stop <= k_start:
         return values[:0]
     hi = m * k_stop + m  # slice end of the last window
@@ -306,8 +314,7 @@ def downsample_smooth(
     sample j corresponds to input index M*(j+1) - 1. Incomplete edge
     windows are dropped.
     """
-    if m < 1:
-        raise GaitInputError(f"downsampling factor must be >= 1, got {m}")
+    m = _check_factor(m)
     n = len(values)
     if n == 0:
         raise GaitInputError("empty stream")

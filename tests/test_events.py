@@ -314,10 +314,16 @@ class TestDetectorState:
         assert det.frontier_t == 20 / RATE
 
 
-def state_bits(det):
-    """The detector's state, each float by its bits."""
-    state = (det._i, det._d_prev, det.pending, det.run_max, det.last_accept_t)
-    return tuple(v.hex() if isinstance(v, float) else v for v in state)
+def state_of(det):
+    """The detector's state as its loops take it: five numbers."""
+    return (det._i, det._d_prev, det.pending, det.run_max, det.last_accept_t)
+
+
+def result_bits(result):
+    """A detector loop's result, each float by its bits."""
+    *state, found, outrun = result
+    state = tuple(v.hex() if isinstance(v, float) else v for v in state)
+    return state, [(j, t.hex(), v.hex()) for j, t, v in found], outrun
 
 
 def event_bits(events):
@@ -368,41 +374,56 @@ def detector(params):
 
 
 class TestMinimaKernel:
-    """The kernel's `minima` gives `_feed_python`'s events and state, bit for bit."""
+    """The kernel's `minima` returns what `_minima_loop` returns, bit for bit."""
 
     @PROPERTY
     @given(detector_case())
     def test_kernel_equals_python_loop_for_any_chunking(self, minima, case):
         values, params, bounds = case
         d = five_point_derivative(series(values, params["t0"], params["rate"])).values
-        fed_c, fed_py = detector(params), detector(params)
+        settings = (params["prominence"], params["refractory"], params["t0"], params["rate"])
+        state = state_of(detector(params))
         found = 0
         for start, stop in zip(bounds, bounds[1:]):
             # The series reaches at least as far as the derivatives read.
-            for det in (fed_c, fed_py):
-                det.extend_series(values[len(det.values) : stop])
-            got = fed_c._feed_kernel(minima, d[start:stop])
-            want = fed_py._feed_python(d[start:stop])
-            assert event_bits(got) == event_bits(want)
-            assert state_bits(fed_c) == state_bits(fed_py)
-            found += len(want)
+            args = (array("d", values[:stop].tobytes()), d[start:stop], *state, *settings)
+            got, want = minima(*args), events_module._minima_loop(*args)
+            assert result_bits(got) == result_bits(want)
+            state = want[:5]
+            found += len(want[5])
         whole = detector(params)
         whole.extend_series(values)
-        assert found == len(whole._feed_python(d))
+        assert found == len(whole.feed_derivative(d))
 
-    def test_outrun_leaves_the_python_loops_state(self, minima):
+    def test_outrun_leaves_the_python_loops_state(self, minima, monkeypatch):
         s = 20.0 * np.sin(2 * np.pi * np.arange(0, 3, 1 / RATE))
         d = five_point_derivative(series(s)).values
-        messages, states = [], []
-        for feed in (lambda det: det._feed_kernel(minima, d), lambda det: det._feed_python(d)):
+        det = MinimaDetector("series", 0.0, RATE, EventConfig())
+        settings = (det.config.prominence_deg, det.config.refractory_s, det.t0, det.rate_hz)
+        args = (array("d", s[:40].tobytes()), d, *state_of(det), *settings)
+        got, want = minima(*args), events_module._minima_loop(*args)
+        assert result_bits(got) == result_bits(want)
+        assert got[6] is want[6] is True and want[:2] == (41, d[40])
+        messages = []
+        for module in (orientation._kernel_module(), None):
+            monkeypatch.setattr(orientation, "_kernel_module", lambda: module)
             det = MinimaDetector("series", 0.0, RATE, EventConfig())
             det.extend_series(s[:40])
             with pytest.raises(GaitInputError) as err:
-                feed(det)
+                det.feed_derivative(d)
             messages.append(str(err.value))
-            states.append(state_bits(det))
+            assert state_of(det) == want[:5]
         assert messages[0] == messages[1] and "index 40 outruns series of 40" in messages[0]
-        assert states[0] == states[1] and states[0][:2] == (41, d[40].hex())
+
+    def test_refractory_boundary_is_inclusive(self, minima):
+        # At 16 Hz sample times are exact: troughs every 0.25 s against a
+        # 0.5 s refractory, so every other trough lands exactly on it.
+        s = np.append(np.tile([10.0, 5.0, 0.0, 5.0], 10), 10.0)
+        d = five_point_derivative(series(s, rate=16.0)).values
+        args = (array("d", s.tobytes()), d, 0, 0.0, -1, -math.inf, -math.inf, 1.0, 0.5, 0.0, 16.0)
+        got, want = minima(*args), events_module._minima_loop(*args)
+        assert result_bits(got) == result_bits(want)
+        assert [j for j, _, _ in want[5]] == [2, 10, 18, 26, 34]
 
     def test_detect_minima_without_the_kernel_gives_the_same_events(self, minima, monkeypatch):
         rng = np.random.default_rng(7)
@@ -428,13 +449,15 @@ class TestMinimaKernel:
         assert len(without) == 12
         assert event_bits(with_kernel) == event_bits(without)
 
-    def test_kernel_events_are_minimum_events(self, minima):
+    def test_kernel_events_are_minimum_events(self, minima, monkeypatch):
         s = 20.0 * np.sin(2 * np.pi * np.arange(0, 6, 1 / RATE))
         d = five_point_derivative(series(s)).values
         fed_c, fed_py = (MinimaDetector("knee_R", 0.0, RATE, EventConfig()) for _ in range(2))
         for det in (fed_c, fed_py):
             det.extend_series(s)
-        got, want = fed_c._feed_kernel(minima, d), fed_py._feed_python(d)
+        got = fed_c.feed_derivative(d)
+        monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+        want = fed_py.feed_derivative(d)
         assert len(got) == 6 and got == want
         for ev in got:
             assert type(ev) is MinimumEvent
@@ -540,13 +563,16 @@ class TestSegmentSteps:
             )
 
     def test_nan_start_time_rejected(self):
-        # A NaN t0 set after construction passes UniformSeries' own check;
-        # the quad's spread test fails on it rather than reading NaN as 0.
+        # UniformSeries is frozen, so its own check on t0 holds; a NaN t0
+        # forced past it still fails the quad's spread test rather than
+        # being read as 0.
         quad = cosine_quad()
         for name in ("knee_l", "hip_r"):
             parts = {k: getattr(quad, k) for k in ("knee_l", "knee_r", "hip_l", "hip_r")}
             parts[name] = series(parts[name].values)
-            parts[name].t0 = math.nan
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                parts[name].t0 = math.nan
+            object.__setattr__(parts[name], "t0", math.nan)
             with pytest.raises(GaitInputError, match="start times"):
                 AngleQuad(**parts)
 

@@ -25,7 +25,7 @@ def test_import_loads_no_optimizer_and_builds_no_kernel():
         [
             *(f"import gaitlab.{m}" for m in MODULES),
             "import sys",
-            "print(gaitlab.orientation._kernel.cache_info().currsize)",
+            "print(gaitlab.orientation._kernel_module.cache_info().currsize)",
             "print(*sys.modules, sep='\\n')",
         ]
     )

@@ -13,10 +13,15 @@ from gaitlab.signal import (
     apply_offsets,
     check_stream_timing,
     compute_offsets,
-    _median,
+    _median_rows,
     downsample_smooth,
     smoothed_block,
 )
+
+
+def _median(values):
+    """np.median(values, axis=0) through `_median_rows`, one channel per row."""
+    return _median_rows(values.T.copy())
 
 
 def still_imu(n=100, accel=(0.0, 0.0, 1.0), gyro=(0.0, 0.0, 0.0), rate=250.0):
@@ -198,6 +203,18 @@ class TestDownsampleSmooth:
         with pytest.raises(GaitInputError):
             downsample_smooth(np.zeros(10), m=0, rate_hz=250.0)
 
+    @pytest.mark.parametrize("m", [2.5, 4.0, "4", None])
+    def test_factor_that_is_not_an_integer_rejected(self, m):
+        with pytest.raises(GaitInputError, match="integer"):
+            downsample_smooth(np.zeros(100), m=m, rate_hz=100.0)
+
+    def test_numpy_integer_factor_accepted(self):
+        values = np.random.default_rng(8).normal(size=100)
+        want = downsample_smooth(values, m=4, rate_hz=100.0)
+        got = downsample_smooth(values, m=np.int64(4), rate_hz=100.0)
+        assert got.t0 == want.t0 and got.rate_hz == want.rate_hz
+        assert got.values.tobytes() == want.values.tobytes()
+
 
 def smoothed_block_oracle(values, m, k_start, k_stop):
     """The slow path: a general sliding-window view, every Mth window, mean."""
@@ -246,6 +263,25 @@ class TestSmoothedBlock:
             smoothed_block(np.zeros(30), 10, 0, 5)
         with pytest.raises(GaitInputError):
             smoothed_block(np.zeros((30, 2)), 10, 2, 3)
+
+    def test_negative_start_rejected(self):
+        # Output -1 has no window; it used to come back as output 0, read
+        # through a zero-length slice.
+        values = np.arange(100.0) + 1000.0
+        for k_start, k_stop in ((-1, 2), (-3, -1), (-1, -1)):
+            with pytest.raises(GaitInputError, match="k_start"):
+                smoothed_block(values, 4, k_start, k_stop)
+
+    @pytest.mark.parametrize("m", [2.5, 0, -1])
+    def test_bad_factor_rejected(self, m):
+        with pytest.raises(GaitInputError, match="factor"):
+            smoothed_block(np.arange(100.0), m, 0, 2)
+
+    def test_numpy_integer_arguments_accepted(self):
+        values = np.arange(100.0)
+        want = smoothed_block(values, 4, 1, 5)
+        got = smoothed_block(values, np.int64(4), np.int64(1), np.int64(5))
+        assert got.tobytes() == want.tobytes()
 
     def test_empty_range(self):
         for values in (np.arange(50.0), np.zeros((50, 2))):

@@ -1,24 +1,32 @@
-/* The two per-sample loops of the gaitlab batch chain, as one CPython
- * extension module.
+/* The three compiled loops of the gaitlab chain, as one CPython extension
+ * module.
  *
- * `madgwick_loop` is the loop of gaitlab.orientation.madgwick_batch and
- * `minima_loop` the loop of gaitlab.events.MinimaDetector.feed_derivative,
+ * `madgwick_loop` is the loop of gaitlab.orientation.madgwick_batch,
+ * `minima_loop` the loop of gaitlab.events.MinimaDetector.feed_derivative
+ * and `boxcar_loop` the decimating boxcar of gaitlab.signal.smoothed_block,
  * each a translation of its Python loop (`orientation._madgwick_loop`,
- * `events._minima_loop`) that does the same operations on the same
- * operands. Built without floating-point contraction or reassociation (-O2
- * -ffp-contract=off, no -ffast-math), they give the same bits. Each entry
- * point, `loop` and `minima`, takes the same arguments and returns the same
- * values as its Python loop, so the callers call either one the same way.
+ * `events._minima_loop`, `signal._boxcar_loop`) that does the same
+ * operations on the same operands. Built without floating-point contraction
+ * or reassociation (-O2 -ffp-contract=off, no -ffast-math), they give the
+ * same bits. Each entry point, `loop`, `minima` and `boxcar`, takes the same
+ * arguments and returns the same values as its Python loop, so the callers
+ * call either one the same way.
  *
- * `madgwick_loop` is arranged so that little sits on its per-sample
- * dependency chain, the quaternion recurrence. The proportional gain
- * beta / gradient_ref is divided once per call and the per-sample
- * beta / ns is taken only in a branch when the gradient norm exceeds
- * gradient_ref: each is the Python loop's divide on the same operands, and
- * a predicted branch lets the CPU run ahead without waiting on the sqrt and
- * the divide. The hip angle's atan2, which reads the quaternion but feeds
- * nothing back, runs per block of samples after the recurrence, on the
- * numerator and denominator stored as they were computed.
+ * `madgwick_loop` takes the gyro in deg/s and writes the hip angle in
+ * degrees: per sample it multiplies the rate by DEG and the angle by
+ * DEG_PER_RAD, the multiplies numpy's `g * DEG` and `np.degrees` do. It is
+ * arranged so that little sits on its per-sample dependency chain, the
+ * quaternion recurrence. The proportional gain beta / gradient_ref is
+ * divided once per call and the per-sample beta / ns is taken only in a
+ * branch when the gradient norm exceeds gradient_ref: each is the Python
+ * loop's divide on the same operands, and a predicted branch lets the CPU
+ * run ahead without waiting on the sqrt and the divide. The hip angle's
+ * atan2, which reads the quaternion but feeds nothing back, runs per block
+ * of samples after the recurrence, on the numerator and denominator stored
+ * as they were computed.
+ *
+ * `boxcar_loop` sums each window in the order of numpy's contiguous add
+ * reduction (`pairwise_sum`), so its means are np.add.reduce's bits.
  *
  * The entry points pass the loops the buffers without copying them;
  * building the module needs the interpreter's headers (Python.h).
@@ -31,8 +39,13 @@
  * cache when the pass reads it back. */
 #define ANGLE_BLOCK 256
 
-/* `q` is read and written as (w, x, y, z); accel (g) and gyro (rad/s) are
- * C-contiguous (n, 3); `out` receives the hip angle in radians after each
+/* Python's math.pi / 180.0 and 180.0 / math.pi: M_PI is the same double as
+ * math.pi, and the compiler folds each divide with IEEE rounding. */
+#define DEG (M_PI / 180.0)
+#define DEG_PER_RAD (180.0 / M_PI)
+
+/* `q` is read and written as (w, x, y, z); accel (g) and gyro (deg/s) are
+ * C-contiguous (n, 3); `out` receives the hip angle in degrees after each
  * sample. Returns the accel-rejected flag after the last sample, which is
  * the incoming flag when n is 0.
  */
@@ -47,7 +60,8 @@ static int madgwick_loop(double *q, const double *accel, const double *gyro, lon
         long e = n - b < ANGLE_BLOCK ? n : b + ANGLE_BLOCK;
         for (long i = b; i < e; i++) {
             double ax = accel[3 * i], ay = accel[3 * i + 1], az = accel[3 * i + 2];
-            double gx = gyro[3 * i], gy = gyro[3 * i + 1], gz = gyro[3 * i + 2];
+            double gx = gyro[3 * i] * DEG, gy = gyro[3 * i + 1] * DEG;
+            double gz = gyro[3 * i + 2] * DEG;
             double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
             if (!(isfinite(gx) && isfinite(gy) && isfinite(gz)))
                 gx = gy = gz = 0.0;
@@ -95,7 +109,7 @@ static int madgwick_loop(double *q, const double *accel, const double *gyro, lon
             den[i - b] = 1.0 - 2.0 * (x * x + y * y);
         }
         for (long i = b; i < e; i++)
-            out[i] = atan2(out[i], den[i - b]);
+            out[i] = atan2(out[i], den[i - b]) * DEG_PER_RAD;
     }
     q[0] = w;
     q[1] = x;
@@ -106,10 +120,10 @@ static int madgwick_loop(double *q, const double *accel, const double *gyro, lon
 
 /* loop(accel, gyro, out, dt, w, x, y, z, accel_rejected, beta, gradient_ref)
  *
- * accel and gyro are read-only buffers of 3n doubles and out a writable
- * buffer of n doubles, all C-contiguous; the caller guarantees the double
- * format, this function checks the lengths. Returns the final
- * (w, x, y, z, accel_rejected).
+ * accel (g) and gyro (deg/s) are read-only buffers of 3n doubles and out a
+ * writable buffer of n doubles for the hip angles (deg), all C-contiguous;
+ * the caller guarantees the double format, this function checks the
+ * lengths. Returns the final (w, x, y, z, accel_rejected).
  */
 static PyObject *loop(PyObject *self, PyObject *args)
 {
@@ -254,9 +268,92 @@ done:
     return result;
 }
 
+/* numpy's sum of n contiguous doubles (pairwise_sum in its umath loops):
+ * fewer than 8 terms in order; up to 128 in eight accumulators, combined
+ * pairwise, then the rest in order; more split at a multiple of 8 near the
+ * middle. The recursion depth is about log2(n / 128). */
+static double pairwise_sum(const double *a, Py_ssize_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (Py_ssize_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        Py_ssize_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    Py_ssize_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* out[i] is the mean of the 2m samples from s[m * (k_start + i)], for i in
+ * [0, n_out): np.add.reduce starts from its identity, 0.0, and adds the
+ * window's pairwise sum, so an all -0.0 window gives +0.0; then the divide
+ * by 2m, which is numpy's conversion of 2m to a double (doubling is exact,
+ * and 2 * m itself could overflow when n_out is 0). */
+static void boxcar_loop(const double *s, Py_ssize_t m, Py_ssize_t k_start, double *out,
+                        Py_ssize_t n_out)
+{
+    double width = 2.0 * (double)m;
+    for (Py_ssize_t i = 0; i < n_out; i++)
+        out[i] = (0.0 + pairwise_sum(s + m * (k_start + i), 2 * m)) / width;
+}
+
+/* boxcar(values, out, m, k_start)
+ *
+ * values is a read-only buffer of doubles and out a writable buffer of
+ * n_out doubles, both C-contiguous; the caller guarantees the double
+ * format, this function checks the lengths, that m >= 1 and k_start >= 0,
+ * and that the last window, which ends at m * (k_start + n_out + 1), fits
+ * in values. Writes the means into out and returns None.
+ */
+static PyObject *boxcar(PyObject *self, PyObject *args)
+{
+    Py_buffer values, out;
+    Py_ssize_t m, k_start;
+    PyObject *result = NULL;
+    (void)self;
+
+    if (!PyArg_ParseTuple(args, "y*w*nn:boxcar", &values, &out, &m, &k_start))
+        return NULL;
+    Py_ssize_t n = values.len / (Py_ssize_t)sizeof(double);
+    Py_ssize_t n_out = out.len / (Py_ssize_t)sizeof(double);
+    if (values.len % sizeof(double) != 0 || out.len % sizeof(double) != 0)
+        PyErr_Format(PyExc_ValueError, "boxcar needs whole doubles, got %zd and %zd bytes",
+                     values.len, out.len);
+    else if (m < 1 || k_start < 0)
+        PyErr_Format(PyExc_ValueError, "boxcar needs m >= 1 and k_start >= 0, got %zd and %zd",
+                     m, k_start);
+    /* m * (k_start + n_out + 1) <= n, written so that nothing overflows. */
+    else if (n_out > 0 && k_start > n / m - n_out - 1)
+        PyErr_Format(PyExc_ValueError,
+                     "boxcar output %zd needs more than the %zd samples of values",
+                     k_start + n_out - 1, n);
+    else {
+        boxcar_loop(values.buf, m, k_start, out.buf, n_out);
+        result = Py_NewRef(Py_None);
+    }
+    PyBuffer_Release(&values);
+    PyBuffer_Release(&out);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"loop", loop, METH_VARARGS, "Run the Madgwick filter loop over n samples."},
     {"minima", minima, METH_VARARGS, "Run the minima detector loop over derivatives."},
+    {"boxcar", boxcar, METH_VARARGS, "Write the decimating boxcar's means for n outputs."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -9,16 +9,19 @@ y, z, accel_rejected)`, and a recording fed in chunks of any size, the
 state passed along, gives the one-call output bit for bit.
 
 The filter has one loop in two languages, with one calling convention:
-`loop(accel, gyro_rad, out, dt, w, x, y, z, accel_rejected, beta,
-gradient_ref)` writes the hip angles (rad) into `out` and returns the
-state's five fields. The fast path is the C kernel `_madgwick.c`, a CPython
-extension module that holds two loops: this filter's (`loop`) and the
-minima detector's of `gaitlab.events` (`minima`). The first call in a
-process that runs either loads the module from the package's
-`__pycache__/`. It is named by a hash of the source, the compiler flags
-and the interpreter's include directory, and is first compiled there with
-the system C compiler (`cc`) and the interpreter's headers (`Python.h`) if
-it is not there yet. Its entry points take the arrays as buffers, so a
+`loop(accel, gyro, out, dt, w, x, y, z, accel_rejected, beta,
+gradient_ref)` takes accel in g and gyro in deg/s, writes the hip angles
+in degrees into `out` and returns the state's five fields. Each loop does
+the unit conversions per sample, the multiplies numpy's `gyro * DEG` and
+`np.degrees` would do, so `madgwick_batch` allocates nothing but `out`.
+The fast path is the C kernel `_madgwick.c`, a CPython extension module
+that holds three loops: this filter's (`loop`), the minima detector's of
+`gaitlab.events` (`minima`) and the decimating boxcar of `gaitlab.signal`
+(`boxcar`). The first call in a process that runs any of them loads the
+module from the package's `__pycache__/`. It is named by a hash of the
+source, the compiler flags and the interpreter's include directory, and is
+first compiled there with the system C compiler (`cc`) and the
+interpreter's headers (`Python.h`) if it is not there yet. Its entry points take the arrays as buffers, so a
 10-sample live chunk pays about as much to call the kernel as to run it.
 Importing the module builds and loads nothing. The Python loop
 `_madgwick_loop` is the kernel's oracle and the fallback wherever the build
@@ -128,17 +131,21 @@ def madgwick_batch(
     loop = _madgwick_loop if module is None else module.loop
     out = np.empty(len(a))
     state = loop(
-        np.ascontiguousarray(a), np.ascontiguousarray(g * DEG), out, float(dt), *state,
+        np.ascontiguousarray(a), np.ascontiguousarray(g), out, float(dt), *state,
         BETA, GRADIENT_REF,
     )
-    return np.degrees(out, out=out), OrientationFilterState._make(state)
+    return out, OrientationFilterState._make(state)
 
 
-def _madgwick_loop(accel, gyro_rad, out, dt, w, x, y, z, accel_rejected, beta, gradient_ref):
+# Radians to degrees, as np.degrees multiplies.
+_DEG_PER_RAD = 180.0 / math.pi
+
+
+def _madgwick_loop(accel, gyro, out, dt, w, x, y, z, accel_rejected, beta, gradient_ref):
     """The filter loop in Python: the fallback and the oracle of the kernel's `loop`.
 
-    Takes what the kernel's `loop` takes: (N, 3) accel (g) and gyro (rad/s),
-    the array of N that receives the hip angles (rad), the time step, the
+    Takes what the kernel's `loop` takes: (N, 3) accel (g) and gyro (deg/s),
+    the array of N that receives the hip angles (deg), the time step, the
     incoming state's five fields and the gain constants. Returns the state
     after the last sample as the same five plain values.
     """
@@ -147,8 +154,9 @@ def _madgwick_loop(accel, gyro_rad, out, dt, w, x, y, z, accel_rejected, beta, g
     atan2 = math.atan2
     isfinite = math.isfinite
     accel_used = not accel_rejected
-    # The loop runs on plain floats for throughput.
-    for (ax, ay, az), (gx, gy, gz) in zip(accel.tolist(), gyro_rad.tolist()):
+    # The loop runs on plain floats for throughput; `gyro * DEG` is the
+    # kernel's per-sample multiply, done for all samples at once.
+    for (ax, ay, az), (gx, gy, gz) in zip(accel.tolist(), (gyro * DEG).tolist()):
         if not (isfinite(gx) and isfinite(gy) and isfinite(gz)):
             gx = gy = gz = 0.0
         an = sqrt(ax * ax + ay * ay + az * az)
@@ -192,7 +200,9 @@ def _madgwick_loop(accel, gyro_rad, out, dt, w, x, y, z, accel_rejected, beta, g
         z += qdz * dt
         inv = 1.0 / sqrt(w * w + x * x + y * y + z * z)
         w, x, y, z = w * inv, x * inv, y * inv, z * inv
-        angles.append(atan2(2.0 * (x * z - w * y), 1.0 - 2.0 * (x * x + y * y)))
+        angles.append(
+            atan2(2.0 * (x * z - w * y), 1.0 - 2.0 * (x * x + y * y)) * _DEG_PER_RAD
+        )
     out[:] = angles
     return w, x, y, z, not accel_used
 
@@ -215,9 +225,9 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
     extension suffix, so an interpreter with another ABI never loads it. It
     is compiled into a temporary file that is then renamed into place, so
     processes building at once never load a partial file. Returns the
-    module, whose `loop` and `minima` run the filter and the minima
-    detector, or None when the build or the load fails, with the reason in
-    `_kernel_error`.
+    module, whose `loop`, `minima` and `boxcar` run the filter, the minima
+    detector and the decimating boxcar, or None when the build or the load
+    fails, with the reason in `_kernel_error`.
     """
     global _kernel_error
     # Only where a kernel is loaded, to keep the import cheap.

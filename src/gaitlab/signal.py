@@ -4,12 +4,18 @@ downsample-and-smooth filter.
 The filter averages a centered window of exactly 2M input samples while
 decimating by M:
 
-    out[k] = (1 / 2M) * sum(s[M*(k-1) : M*(k+1)])        (0-based slice)
+    out[k] = (1 / 2M) * sum(s[M*k : M*(k+2)])        (0-based slice)
 
-Output k is stamped at input sample M*k - 1 (0-based), so the first and
+Output k is stamped at input sample M*(k+1) - 1 (0-based), so the first and
 last incomplete windows are dropped rather than padded. With the native
 rates used here (IMU 250 Hz with M=10, bend sensor 100 Hz with M=4) both
 streams come out at 25 Hz, comfortably above the <10 Hz content of gait.
+The filter's loop runs in two languages with one calling convention,
+`boxcar(values, out, m, k_start)`: the `boxcar` entry point of the C kernel
+that also holds the Madgwick filter's loop (see `gaitlab.orientation`,
+whose loader builds and loads it on first use), and `_boxcar_loop`, its
+numpy oracle and fallback. The kernel sums each window in the order of
+numpy's add reduction, so the two give the same bits.
 
 Offsets are per-channel medians over a standing-still window; for the
 accelerometer the median is taken relative to the 1 g gravity vector so
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import ArrayLike
 
+from . import orientation
 from .errors import CalibrationError, GaitInputError
 
 GRAVITY_G = np.array([0.0, 0.0, 1.0])
@@ -272,19 +279,28 @@ def smoothed_block(values: np.ndarray, m: int, k_start: int, k_stop: int) -> np.
     """Filter outputs for output indices [k_start, k_stop) of a value buffer.
 
     Shared by the batch operation and the streaming decimator so that both
-    produce bit-identical results: each output is the sum of the same 2M
-    contiguous input samples, reduced in the same order, divided by 2M.
+    produce bit-identical results: output k is the sum of the 2M input
+    samples from M*k, reduced in np.add.reduce's order, divided by 2M.
 
     The live decimator calls this about four times per 40 ms chunk, mostly
-    for one output, so the per-call cost dominates there: the windows are
-    one strided view over a contiguous copy of the samples they cover (no
-    copy for contiguous input), far cheaper to set up than a general
-    sliding-window view. The copy also makes the bits independent of the
-    input's memory layout. A buffer too short for output k_stop - 1, a
-    negative k_start and a factor M that is not an integer >= 1 raise
-    GaitInputError.
+    for one output, so the per-call cost dominates there. A float64 (N,)
+    buffer, the only kind the chain passes, goes to the C kernel's `boxcar`
+    where it loads, which reads the windows in place (a contiguous copy of
+    other layouts first, so the bits do not depend on the layout). Any
+    other shape or dtype, and every buffer where the kernel does not load,
+    goes to `_boxcar_loop`, its numpy oracle; both take the same arguments
+    and give the same bits. A buffer too short for output k_stop - 1, a
+    negative k_start, indices that are not integers and a factor M that is
+    not an integer >= 1 raise GaitInputError.
     """
     m = _check_factor(m)
+    values = np.asarray(values)
+    try:
+        k_start, k_stop = operator.index(k_start), operator.index(k_stop)
+    except TypeError:
+        raise GaitInputError(
+            f"output indices must be integers, got {k_start!r} and {k_stop!r}"
+        ) from None
     if k_start < 0:
         raise GaitInputError(f"output indices start at 0, got k_start {k_start}")
     if k_stop <= k_start:
@@ -294,15 +310,37 @@ def smoothed_block(values: np.ndarray, m: int, k_start: int, k_stop: int) -> np.
         raise GaitInputError(
             f"output {k_stop - 1} needs {hi} samples, the buffer holds {len(values)}"
         )
-    seg = np.ascontiguousarray(values[m * k_start : hi])
+    if values.ndim == 1 and values.dtype == np.float64:
+        kernel = orientation._kernel_module()
+        if kernel is not None:
+            out = np.empty(k_stop - k_start)
+            kernel.boxcar(np.ascontiguousarray(values), out, m, k_start)
+            return out
+    out = np.empty((k_stop - k_start, *values.shape[1:]), np.result_type(values.dtype, 1.0))
+    _boxcar_loop(values, out, m, k_start)
+    return out
+
+
+def _boxcar_loop(values, out, m, k_start):
+    """The boxcar in numpy: the fallback and the oracle of the kernel's `boxcar`.
+
+    Takes what the kernel's `boxcar` takes: the value buffer, the array
+    that receives outputs [k_start, k_start + len(out)), the factor M and
+    k_start. Lays the windows as one strided view over a contiguous copy of
+    the samples they cover (no copy for contiguous input) and divides their
+    np.add.reduce by 2M. A 1-D window is reduced in numpy's pairwise order,
+    which the kernel reproduces; an (N, C) buffer's windows run along a
+    strided axis, which numpy sums in order, so that input stays here.
+    """
+    seg = np.ascontiguousarray(values[m * k_start : m * (k_start + len(out)) + m])
     s = seg.strides
     window = np.ndarray(
-        (k_stop - k_start, *seg.shape[1:], 2 * m),
+        (len(out), *seg.shape[1:], 2 * m),
         seg.dtype,
         seg,
         strides=(m * s[0], *s[1:], s[0]),
     )
-    return np.add.reduce(window, axis=-1) / (2 * m)
+    np.divide(np.add.reduce(window, axis=-1), 2 * m, out=out)
 
 
 def downsample_smooth(

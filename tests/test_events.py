@@ -1,10 +1,7 @@
 import dataclasses
 import math
-import shutil
-import sysconfig
 import tracemalloc
 from array import array
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -331,15 +328,9 @@ def event_bits(events):
 
 
 @pytest.fixture(scope="module")
-def minima():
-    """The kernel's detector loop; skipped only where the kernel cannot be built."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler (cc) on PATH, so only the Python loop can run")
-    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
-        pytest.skip("no Python.h for this interpreter, so only the Python loop can run")
-    module = orientation._kernel_module()
-    assert module is not None, orientation._kernel_error
-    return module.minima
+def minima(compiled_kernel):
+    """The kernel's detector loop (see conftest.py for when it skips)."""
+    return compiled_kernel.minima
 
 
 @st.composite
@@ -424,6 +415,28 @@ class TestMinimaKernel:
         got, want = minima(*args), events_module._minima_loop(*args)
         assert result_bits(got) == result_bits(want)
         assert [j for j, _, _ in want[5]] == [2, 10, 18, 26, 34]
+
+    @pytest.mark.parametrize(
+        "values, event",
+        [
+            # The series falls from 4 to 3: run_max - s[j] equals the prominence.
+            ([0, 1, 2, 3, 4, 3.5, 3, 3.5, 5, 7, 9, 11], 6),
+            # The series rises from 0 to 1 and stays: s[i] - s[j] equals it.
+            ([10, 8, 6, 4, 2, 0, 0.5, 1, 1, 1, 1], 5),
+            # A flat trough, s[i - 1] == s[i] where the derivative turns.
+            ([10, 8, 6, 4, 2, 0, 0, 2, 4, 6, 8, 10], 5),
+        ],
+        ids=["opens_at_prominence", "confirms_at_prominence", "tie_picks_the_earlier_sample"],
+    )
+    def test_boundary_cases(self, minima, values, event):
+        # Each boundary test is inclusive (>= prominence, s[i - 1] <= s[i]),
+        # so each case finds exactly one event, in either language.
+        s = np.array(values, dtype=float)
+        d = five_point_derivative(series(s)).values
+        args = (array("d", s.tobytes()), d, 0, 0.0, -1, -math.inf, -math.inf, 1.0, 0.0, 0.0, RATE)
+        got, want = minima(*args), events_module._minima_loop(*args)
+        assert result_bits(got) == result_bits(want)
+        assert want[5] == [(event, event / RATE, s[event])]
 
     def test_detect_minima_without_the_kernel_gives_the_same_events(self, minima, monkeypatch):
         rng = np.random.default_rng(7)

@@ -2,9 +2,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import shutil
 import sysconfig
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +14,6 @@ from gaitlab import orientation
 from gaitlab.errors import GaitInputError
 from gaitlab.orientation import (
     BETA,
-    DEG,
     GRADIENT_REF,
     MOUNTING_AXES,
     OrientationFilterState,
@@ -176,23 +173,22 @@ def random_state(rng, accel_rejected=False):
     return OrientationFilterState(*(q / np.linalg.norm(q)).tolist(), accel_rejected)
 
 
-def run(loop, accel, gyro_rad, state):
+def run(loop, accel, gyro, state):
     """Call a filter loop, the kernel's or the Python one, with the same arguments.
 
-    Returns the hip angles (rad) it wrote and the state it returned.
+    Returns the hip angles (deg) it wrote and the state it returned.
     """
     out = np.empty(len(accel))
-    return out, loop(accel, gyro_rad, out, DT, *state, BETA, GRADIENT_REF)
+    return out, loop(accel, gyro, out, DT, *state, BETA, GRADIENT_REF)
 
 
 def run_chunks(loop, accel, gyro, state, chunk):
     """Feed `loop` in chunks, with an empty chunk first and one after the first."""
-    g = gyro * DEG
     bounds = [(0, 0)] + [(i, i + chunk) for i in range(0, len(accel), chunk)]
     bounds.insert(2, (chunk, chunk))
     parts = []
     for start, stop in bounds:
-        part, state = run(loop, accel[start:stop], g[start:stop], state)
+        part, state = run(loop, accel[start:stop], gyro[start:stop], state)
         parts.append(part)
     return np.concatenate(parts), state
 
@@ -216,27 +212,15 @@ def gradient_norms(accel, states):
     return np.sqrt(sum(c * c for c in s))
 
 
-def has_python_headers():
-    return (Path(sysconfig.get_paths()["include"]) / "Python.h").exists()
-
-
 @pytest.fixture
-def kernel():
-    """The compiled loop; skipped only where no C compiler or no Python.h exists."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler (cc) on PATH, so only the Python loop can run")
-    if not has_python_headers():
-        pytest.skip("no Python.h for this interpreter, so only the Python loop can run")
-    module = orientation._kernel_module()
-    assert module is not None, orientation._kernel_error
-    return module.loop
+def kernel(compiled_kernel):
+    """The compiled filter loop (see conftest.py for when it skips)."""
+    return compiled_kernel.loop
 
 
 @pytest.fixture(scope="module")
-def kernel_module(tmp_path_factory):
+def kernel_module(compiled_kernel, tmp_path_factory):
     """The extension module itself, built into a fresh cache directory."""
-    if shutil.which("cc") is None or not has_python_headers():
-        pytest.skip("the kernel cannot be built here")
     cache = tmp_path_factory.mktemp("kernel")
     assert orientation._load_kernel(cache) is not None, orientation._kernel_error
     (path,) = cache.iterdir()
@@ -244,6 +228,21 @@ def kernel_module(tmp_path_factory):
     module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
     loader.exec_module(module)
     return module
+
+
+class TestUnits:
+    def test_degrees_are_one_multiply(self):
+        # The loops take deg/s and write degrees, multiplying by DEG and by
+        # 180 / pi per sample: the multiplies of `gyro * DEG` and
+        # np.degrees, which madgwick_batch ran around the loop in radians.
+        rng = np.random.default_rng(13)
+        x = np.concatenate([
+            rng.uniform(-math.pi, math.pi, 100_000),
+            rng.normal(0.0, 1e3, 1000),
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308],
+        ])
+        with np.errstate(over="ignore"):  # 1e308 degrees is inf either way
+            assert np.degrees(x).tobytes() == (x * orientation._DEG_PER_RAD).tobytes()
 
 
 class TestNonFiniteSamples:
@@ -257,8 +256,8 @@ class TestNonFiniteSamples:
         angles, state = madgwick_batch(accel, gyro, DT, filter_init())
         assert np.isfinite(angles).all()
         assert np.isfinite(state[:4]).all()
-        oracle = run(orientation._madgwick_loop, accel, gyro * DEG, filter_init())
-        assert_same_bits((angles, state), (np.degrees(oracle[0]), oracle[1]))
+        oracle = run(orientation._madgwick_loop, accel, gyro, filter_init())
+        assert_same_bits((angles, state), oracle)
 
     def test_bad_accel_row_is_a_zero_accel_row(self):
         rng = np.random.default_rng(4)
@@ -296,9 +295,9 @@ class TestKernel:
         rng = np.random.default_rng(seed)
         accel, gyro = random_recording(rng, 400)
         state = random_state(rng, bool(seed % 2))
-        want = run(orientation._madgwick_loop, accel, gyro * DEG, state)
+        want = run(orientation._madgwick_loop, accel, gyro, state)
         assert np.isfinite(want[0]).all()
-        got = run(kernel, accel, gyro * DEG, state)
+        got = run(kernel, accel, gyro, state)
         assert_same_bits(got, want)
         assert type(got[1]) is type(want[1]) is tuple
         assert [type(v) for v in got[1]] == [type(v) for v in want[1]] == [float] * 4 + [bool]
@@ -313,8 +312,8 @@ class TestKernel:
         accel, gyro = random_recording(rng, max(n, 6))
         accel, gyro = accel[:n], gyro[:n]
         state = random_state(rng, True)
-        want = run(orientation._madgwick_loop, accel, gyro * DEG, state)
-        got = run(kernel, accel, gyro * DEG, state)
+        want = run(orientation._madgwick_loop, accel, gyro, state)
+        got = run(kernel, accel, gyro, state)
         assert len(got[0]) == n
         assert_same_bits(got, want)
 
@@ -323,7 +322,7 @@ class TestKernel:
         rng = np.random.default_rng(chunk)
         accel, gyro = random_recording(rng, 1000)
         state = random_state(rng)
-        want = run(orientation._madgwick_loop, accel, gyro * DEG, state)
+        want = run(orientation._madgwick_loop, accel, gyro, state)
         assert_same_bits(run_chunks(kernel, accel, gyro, state, chunk), want)
 
     def test_gradient_norm_crossing_the_reference_both_ways(self, kernel):
@@ -336,11 +335,11 @@ class TestKernel:
         accel = np.concatenate([settled, random_dirs, settled[::-1]])
         gyro = rng.normal(0.0, 0.5, accel.shape)
         state = filter_init()
-        want = run(orientation._madgwick_loop, accel, gyro * DEG, state)
-        assert_same_bits(run(kernel, accel, gyro * DEG, state), want)
+        want = run(orientation._madgwick_loop, accel, gyro, state)
+        assert_same_bits(run(kernel, accel, gyro, state), want)
         before = [state]
         for a, g in zip(accel[:-1], gyro[:-1]):
-            before.append(run(orientation._madgwick_loop, a[None], g[None] * DEG, before[-1])[1])
+            before.append(run(orientation._madgwick_loop, a[None], g[None], before[-1])[1])
         norms = gradient_norms(accel, before)
         above = norms > orientation.GRADIENT_REF
         assert ((norms > 0.0) & ~above).any() and above.any()
@@ -352,7 +351,7 @@ class TestKernel:
         rng = np.random.default_rng(11)
         accel, gyro = random_recording(rng, 300)
         state = random_state(rng)
-        want = run(orientation._madgwick_loop, accel, gyro * DEG, state)
+        want = run(orientation._madgwick_loop, accel, gyro, state)
 
         def arrange(v):
             if layout == "read_only":
@@ -365,7 +364,7 @@ class TestKernel:
             wide[:, 2:5] = v
             return wide[:, 2:5]
 
-        a, g = arrange(accel), arrange(gyro * DEG)
+        a, g = arrange(accel), arrange(gyro)
         assert not (layout == "column_view" and a.flags.c_contiguous)
         if a.flags.c_contiguous:
             assert_same_bits(run(kernel, a, g, state), want)
@@ -375,10 +374,10 @@ class TestKernel:
             with pytest.raises(ValueError, match="C-contiguous"):
                 run(kernel, a, g, state)
         angles, end = madgwick_batch(arrange(accel), arrange(gyro), DT, state)
-        assert_same_bits((angles, end), (np.degrees(want[0]), want[1]))
+        assert_same_bits((angles, end), want)
         monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
         angles, end = madgwick_batch(arrange(accel), arrange(gyro), DT, state)
-        assert_same_bits((angles, end), (np.degrees(want[0]), want[1]))
+        assert_same_bits((angles, end), want)
 
     @pytest.mark.parametrize(
         "accel_bytes, gyro_bytes, out_bytes",
@@ -419,8 +418,8 @@ class TestKernel:
         rng = np.random.default_rng(10)
         accel, gyro = random_recording(rng, 200)
         angles, state = madgwick_batch(accel, gyro, DT, filter_init())
-        want = run(orientation._madgwick_loop, accel, gyro * DEG, filter_init())
-        assert_same_bits((angles, state), (np.degrees(want[0]), want[1]))
+        want = run(orientation._madgwick_loop, accel, gyro, filter_init())
+        assert_same_bits((angles, state), want)
         assert list(tmp_path.iterdir()) == []
 
     def test_cached_kernel_loads_without_the_compiler(self, kernel, tmp_path, monkeypatch):

@@ -1,15 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from gaitlab import orientation
 from gaitlab.errors import CalibrationError, GaitInputError
 from gaitlab.signal import (
     BendStream,
     ImuStream,
     OffsetSet,
     UniformSeries,
+    _boxcar_loop,
     apply_offsets,
     check_stream_timing,
     compute_offsets,
@@ -224,6 +227,11 @@ def smoothed_block_oracle(values, m, k_start, k_stop):
     return window[::m].mean(axis=-1)
 
 
+# The window sizes of the boxcar parity tests: in-order sums (2M < 8), the
+# eight accumulators with and without a remainder, and a split at 2M > 128.
+BOXCAR_M = [1, 2, 3, 4, 10, 64, 65, 70]
+
+
 class TestSmoothedBlock:
     def test_matches_sliding_window_oracle(self):
         rng = np.random.default_rng(4)
@@ -289,6 +297,139 @@ class TestSmoothedBlock:
                 got = smoothed_block(values, 5, k_start, k_stop)
                 assert got.shape == (0, *values.shape[1:])
                 assert got.dtype == values.dtype
+
+    @pytest.mark.parametrize("layout", ["strided", "column", "read_only", "float32", "int", "list"])
+    @pytest.mark.parametrize("kernel", ["as_built", "none"])
+    def test_any_layout_or_dtype_gives_the_oracle_bits(self, layout, kernel, monkeypatch):
+        if kernel == "none":
+            monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+        rng = np.random.default_rng(21)
+        wide = rng.normal(size=(800, 3)) * 30.0
+        values = {
+            "strided": wide[::2, 0],
+            "column": wide[:, 1],
+            "read_only": wide[:, 2].copy(),
+            "float32": wide[:, 0].astype(np.float32),
+            "int": np.round(wide[:, 0] * 1e3).astype(np.int64),
+            "list": wide[:, 0].tolist(),
+        }[layout]
+        if layout == "read_only":
+            values.flags.writeable = False
+        for m in BOXCAR_M:
+            n_out = (len(values) - 2 * m) // m + 1
+            for k_start, k_stop in ((0, n_out), (n_out - 1, n_out), (1, 3)):
+                got = smoothed_block(values, m, k_start, k_stop)
+                want = smoothed_block_oracle(values, m, k_start, k_stop)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "k_start, k_stop", [(0, 2.5), (1.5, 3), (np.float64(1.0), 3), ("1", 3), (None, 3)]
+    )
+    def test_indices_that_are_not_integers_rejected(self, k_start, k_stop):
+        # Both used to raise a bare TypeError from the slice.
+        with pytest.raises(GaitInputError, match="integers"):
+            smoothed_block(np.arange(100.0), 4, k_start, k_stop)
+
+
+@pytest.fixture
+def boxcar(compiled_kernel):
+    """The kernel's boxcar (see conftest.py for when it skips)."""
+    return compiled_kernel.boxcar
+
+
+def run_boxcar(loop, values, m, k_start, n_out):
+    """Call a boxcar loop, the kernel's or the numpy one, with the same arguments."""
+    out = np.empty(n_out)
+    assert loop(values, out, m, k_start) is None
+    return out
+
+
+class TestBoxcarKernel:
+    """The kernel's `boxcar` writes `_boxcar_loop`'s bits."""
+
+    @pytest.mark.parametrize("m", BOXCAR_M)
+    def test_kernel_equals_numpy_loop(self, boxcar, m):
+        rng = np.random.default_rng(m)
+        for case in range(60):
+            n_out = int(rng.integers(1, 12))
+            n = m * (n_out + 1) + int(rng.integers(0, m))
+            values = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 6) + rng.normal() * 100.0
+            k_start = int(rng.integers(0, n_out))
+            want = run_boxcar(_boxcar_loop, values, m, k_start, n_out - k_start)
+            got = run_boxcar(boxcar, values, m, k_start, n_out - k_start)
+            assert got.tobytes() == want.tobytes(), f"case {case}"
+
+    @pytest.mark.parametrize("m", BOXCAR_M)
+    def test_special_windows(self, boxcar, m):
+        # Windows 0..5: all -0.0, a NaN, +inf, -inf, +inf and -inf, and
+        # -0.0 with one +0.0 in the middle.
+        windows = np.full((6, 2 * m), -0.0)
+        windows[1] = windows[2] = windows[3] = windows[4] = 1.5
+        windows[1, m] = math.nan
+        windows[2, -1] = math.inf
+        windows[3, 0] = -math.inf
+        windows[4, 0], windows[4, -1] = math.inf, -math.inf
+        windows[5, m] = 0.0
+        # Output 2k reads window k alone: the odd outputs straddle two.
+        values = windows.ravel()
+        n_out = (len(values) - 2 * m) // m + 1
+        with np.errstate(invalid="ignore"):  # inf - inf in the numpy loop
+            want = run_boxcar(_boxcar_loop, values, m, 0, n_out)
+        got = run_boxcar(boxcar, values, m, 0, n_out)
+        assert got.tobytes() == want.tobytes()
+        # np.add.reduce starts from +0.0, so an all -0.0 window gives +0.0.
+        assert got[0].tobytes() == np.float64(0.0).tobytes()
+        assert math.isnan(got[2]) and got[4] == math.inf and got[6] == -math.inf
+        assert math.isnan(got[8])
+
+    @pytest.mark.parametrize("m", BOXCAR_M)
+    def test_last_window_flush_with_the_buffer(self, boxcar, m):
+        rng = np.random.default_rng(100 + m)
+        values = rng.normal(size=6 * m)  # room for outputs 0..4 exactly
+        for k_start in range(5):
+            want = run_boxcar(_boxcar_loop, values, m, k_start, 5 - k_start)
+            assert run_boxcar(boxcar, values, m, k_start, 5 - k_start).tobytes() == want.tobytes()
+            # One output more ends one window past the buffer.
+            out = np.full(6 - k_start, 7.0)
+            with pytest.raises(ValueError, match="boxcar output 5 needs"):
+                boxcar(values, out, m, k_start)
+            assert (out == 7.0).all()
+
+    @pytest.mark.parametrize(
+        "values_bytes, out_bytes, m, k_start",
+        [(160, 8, 0, 0), (160, 8, -1, 0), (160, 8, 2, -1), (164, 8, 2, 0), (160, 12, 2, 0),
+         (160, 8, 2, 2**62), (160, 8, 2**62, 0)],
+        ids=["m_zero", "m_negative", "k_start_negative", "values_partial_double",
+             "out_partial_double", "k_start_huge", "m_huge"],
+    )
+    def test_bad_arguments_rejected(self, boxcar, values_bytes, out_bytes, m, k_start):
+        out = bytearray(b"\x07" * out_bytes)
+        with pytest.raises(ValueError):
+            boxcar(bytes(values_bytes), out, m, k_start)
+        assert out == bytearray(b"\x07" * out_bytes)
+
+    @pytest.mark.parametrize("m, k_start", [(5, 3), (2**62, 2**62)])
+    def test_empty_output_writes_nothing(self, boxcar, m, k_start):
+        assert boxcar(bytes(16), bytearray(), m, k_start) is None
+
+    def test_smoothed_block_runs_the_kernel_for_1d_float64(self, boxcar, monkeypatch):
+        calls = []
+
+        def counted(values, out, m, k_start):
+            calls.append((values.dtype, values.ndim, len(out), m, k_start))
+            return boxcar(values, out, m, k_start)
+
+        monkeypatch.setattr(orientation, "_kernel_module", lambda: SimpleNamespace(boxcar=counted))
+        values = np.arange(100.0)
+        smoothed_block(values, 4, 2, 5)
+        smoothed_block(values[::2], 4, 1, 3)
+        assert calls == [(np.float64, 1, 3, 4, 2), (np.float64, 1, 2, 4, 1)]
+        # Other dtypes and (N, C) buffers take the numpy loop.
+        smoothed_block(values.astype(np.float32), 4, 2, 5)
+        smoothed_block(np.zeros((100, 2)), 4, 2, 5)
+        smoothed_block(np.arange(100), 4, 2, 5)
+        assert len(calls) == 2
+
 
 
 class TestStreamTiming:

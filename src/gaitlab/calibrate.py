@@ -75,12 +75,13 @@ class ReferenceStep:
 
 @dataclass(frozen=True)
 class FeatureVector:
+    """The two angle features of one step; the third feature, d5's, is always 1."""
+
     h1: float
     h2: float
-    h3: float = 1.0
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.h1, self.h2, self.h3])
+        return np.array([self.h1, self.h2, 1.0])
 
 
 def feature_vector(angles: EventAngles) -> FeatureVector:
@@ -299,8 +300,7 @@ def rls_init(
 
 def rls_update(state: RlsState, h: FeatureVector, d_ref_cm: float) -> RlsState:
     """One forgetting-factor RLS step; a large innovation resets P first."""
-    if not (math.isfinite(h.h1) and math.isfinite(h.h2) and math.isfinite(h.h3)
-            and math.isfinite(d_ref_cm)):
+    if not (math.isfinite(h.h1) and math.isfinite(h.h2) and math.isfinite(d_ref_cm)):
         raise GaitInputError("non-finite RLS inputs")
     hv = h.as_array()
     P, lam, w = state.P, state.lam, state.w

@@ -146,6 +146,8 @@ class DerivativeStream:
         # The samples tail + new start two samples before the first interior
         # derivative still to emit, where its stencil starts.
         new = np.asarray(new_values, dtype=np.float64)
+        if new.ndim != 1:
+            raise GaitInputError(f"a series is one channel, got samples of shape {new.shape}")
         head_due = self.n < 3 <= self.n + len(new)
         self.n += len(new)
         h = self.h
@@ -278,7 +280,12 @@ class MinimaDetector:
         return self.t0 + index / self.rate_hz
 
     def extend_series(self, values: ArrayLike) -> None:
-        self.values.frombytes(np.asarray(values, dtype=np.float64).tobytes())
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1:
+            raise GaitInputError(
+                f"{self.series_id}: a series is one channel, got values of shape {values.shape}"
+            )
+        self.values.frombytes(values.tobytes())
 
     def feed_derivative(self, d_values: ArrayLike) -> list[MinimumEvent]:
         """Process derivatives in order; returns the minima they confirm.
@@ -322,14 +329,10 @@ class MinimaDetector:
 
 
 def detect_minima(
-    series: UniformSeries,
-    refractory_s: float = DEFAULT_REFRACTORY_S,
-    prominence_deg: float = DEFAULT_PROMINENCE_DEG,
-    series_id: str = "series",
+    series: UniformSeries, series_id: str = "series", config: EventConfig | None = None
 ) -> list[MinimumEvent]:
-    """Batch minima detection on one series."""
-    config = EventConfig(refractory_s=refractory_s, prominence_deg=prominence_deg)
-    det = MinimaDetector(series_id, series.t0, series.rate_hz, config)
+    """Batch minima detection on one series, with `config`'s refractory and prominence."""
+    det = MinimaDetector(series_id, series.t0, series.rate_hz, config or EventConfig())
     det.extend_series(series.values)
     events = det.feed_derivative(five_point_derivative(series).values)
     events += det.finalize()
@@ -485,16 +488,15 @@ def segment_steps(
     config: EventConfig | None = None,
     diagnostics: list[str] | None = None,
 ) -> list[StepMeasurement]:
-    """Batch segmentation of an angle quad into steps (lengths unset)."""
+    """Batch segmentation of an angle quad into steps (lengths unset).
+
+    One `config` (the defaults when None) sets the detector's refractory
+    and prominence on every series and the segmenter's back-event timeout.
+    """
     config = config or EventConfig()
     events: list[MinimumEvent] = []
     for name in _TIE_ORDER:
-        s = quad.series(name)
-        events.extend(
-            detect_minima(
-                s, config.refractory_s, config.prominence_deg, series_id=name
-            )
-        )
+        events.extend(detect_minima(quad.series(name), name, config))
     events.sort(key=_event_t)
 
     segmenter = StepSegmenter(config, _quad_sampler(quad), diagnostics)

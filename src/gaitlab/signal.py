@@ -1,6 +1,11 @@
 """Sensor-stream preprocessing: standing-still offset calibration and the
 downsample-and-smooth filter.
 
+Each leg has both sensors, a thigh IMU and a knee bend sensor, and the
+offset functions take the two together. A series is one float64 channel:
+the filter takes a 1-D buffer, filters it as float64, rejects any other
+shape and returns a 1-D series.
+
 The filter averages a centered window of exactly 2M input samples while
 decimating by M:
 
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -98,7 +103,7 @@ class BendStream:
 
 @dataclass(frozen=True)
 class UniformSeries:
-    """A uniform-rate scalar (or fixed-width vector) series.
+    """A uniform-rate series of one channel: `values` is 1-D.
 
     Sample k is stamped t0 + k / rate. Frozen, so the checks on the rate
     and the start time hold for the series' life.
@@ -131,9 +136,9 @@ class UniformSeries:
 class OffsetSet:
     """Per-channel offsets to subtract from raw samples of one leg."""
 
-    accel_g: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    gyro_dps: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    bend_deg: float = 0.0
+    accel_g: np.ndarray
+    gyro_dps: np.ndarray
+    bend_deg: float
 
 
 def check_stream_timing(t: np.ndarray, nominal_rate_hz: float, label: str = "stream") -> None:
@@ -192,9 +197,10 @@ def _check_still(
     return median, rows
 
 
-def compute_offsets(imu: ImuStream | None, bend: BendStream | None) -> OffsetSet:
-    """Derive per-channel offsets from a standing-still window.
+def compute_offsets(imu: ImuStream, bend: BendStream) -> OffsetSet:
+    """Derive one leg's per-channel offsets from its standing-still windows.
 
+    Takes both sensors of the leg: the IMU's and the bend sensor's windows.
     Medians reject occasional outlier samples. Accelerometer offsets are
     medians of the deviation from the (0, 0, 1) g gravity vector, so
     subtracting them preserves gravity on the vertical axis. Raises
@@ -205,17 +211,12 @@ def compute_offsets(imu: ImuStream | None, bend: BendStream | None) -> OffsetSet
       corrected sample of the channel, NaN, or
     - spreads more than the channel's STILL_STD_* bound: the subject moved.
     """
-    offsets = OffsetSet()
-    if imu is not None:
-        _, accel_rows = _check_still("accelerometer", imu.accel, STILL_STD_ACCEL_G, "g")
-        # The median of accel - g, which for an even-length window differs
-        # in the last bit from the accel median minus g.
-        offsets.accel_g = _median_rows(accel_rows - GRAVITY_G[:, None])
-        offsets.gyro_dps, _ = _check_still("gyroscope", imu.gyro, STILL_STD_GYRO_DPS, "deg/s")
-    if bend is not None:
-        median, _ = _check_still("bend sensor", bend.angle_deg, STILL_STD_BEND_DEG, "deg")
-        offsets.bend_deg = float(median)
-    return offsets
+    _, accel_rows = _check_still("accelerometer", imu.accel, STILL_STD_ACCEL_G, "g")
+    gyro, _ = _check_still("gyroscope", imu.gyro, STILL_STD_GYRO_DPS, "deg/s")
+    bend_deg, _ = _check_still("bend sensor", bend.angle_deg, STILL_STD_BEND_DEG, "deg")
+    # The median of accel - g, which for an even-length window differs in
+    # the last bit from the accel median minus g.
+    return OffsetSet(_median_rows(accel_rows - GRAVITY_G[:, None]), gyro, float(bend_deg))
 
 
 # From this many rows on, apply_offsets subtracts column by column.
@@ -240,28 +241,23 @@ def _minus_columns(values: ArrayLike, offset: ArrayLike) -> np.ndarray:
 
 
 def apply_offsets(
-    imu: ImuStream | None, bend: BendStream | None, offsets: OffsetSet
-) -> tuple[ImuStream | None, BendStream | None]:
-    """Subtract calibration offsets; returns corrected copies.
+    imu: ImuStream, bend: BendStream, offsets: OffsetSet
+) -> tuple[ImuStream, BendStream]:
+    """Subtract one leg's calibration offsets from both of its sensors.
 
-    The IMU takes one of two paths by row count, with the same bits. From
+    Returns corrected copies of the IMU and bend streams. The IMU takes one
+    of two paths by row count, with the same bits. From
     _COLUMNWISE_MIN_ROWS rows on (a whole recording), accel and gyro are
     subtracted column by column, several times faster than the broadcast.
     A shorter input (a live chunk holds about ten rows) keeps the one
     broadcast `accel - offset`, whose fixed cost is the lower.
     """
-    imu_out = None
-    if imu is not None:
-        if len(imu.accel) < _COLUMNWISE_MIN_ROWS:
-            accel, gyro = imu.accel - offsets.accel_g, imu.gyro - offsets.gyro_dps
-        else:
-            accel = _minus_columns(imu.accel, offsets.accel_g)
-            gyro = _minus_columns(imu.gyro, offsets.gyro_dps)
-        imu_out = ImuStream(imu.t, accel, gyro)
-    bend_out = None
-    if bend is not None:
-        bend_out = BendStream(bend.t, bend.angle_deg - offsets.bend_deg)
-    return imu_out, bend_out
+    if len(imu.accel) < _COLUMNWISE_MIN_ROWS:
+        accel, gyro = imu.accel - offsets.accel_g, imu.gyro - offsets.gyro_dps
+    else:
+        accel = _minus_columns(imu.accel, offsets.accel_g)
+        gyro = _minus_columns(imu.gyro, offsets.gyro_dps)
+    return ImuStream(imu.t, accel, gyro), BendStream(bend.t, bend.angle_deg - offsets.bend_deg)
 
 
 def _check_factor(m: int) -> int:
@@ -276,25 +272,27 @@ def _check_factor(m: int) -> int:
 
 
 def smoothed_block(values: np.ndarray, m: int, k_start: int, k_stop: int) -> np.ndarray:
-    """Filter outputs for output indices [k_start, k_stop) of a value buffer.
+    """Filter outputs for output indices [k_start, k_stop) of a 1-D value buffer.
 
     Shared by the batch operation and the streaming decimator so that both
     produce bit-identical results: output k is the sum of the 2M input
     samples from M*k, reduced in np.add.reduce's order, divided by 2M.
 
-    The live decimator calls this about four times per 40 ms chunk, mostly
-    for one output, so the per-call cost dominates there. A float64 (N,)
-    buffer, the only kind the chain passes, goes to the C kernel's `boxcar`
-    where it loads, which reads the windows in place (a contiguous copy of
-    other layouts first, so the bits do not depend on the layout). Any
-    other shape or dtype, and every buffer where the kernel does not load,
-    goes to `_boxcar_loop`, its numpy oracle; both take the same arguments
-    and give the same bits. A buffer too short for output k_stop - 1, a
-    negative k_start, indices that are not integers and a factor M that is
-    not an integer >= 1 raise GaitInputError.
+    The buffer is one channel, converted once to a C-contiguous float64
+    array (no copy for the buffers the chain passes), so its layout does
+    not change the bits. The live decimator calls this about four times
+    per 40 ms chunk, mostly for one output, so the per-call cost dominates
+    there. The C kernel's `boxcar` sums the windows where it loads, and
+    `_boxcar_loop`, its numpy oracle, where it does not; both take the
+    same arguments and give the same bits. A buffer that is not 1-D, a
+    buffer too short for output k_stop - 1, a negative k_start, indices
+    that are not integers and a factor M that is not an integer >= 1 raise
+    GaitInputError.
     """
     m = _check_factor(m)
-    values = np.asarray(values)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise GaitInputError(f"a series is one channel, got a buffer of shape {values.shape}")
     try:
         k_start, k_stop = operator.index(k_start), operator.index(k_stop)
     except TypeError:
@@ -310,45 +308,36 @@ def smoothed_block(values: np.ndarray, m: int, k_start: int, k_stop: int) -> np.
         raise GaitInputError(
             f"output {k_stop - 1} needs {hi} samples, the buffer holds {len(values)}"
         )
-    if values.ndim == 1 and values.dtype == np.float64:
-        kernel = orientation._kernel_module()
-        if kernel is not None:
-            out = np.empty(k_stop - k_start)
-            kernel.boxcar(np.ascontiguousarray(values), out, m, k_start)
-            return out
-    out = np.empty((k_stop - k_start, *values.shape[1:]), np.result_type(values.dtype, 1.0))
-    _boxcar_loop(values, out, m, k_start)
+    kernel = orientation._kernel_module()
+    boxcar = _boxcar_loop if kernel is None else kernel.boxcar
+    out = np.empty(k_stop - k_start)
+    boxcar(values, out, m, k_start)
     return out
 
 
 def _boxcar_loop(values, out, m, k_start):
     """The boxcar in numpy: the fallback and the oracle of the kernel's `boxcar`.
 
-    Takes what the kernel's `boxcar` takes: the value buffer, the array
-    that receives outputs [k_start, k_start + len(out)), the factor M and
-    k_start. Lays the windows as one strided view over a contiguous copy of
-    the samples they cover (no copy for contiguous input) and divides their
-    np.add.reduce by 2M. A 1-D window is reduced in numpy's pairwise order,
-    which the kernel reproduces; an (N, C) buffer's windows run along a
-    strided axis, which numpy sums in order, so that input stays here.
+    Takes what the kernel's `boxcar` takes: the C-contiguous 1-D float64
+    value buffer, the float64 array that receives outputs
+    [k_start, k_start + len(out)), the factor M and k_start. Lays the
+    windows as one strided view over the samples they cover and divides
+    their np.add.reduce by 2M; numpy reduces each contiguous window in its
+    pairwise order, which the kernel reproduces.
     """
-    seg = np.ascontiguousarray(values[m * k_start : m * (k_start + len(out)) + m])
-    s = seg.strides
-    window = np.ndarray(
-        (len(out), *seg.shape[1:], 2 * m),
-        seg.dtype,
-        seg,
-        strides=(m * s[0], *s[1:], s[0]),
-    )
+    seg = values[m * k_start : m * (k_start + len(out)) + m]
+    step = seg.strides[0]
+    window = np.ndarray((len(out), 2 * m), seg.dtype, seg, strides=(m * step, step))
     np.divide(np.add.reduce(window, axis=-1), 2 * m, out=out)
 
 
 def downsample_smooth(
     values: np.ndarray, m: int, rate_hz: float, t0: float = 0.0
 ) -> UniformSeries:
-    """Decimate by M while averaging centered 2M-sample windows.
+    """Decimate a 1-D series by M while averaging centered 2M-sample windows.
 
-    `values` may be (N,) or (N, C). The output rate is rate_hz / M; output
+    `values` is one channel, (N,); it is filtered as float64, and any other
+    shape raises GaitInputError. The output rate is rate_hz / M; output
     sample j corresponds to input index M*(j+1) - 1. Incomplete edge
     windows are dropped.
     """
@@ -360,7 +349,5 @@ def downsample_smooth(
         raise GaitInputError(
             f"stream of {n} samples is shorter than one 2M={2 * m} window"
         )
-    values = np.asarray(values, dtype=np.float64)
-    n_out = (n - 2 * m) // m + 1
-    out = smoothed_block(values, m, 0, n_out)
+    out = smoothed_block(values, m, 0, (n - 2 * m) // m + 1)
     return UniformSeries(t0=t0 + (m - 1) / rate_hz, rate_hz=rate_hz / m, values=out)

@@ -80,6 +80,16 @@ class TestFivePointDerivative:
             got.extend(stream.finalize())
             assert np.array_equal(np.asarray(got), batch), f"chunk={chunk}"
 
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 1), (1, 5), ()], ids=["5x2", "5x1", "1x5", "scalar"])
+    def test_multichannel_samples_rejected(self, shape):
+        # A series is one channel; a 2-D chunk used to fail with a bare
+        # TypeError from the stencil's list arithmetic.
+        stream = DerivativeStream(RATE)
+        stream.feed(np.arange(3.0))
+        with pytest.raises(GaitInputError, match="one channel"):
+            stream.feed(np.zeros(shape))
+        assert stream.n == 3 and stream.tail == [0.0, 1.0, 2.0]
+
     def test_feed_after_finalize_rejected(self):
         stream = DerivativeStream(RATE)
         stream.feed(np.arange(10.0))
@@ -150,7 +160,7 @@ class TestDetectMinima:
     def test_sinusoid_one_per_period(self):
         t = np.arange(0, 5, 1 / RATE)
         s = 20.0 * np.sin(2 * np.pi * 1.0 * t)
-        events = detect_minima(series(s), refractory_s=0.3)
+        events = detect_minima(series(s), config=EventConfig(refractory_s=0.3))
         # Troughs at t = 0.75 + k; the last (4.75) has little rise after it
         # but 0.25 s of rising samples is enough to confirm.
         troughs = [0.75 + k for k in range(5)]
@@ -162,7 +172,7 @@ class TestDetectMinima:
         rng = np.random.default_rng(2)
         t = np.arange(0, 10, 1 / RATE)
         s = 20.0 * np.sin(2 * np.pi * t) + rng.normal(0, 0.2, len(t))
-        events = detect_minima(series(s), refractory_s=0.3, prominence_deg=1.0)
+        events = detect_minima(series(s), config=EventConfig(refractory_s=0.3, prominence_deg=1.0))
         assert len(events) == 10
 
     def test_flat_then_rise_not_an_event(self):
@@ -181,7 +191,7 @@ class TestDetectMinima:
         # Two dips 0.2 s apart: with a 0.3 s refractory only one survives.
         t = np.arange(0, 2, 1 / RATE)
         s = 10.0 * np.cos(2 * np.pi * 5.0 * t)  # troughs every 0.2 s
-        events = detect_minima(series(s), refractory_s=0.3, prominence_deg=1.0)
+        events = detect_minima(series(s), config=EventConfig(refractory_s=0.3, prominence_deg=1.0))
         spacing = np.diff([ev.t for ev in events])
         assert np.all(spacing >= 0.3 - 1e-9)
 
@@ -196,6 +206,21 @@ class TestDetectMinima:
         assert len(ev1) == len(ev2)
         for a, b in zip(ev1, ev2):
             assert abs(a.t - b.t) < 1.0 / RATE
+
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 1), (1, 5), ()], ids=["5x2", "5x1", "1x5", "scalar"])
+    def test_multichannel_values_rejected(self, shape):
+        # A series is one channel; a 2-D input used to be appended
+        # flattened, C values per row, and a scalar as one sample.
+        det = MinimaDetector("knee_L", 0.0, RATE, EventConfig())
+        det.extend_series(np.arange(3.0))
+        with pytest.raises(GaitInputError, match="knee_L: a series is one channel"):
+            det.extend_series(np.zeros(shape))
+        assert det.values.tolist() == [0.0, 1.0, 2.0]
+
+    def test_multichannel_series_rejected(self):
+        # Used to fail with a bare TypeError.
+        with pytest.raises(GaitInputError, match="one channel"):
+            detect_minima(UniformSeries(0.0, RATE, np.zeros((40, 2))))
 
     def test_streaming_matches_batch_any_chunking(self):
         rng = np.random.default_rng(3)
@@ -265,12 +290,6 @@ class TestSettings:
     def test_bad_event_setting_rejected(self, name, value):
         with pytest.raises(GaitInputError, match=str(value)):
             EventConfig(**{name: value})
-
-    @pytest.mark.parametrize("name", ["refractory_s", "prominence_deg"])
-    def test_nan_detection_setting_rejected(self, name):
-        s = series(20.0 * np.sin(2 * np.pi * np.arange(0, 3, 1 / RATE)))
-        with pytest.raises(GaitInputError):
-            detect_minima(s, **{name: math.nan})
 
     @pytest.mark.parametrize("name", ["refractory_s", "prominence_deg", "back_event_timeout_s"])
     def test_checked_setting_cannot_be_reassigned(self, name):
@@ -549,6 +568,18 @@ class TestSegmentSteps:
         assert len(steps) >= 2 * 10 - 3
         diffs = [s.t_back_event - s.t_front_event for s in steps]
         assert np.allclose(diffs, 0.1, atol=2 / RATE)
+
+    def test_config_reaches_the_detector(self):
+        # The swings are 42 deg (knee) and 45 deg (hip): a 50 deg prominence
+        # confirms no minimum, so no step, where the default finds them.
+        quad = cosine_quad()
+        assert len(segment_steps(quad, EventConfig())) >= 8
+        diags = []
+        assert segment_steps(quad, EventConfig(prominence_deg=50.0), diags) == []
+        assert diags == []
+        # A refractory longer than the 1 s cycle keeps every other trough of
+        # each series, so fewer steps complete.
+        assert len(segment_steps(quad, EventConfig(refractory_s=1.5))) < len(segment_steps(quad))
 
     def test_missing_back_event_times_out(self):
         quad = cosine_quad(n_cycles=6)

@@ -38,57 +38,58 @@ def still_bend(n=100, angle=0.0, rate=100.0):
 
 class TestComputeOffsets:
     def test_constant_bend_offset(self):
-        off = compute_offsets(None, still_bend(angle=3.0))
+        off = compute_offsets(still_imu(), still_bend(angle=3.0))
         assert off.bend_deg == 3.0
-        _, corrected = apply_offsets(None, still_bend(angle=3.0), off)
+        _, corrected = apply_offsets(still_imu(), still_bend(angle=3.0), off)
         assert np.all(corrected.angle_deg == 0.0)
 
     def test_median_rejects_outlier(self):
         angles = np.array([2.9, 3.0, 3.1] * 8 + [100.0])
-        off = compute_offsets(None, BendStream(np.arange(25) / 100.0, angles))
+        off = compute_offsets(still_imu(), BendStream(np.arange(25) / 100.0, angles))
         assert off.bend_deg == pytest.approx(3.0)
 
     def test_gravity_axis_preserved(self):
-        off = compute_offsets(still_imu(accel=(0.0, 0.0, 1.02)), None)
+        off = compute_offsets(still_imu(accel=(0.0, 0.0, 1.02)), still_bend())
         assert off.accel_g[2] == pytest.approx(0.02)
-        corrected, _ = apply_offsets(still_imu(accel=(0.0, 0.0, 1.02)), None, off)
+        corrected, _ = apply_offsets(still_imu(accel=(0.0, 0.0, 1.02)), still_bend(), off)
         assert corrected.accel[0, 2] == pytest.approx(1.0)
 
     def test_nongravity_axes_zeroed(self):
-        off = compute_offsets(still_imu(accel=(0.015, -0.02, 1.0)), None)
+        off = compute_offsets(still_imu(accel=(0.015, -0.02, 1.0)), still_bend())
         assert off.accel_g[0] == pytest.approx(0.015)
         assert off.accel_g[1] == pytest.approx(-0.02)
 
     def test_gyro_offsets(self):
-        off = compute_offsets(still_imu(gyro=(0.5, -0.8, 0.1)), None)
+        off = compute_offsets(still_imu(gyro=(0.5, -0.8, 0.1)), still_bend())
         assert off.gyro_dps == pytest.approx([0.5, -0.8, 0.1])
 
     def test_idempotent_on_corrected_window(self):
         raw = still_imu(accel=(0.01, 0.0, 1.03), gyro=(1.0, 0.0, -0.5))
-        off = compute_offsets(raw, None)
-        corrected, _ = apply_offsets(raw, None, off)
-        off2 = compute_offsets(corrected, None)
+        off = compute_offsets(raw, still_bend(angle=-4.5))
+        corrected, corrected_bend = apply_offsets(raw, still_bend(angle=-4.5), off)
+        off2 = compute_offsets(corrected, corrected_bend)
         assert np.all(np.abs(off2.accel_g) < 1e-9)
         assert np.all(np.abs(off2.gyro_dps) < 1e-9)
+        assert off2.bend_deg == 0.0
 
     def test_window_too_short(self):
-        with pytest.raises(CalibrationError):
-            compute_offsets(still_imu(n=10), None)
-        with pytest.raises(CalibrationError):
-            compute_offsets(None, still_bend(n=24))
+        with pytest.raises(CalibrationError, match="accelerometer"):
+            compute_offsets(still_imu(n=10), still_bend())
+        with pytest.raises(CalibrationError, match="bend sensor"):
+            compute_offsets(still_imu(), still_bend(n=24))
 
     def test_moving_subject_rejected(self):
         rng = np.random.default_rng(0)
         t = np.arange(200) / 100.0
         swinging = BendStream(t, 20.0 * np.sin(2 * np.pi * t) + rng.normal(0, 0.1, 200))
-        with pytest.raises(CalibrationError):
-            compute_offsets(None, swinging)
+        with pytest.raises(CalibrationError, match="bend sensor"):
+            compute_offsets(still_imu(), swinging)
 
     def test_moving_gyro_rejected(self):
         imu = still_imu(n=200)
         imu.gyro[:, 1] = 30.0 * np.sin(np.arange(200) / 10.0)
-        with pytest.raises(CalibrationError):
-            compute_offsets(imu, None)
+        with pytest.raises(CalibrationError, match="gyroscope"):
+            compute_offsets(imu, still_bend())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("channel", ["accelerometer", "gyroscope", "bend sensor"])
@@ -185,11 +186,11 @@ class TestDownsampleSmooth:
         assert np.allclose(np.diff(out.t), 4 / 100.0)
 
     def test_multichannel(self):
+        # A series is one channel: an (N, C) stream is rejected, not
+        # filtered column by column.
         s = np.stack([np.arange(40.0), np.arange(40.0) * 2], axis=1)
-        out = downsample_smooth(s, m=2, rate_hz=100.0)
-        assert out.values.shape == ((40 - 4) // 2 + 1, 2)
-        assert out.values[0, 0] == pytest.approx(s[0:4, 0].mean())
-        assert out.values[0, 1] == pytest.approx(s[0:4, 1].mean())
+        with pytest.raises(GaitInputError, match="one channel"):
+            downsample_smooth(s, m=2, rate_hz=100.0)
 
     def test_gait_band_preserved(self):
         # 1 Hz sinusoid sampled at 250 Hz, M=10: amplitude loss < 5%.
@@ -238,8 +239,7 @@ class TestSmoothedBlock:
         for case in range(400):
             m = int(rng.integers(1, 12))
             n = int(rng.integers(2 * m, 300))
-            shape = [(n,), (n, 1), (n, 2), (n, 3)][case % 4]
-            values = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 4)
+            values = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 4)
             n_out = (n - 2 * m) // m + 1
             k_start = int(rng.integers(0, n_out + 1))
             k_stop = int(rng.integers(k_start, n_out + 1))
@@ -252,25 +252,24 @@ class TestSmoothedBlock:
         # The live decimator asks for one output at a time; concatenated,
         # those blocks are the batch filter's output bit for bit.
         rng = np.random.default_rng(5)
-        for m, shape in ((10, (1500,)), (4, (600,)), (3, (200, 2))):
-            values = rng.normal(size=shape) * 40.0
+        for m, n in ((10, 1500), (4, 600), (3, 200)):
+            values = rng.normal(size=n) * 40.0
             batch = downsample_smooth(values, m=m, rate_hz=100.0).values
             blocks = [smoothed_block(values, m, k, k + 1) for k in range(len(batch))]
             assert np.array_equal(np.concatenate(blocks), batch), f"m={m}"
 
     def test_memory_layout_does_not_change_bits(self):
         rng = np.random.default_rng(6)
-        values = rng.normal(size=(400, 3)) * 25.0
-        want = smoothed_block(values, 10, 0, 39)
-        assert np.array_equal(smoothed_block(np.asfortranarray(values), 10, 0, 39), want)
-        strided = np.repeat(values, 2, axis=0)[::2]
-        assert np.array_equal(smoothed_block(strided, 10, 0, 39), want)
+        wide = rng.normal(size=(400, 3)) * 25.0
+        want = smoothed_block(wide[:, 0].copy(), 10, 0, 39)
+        for values in (wide[:, 0], np.asfortranarray(wide)[:, 0], np.repeat(wide[:, 0], 2)[::2]):
+            assert smoothed_block(values, 10, 0, 39).tobytes() == want.tobytes()
 
     def test_range_past_buffer_rejected(self):
         with pytest.raises(GaitInputError):
             smoothed_block(np.zeros(30), 10, 0, 5)
         with pytest.raises(GaitInputError):
-            smoothed_block(np.zeros((30, 2)), 10, 2, 3)
+            smoothed_block(np.zeros(30), 10, 2, 3)
 
     def test_negative_start_rejected(self):
         # Output -1 has no window; it used to come back as output 0, read
@@ -292,15 +291,28 @@ class TestSmoothedBlock:
         assert got.tobytes() == want.tobytes()
 
     def test_empty_range(self):
-        for values in (np.arange(50.0), np.zeros((50, 2))):
+        for values in (np.arange(50.0), np.arange(50)):
             for k_start, k_stop in ((3, 3), (4, 2)):
                 got = smoothed_block(values, 5, k_start, k_stop)
-                assert got.shape == (0, *values.shape[1:])
-                assert got.dtype == values.dtype
+                assert got.shape == (0,)
+                assert got.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "shape", [(100, 1), (100, 2), (2, 100), (10, 10, 1)], ids=["100x1", "100x2", "2x100", "10x10x1"]
+    )
+    @pytest.mark.parametrize("kernel", ["as_built", "none"])
+    def test_multichannel_buffer_rejected(self, shape, kernel, monkeypatch):
+        if kernel == "none":
+            monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+        for k_start, k_stop in ((0, 2), (3, 3)):
+            with pytest.raises(GaitInputError, match="one channel"):
+                smoothed_block(np.zeros(shape), 4, k_start, k_stop)
 
     @pytest.mark.parametrize("layout", ["strided", "column", "read_only", "float32", "int", "list"])
     @pytest.mark.parametrize("kernel", ["as_built", "none"])
     def test_any_layout_or_dtype_gives_the_oracle_bits(self, layout, kernel, monkeypatch):
+        # Every buffer is filtered as float64: float32 and int buffers give
+        # the bits of their float64 conversion.
         if kernel == "none":
             monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
         rng = np.random.default_rng(21)
@@ -319,8 +331,8 @@ class TestSmoothedBlock:
             n_out = (len(values) - 2 * m) // m + 1
             for k_start, k_stop in ((0, n_out), (n_out - 1, n_out), (1, 3)):
                 got = smoothed_block(values, m, k_start, k_stop)
-                want = smoothed_block_oracle(values, m, k_start, k_stop)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                want = smoothed_block_oracle(np.asarray(values, np.float64), m, k_start, k_stop)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "k_start, k_stop", [(0, 2.5), (1.5, 3), (np.float64(1.0), 3), ("1", 3), (None, 3)]
@@ -416,20 +428,22 @@ class TestBoxcarKernel:
         calls = []
 
         def counted(values, out, m, k_start):
-            calls.append((values.dtype, values.ndim, len(out), m, k_start))
+            calls.append((values.dtype, values.ndim, values.flags.c_contiguous, len(out), m, k_start))
             return boxcar(values, out, m, k_start)
 
         monkeypatch.setattr(orientation, "_kernel_module", lambda: SimpleNamespace(boxcar=counted))
         values = np.arange(100.0)
         smoothed_block(values, 4, 2, 5)
         smoothed_block(values[::2], 4, 1, 3)
-        assert calls == [(np.float64, 1, 3, 4, 2), (np.float64, 1, 2, 4, 1)]
-        # Other dtypes and (N, C) buffers take the numpy loop.
+        # Other dtypes are converted to float64 and take the kernel too.
         smoothed_block(values.astype(np.float32), 4, 2, 5)
-        smoothed_block(np.zeros((100, 2)), 4, 2, 5)
         smoothed_block(np.arange(100), 4, 2, 5)
-        assert len(calls) == 2
-
+        assert calls == [
+            (np.float64, 1, True, 3, 4, 2),
+            (np.float64, 1, True, 2, 4, 1),
+            (np.float64, 1, True, 3, 4, 2),
+            (np.float64, 1, True, 3, 4, 2),
+        ]
 
 
 class TestStreamTiming:
@@ -483,13 +497,6 @@ class TestUniformSeries:
             UniformSeries(t0, 25.0, np.zeros(10))
 
 
-class TestOffsetSetDefaults:
-    def test_zero_defaults(self):
-        off = OffsetSet()
-        assert np.all(off.accel_g == 0) and np.all(off.gyro_dps == 0)
-        assert off.bend_deg == 0.0
-
-
 def offset_inputs(rng, n, layout):
     """(n, 3) accel and gyro in a given memory layout, rows of NaN and +-inf among them."""
     accel = rng.normal(0.0, 1.0, (2 * n, 3))
@@ -526,11 +533,17 @@ class TestApplyOffsetsPaths:
         )
 
     def test_input_left_unchanged(self):
-        accel, gyro = offset_inputs(np.random.default_rng(3), 200, "contiguous")
-        before = accel.copy(), gyro.copy()
-        apply_offsets(ImuStream(np.arange(200) / 250.0, accel, gyro), None, OffsetSet(np.ones(3), np.ones(3)))
-        assert np.array_equal(accel.view(np.uint64), before[0].view(np.uint64))
-        assert np.array_equal(gyro.view(np.uint64), before[1].view(np.uint64))
+        rng = np.random.default_rng(3)
+        accel, gyro = offset_inputs(rng, 200, "contiguous")
+        angle = rng.normal(0.0, 30.0, 80)
+        before = accel.copy(), gyro.copy(), angle.copy()
+        apply_offsets(
+            ImuStream(np.arange(200) / 250.0, accel, gyro),
+            BendStream(np.arange(80) / 100.0, angle),
+            OffsetSet(np.ones(3), np.ones(3), 1.0),
+        )
+        for got, want in zip((accel, gyro, angle), before):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestMedianLayouts:

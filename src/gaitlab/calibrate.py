@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    EventAngles, Side, StaticParams, StepMeasurement, angle_matrix, step_features, step_length
+    EventAngles, StaticParams, StepMeasurement, angle_matrix, step_features, step_length
 )
 from .errors import CalibrationError, GaitInputError
 
@@ -63,7 +63,6 @@ class ReferenceStep:
 
     index: int
     length_cm: float
-    side: Side | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.length_cm) and self.length_cm > 0):

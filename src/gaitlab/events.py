@@ -17,11 +17,10 @@ a whole series at once and produce identical results. The detector's loop
 runs in two languages with one calling convention: `_minima_loop`, and the
 `minima` entry point of the C kernel that also holds the Madgwick filter's
 loop (see `gaitlab.orientation`, whose loader builds and loads it on first
-use). A feed of `_SMALL_FEED` or more derivatives runs in C where the
-kernel loads; the Python loop is its oracle, its fallback, and the faster
-of the two for the one or two derivatives of a live chunk. Both keep the
-same operation order on the same state, five plain numbers, so they give
-the same events and state bit for bit.
+use). Every feed, live or batch, runs in C where the kernel loads; the
+Python loop is its oracle and its fallback. Both keep the same operation
+order on the same state, five plain numbers, so they give the same events
+and state bit for bit.
 
 A `MinimumEvent` is a NamedTuple rather than a frozen dataclass: a
 one-minute walk yields a few hundred of them, each built, sorted and read
@@ -111,8 +110,8 @@ class EventConfig:
             )
 
 
-# Below this many derivatives per feed, Python floats beat the fixed cost of
-# numpy's array operations and of a kernel call.
+# Below this many derivatives per feed, `DerivativeStream.feed`'s Python
+# floats beat the fixed cost of numpy's array operations.
 _SMALL_FEED = 10
 
 
@@ -197,7 +196,7 @@ class DerivativeStream:
 def five_point_derivative(series: UniformSeries) -> UniformSeries:
     """Batch five-point derivative; same length and timestamps as the input."""
     stream = DerivativeStream(series.rate_hz)
-    head = stream.feed(np.asarray(series.values, dtype=float))
+    head = stream.feed(series.values)
     tail = stream.finalize()
     return UniformSeries(series.t0, series.rate_hz, np.concatenate([head, tail]))
 
@@ -290,18 +289,18 @@ class MinimaDetector:
     def feed_derivative(self, d_values: ArrayLike) -> list[MinimumEvent]:
         """Process derivatives in order; returns the minima they confirm.
 
-        A derivative whose index outruns the series raises GaitInputError and
-        leaves the state of the derivatives processed before it. A feed of
-        `_SMALL_FEED` or more runs the C kernel's `minima` where it loads,
-        others `_minima_loop`; both take the same arguments and give the
-        same events and state.
+        Derivatives that are not 1-D raise GaitInputError and leave the state
+        untouched. A derivative whose index outruns the series raises it and
+        leaves the state of the derivatives processed before it. Every feed
+        runs the C kernel's `minima` where it loads and `_minima_loop` where
+        it does not: the same arguments, the same events and state.
         """
-        d = np.asarray(d_values, dtype=np.float64)
-        loop = _minima_loop
-        if len(d) >= _SMALL_FEED:
-            kernel = orientation._kernel_module()
-            if kernel is not None:
-                loop, d = kernel.minima, np.ascontiguousarray(d)
+        # Not np.ascontiguousarray, which reads a scalar as one derivative.
+        d = np.asarray(d_values, dtype=np.float64, order="C")
+        if d.ndim != 1:
+            raise GaitInputError(f"{self.series_id}: derivatives are one channel, got {d.shape}")
+        kernel = orientation._kernel_module()
+        loop = _minima_loop if kernel is None else kernel.minima
         config = self.config
         (
             self._i, self._d_prev, self.pending, self.run_max, self.last_accept_t, found, outrun
@@ -462,23 +461,15 @@ def _quad_sampler(quad: AngleQuad) -> Callable[[str, float], float]:
     """`StepSegmenter`'s sampler over a whole quad.
 
     `sampler(name, t)` is `float(s.values[s.index_near(t)])` for the series
-    `s` named `name`, with the series looked up once per quad rather than
-    once per call, and the index computed inline by `index_near`'s
-    round-and-clamp. `ndarray.item` returns the Python float directly: it
-    is about two lookups per minimum, so converting whole series to lists
-    would cost more than it saves.
+    `s` named `name`, looked up once per quad rather than once per call:
+    the nearest-sample rule is `UniformSeries.index_near`'s alone, the one
+    the benchmark's live sampler reads too.
     """
-    grids = {}
-    for name in ("knee_L", "knee_R", "hip_L", "hip_R"):
-        s = quad.series(name)
-        values = np.asarray(s.values, dtype=np.float64)
-        grids[name] = (s.t0, s.rate_hz, values.item, len(values) - 1)
+    by_name = {name: quad.series(name) for name in _TIE_ORDER}
 
     def sampler(series_id: str, t: float) -> float:
-        t0, rate_hz, item, last = grids[series_id]
-        i = int(round((t - t0) * rate_hz))
-        i = i if i > 0 else 0
-        return item(i if i < last else last)
+        s = by_name[series_id]
+        return float(s.values[s.index_near(t)])
 
     return sampler
 

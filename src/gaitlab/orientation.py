@@ -118,8 +118,8 @@ def madgwick_batch(
     loaded. Both take the same arguments, prepared here, and give the same
     bits (see the module docstring).
     """
-    a = np.asarray(accel, dtype=np.float64)
-    g = np.asarray(gyro, dtype=np.float64)
+    a = np.asarray(accel, dtype=np.float64, order="C")
+    g = np.asarray(gyro, dtype=np.float64, order="C")
     if a.ndim != 2 or a.shape[1] != 3 or g.shape != a.shape:
         raise GaitInputError(
             f"accel and gyro must both be (N, 3) with the same N, got "
@@ -130,10 +130,7 @@ def madgwick_batch(
     module = _kernel_module()
     loop = _madgwick_loop if module is None else module.loop
     out = np.empty(len(a))
-    state = loop(
-        np.ascontiguousarray(a), np.ascontiguousarray(g), out, float(dt), *state,
-        BETA, GRADIENT_REF,
-    )
+    state = loop(a, g, out, float(dt), *state, BETA, GRADIENT_REF)
     return out, OrientationFilterState._make(state)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,9 @@ class BendStream:
 class UniformSeries:
     """A uniform-rate series of one channel: `values` is 1-D.
 
-    Sample k is stamped t0 + k / rate. Frozen, so the checks on the rate
-    and the start time hold for the series' life.
+    Sample k is stamped t0 + k / rate. A rate that is not finite and > 0, a
+    start time that is not finite and values that are not 1-D raise
+    GaitInputError. Frozen, so the checks hold for the series' life.
     """
 
     t0: float
@@ -117,6 +119,9 @@ class UniformSeries:
         _check_rate(self.rate_hz)
         if not math.isfinite(self.t0):
             raise GaitInputError(f"start time must be finite, got {self.t0}")
+        # An array('d') is 1-D, and np.ndim reads one 50 times slower than an ndarray.
+        if not isinstance(self.values, array) and np.ndim(self.values) != 1:
+            raise GaitInputError(f"a series is one channel, got shape {np.shape(self.values)}")
 
     def __len__(self):
         return len(self.values)
@@ -284,13 +289,14 @@ def smoothed_block(values: np.ndarray, m: int, k_start: int, k_stop: int) -> np.
     per 40 ms chunk, mostly for one output, so the per-call cost dominates
     there. The C kernel's `boxcar` sums the windows where it loads, and
     `_boxcar_loop`, its numpy oracle, where it does not; both take the
-    same arguments and give the same bits. A buffer that is not 1-D, a
-    buffer too short for output k_stop - 1, a negative k_start, indices
-    that are not integers and a factor M that is not an integer >= 1 raise
-    GaitInputError.
+    same arguments and give the same bits. A buffer that is not 1-D (a
+    scalar too, even for an empty range), a buffer too short for output
+    k_stop - 1, a negative k_start, indices that are not integers and a
+    factor M that is not an integer >= 1 raise GaitInputError.
     """
     m = _check_factor(m)
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    # Not np.ascontiguousarray, which reads a scalar as a one-sample buffer.
+    values = np.asarray(values, dtype=np.float64, order="C")
     if values.ndim != 1:
         raise GaitInputError(f"a series is one channel, got a buffer of shape {values.shape}")
     try:
@@ -337,11 +343,14 @@ def downsample_smooth(
     """Decimate a 1-D series by M while averaging centered 2M-sample windows.
 
     `values` is one channel, (N,); it is filtered as float64, and any other
-    shape raises GaitInputError. The output rate is rate_hz / M; output
-    sample j corresponds to input index M*(j+1) - 1. Incomplete edge
-    windows are dropped.
+    shape, a scalar too, raises GaitInputError. The output rate is
+    rate_hz / M; output sample j corresponds to input index M*(j+1) - 1.
+    Incomplete edge windows are dropped.
     """
     m = _check_factor(m)
+    values = np.asarray(values, dtype=np.float64, order="C")
+    if values.ndim != 1:
+        raise GaitInputError(f"a series is one channel, got a stream of shape {values.shape}")
     n = len(values)
     if n == 0:
         raise GaitInputError("empty stream")

@@ -470,12 +470,13 @@ class TestMinimaKernel:
         monkeypatch.setattr(orientation, "_kernel_module", lambda: SimpleNamespace(minima=counted))
         with_kernel = detect_minima(s)
         assert calls == [len(t)]
-        # A live feed of fewer than _SMALL_FEED derivatives stays in Python.
+        # A live feed takes the kernel too, however few its derivatives.
         det = MinimaDetector("series", 0.0, RATE, EventConfig())
         det.extend_series(s.values)
+        det.feed_derivative(np.zeros(1))
         det.feed_derivative(np.zeros(_SMALL_FEED - 1))
         det.feed_derivative(np.zeros(_SMALL_FEED))
-        assert calls == [len(t), _SMALL_FEED]
+        assert calls == [len(t), 1, _SMALL_FEED - 1, _SMALL_FEED]
         monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
         without = detect_minima(s)
         assert len(without) == 12
@@ -495,6 +496,23 @@ class TestMinimaKernel:
             assert type(ev) is MinimumEvent
             assert (ev.side, ev.kind) == ("R", "knee")
             assert ev.sort_key() == (ev.t, 1, 1)
+
+    @pytest.mark.parametrize("shape", [(5, 2), (12, 2), (1, 1), ()], ids=["5x2", "12x2", "1x1", "scalar"])
+    @pytest.mark.parametrize("kernel", ["as_built", "none"])
+    def test_derivatives_not_1d_rejected(self, minima, shape, kernel, monkeypatch):
+        # A (12, 2) feed used to reach the kernel, which read its 24 doubles
+        # flat; a (5, 2) one failed in the Python loop with a bare TypeError.
+        if kernel == "none":
+            monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+        s = 20.0 * np.sin(2 * np.pi * np.arange(0, 2, 1 / RATE))
+        d = five_point_derivative(series(s)).values
+        det = MinimaDetector("knee_L", 0.0, RATE, EventConfig())
+        det.extend_series(s)
+        det.feed_derivative(d[:21])  # a trough pending at sample 19
+        before = state_of(det)
+        with pytest.raises(GaitInputError, match="knee_L: derivatives are one channel"):
+            det.feed_derivative(np.ones(shape))
+        assert state_of(det) == before and before[2] == 19
 
     @pytest.mark.parametrize(
         "values_bytes, i, d_prev, pending",

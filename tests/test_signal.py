@@ -1,4 +1,5 @@
 import math
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -192,6 +193,15 @@ class TestDownsampleSmooth:
         with pytest.raises(GaitInputError, match="one channel"):
             downsample_smooth(s, m=2, rate_hz=100.0)
 
+    @pytest.mark.parametrize("kernel", ["as_built", "none"])
+    def test_scalar_stream_rejected(self, kernel, monkeypatch):
+        # Used to fail with a bare TypeError from len().
+        if kernel == "none":
+            monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+        for value in (np.float64(3.0), 3.0, np.array(3.0)):
+            with pytest.raises(GaitInputError, match="one channel"):
+                downsample_smooth(value, 4, 100.0)
+
     def test_gait_band_preserved(self):
         # 1 Hz sinusoid sampled at 250 Hz, M=10: amplitude loss < 5%.
         t = np.arange(0, 10, 1 / 250.0)
@@ -307,6 +317,17 @@ class TestSmoothedBlock:
         for k_start, k_stop in ((0, 2), (3, 3)):
             with pytest.raises(GaitInputError, match="one channel"):
                 smoothed_block(np.zeros(shape), 4, k_start, k_stop)
+
+    @pytest.mark.parametrize("kernel", ["as_built", "none"])
+    def test_scalar_buffer_rejected(self, kernel, monkeypatch):
+        # A scalar used to be read as a one-sample buffer: an empty range
+        # returned an empty array.
+        if kernel == "none":
+            monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+        for value in (5.0, np.float64(5.0), np.array(5.0)):
+            for k_start, k_stop in ((0, 0), (0, 1)):
+                with pytest.raises(GaitInputError, match="one channel"):
+                    smoothed_block(value, 1, k_start, k_stop)
 
     @pytest.mark.parametrize("layout", ["strided", "column", "read_only", "float32", "int", "list"])
     @pytest.mark.parametrize("kernel", ["as_built", "none"])
@@ -495,6 +516,23 @@ class TestUniformSeries:
     def test_non_finite_start_time_rejected(self, t0):
         with pytest.raises(GaitInputError, match="start time"):
             UniformSeries(t0, 25.0, np.zeros(10))
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.zeros((40, 2)), np.zeros((40, 1)), [[1.0, 2.0], [3.0, 4.0]], np.float64(1.0), 1.0],
+        ids=["40x2", "40x1", "nested_list", "numpy_scalar", "float"],
+    )
+    def test_values_not_1d_rejected(self, values):
+        with pytest.raises(GaitInputError, match="one channel"):
+            UniformSeries(0.0, 25.0, values)
+
+    @pytest.mark.parametrize(
+        "values", [array("d", [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0], np.arange(3.0)],
+        ids=["array_d", "flat_list", "ndarray"],
+    )
+    def test_one_channel_accepted(self, values):
+        s = UniformSeries(0.0, 25.0, values)
+        assert len(s) == 3 and s.index_near(0.04) == 1
 
 
 def offset_inputs(rng, n, layout):

@@ -1,35 +1,15 @@
 /* The three compiled loops of the gaitlab chain, as one CPython extension
- * module.
+ * module, gaitlab._kernel_c.
  *
  * `madgwick_loop` is the loop of gaitlab.orientation.madgwick_batch,
  * `minima_loop` the loop of gaitlab.events.MinimaDetector.feed_derivative
- * and `boxcar_loop` the decimating boxcar of gaitlab.signal.smoothed_block,
- * each a translation of its Python loop (`orientation._madgwick_loop`,
- * `events._minima_loop`, `signal._boxcar_loop`) that does the same
- * operations on the same operands. Built without floating-point contraction
- * or reassociation (-O2 -ffp-contract=off, no -ffast-math), they give the
- * same bits. Each entry point, `loop`, `minima` and `boxcar`, takes the same
- * arguments and returns the same values as its Python loop, so the callers
- * call either one the same way.
- *
- * `madgwick_loop` takes the gyro in deg/s and writes the hip angle in
- * degrees: per sample it multiplies the rate by DEG and the angle by
- * DEG_PER_RAD, the multiplies numpy's `g * DEG` and `np.degrees` do. It is
- * arranged so that little sits on its per-sample dependency chain, the
- * quaternion recurrence. The proportional gain beta / gradient_ref is
- * divided once per call and the per-sample beta / ns is taken only in a
- * branch when the gradient norm exceeds gradient_ref: each is the Python
- * loop's divide on the same operands, and a predicted branch lets the CPU
- * run ahead without waiting on the sqrt and the divide. The hip angle's
- * atan2, which reads the quaternion but feeds nothing back, runs per block
- * of samples after the recurrence, on the numerator and denominator stored
- * as they were computed.
- *
- * `boxcar_loop` sums each window in the order of numpy's contiguous add
- * reduction (`pairwise_sum`), so its means are np.add.reduce's bits.
- *
- * The entry points pass the loops the buffers without copying them;
- * building the module needs the interpreter's headers (Python.h).
+ * and `boxcar_loop` the decimating boxcar of gaitlab.signal.smoothed_block.
+ * Each entry point, `loop`, `minima` and `boxcar`, takes the same arguments
+ * and returns the same values as its Python twin in gaitlab/_kernel.py,
+ * which builds and loads this module; its docstring says how the two give
+ * the same bits. The entry points pass the loops the buffers without
+ * copying them; building the module needs the interpreter's headers
+ * (Python.h).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -48,6 +28,18 @@
  * C-contiguous (n, 3); `out` receives the hip angle in degrees after each
  * sample. Returns the accel-rejected flag after the last sample, which is
  * the incoming flag when n is 0.
+ *
+ * Per sample it multiplies the rate by DEG and the angle by DEG_PER_RAD,
+ * the multiplies numpy's `g * DEG` and `np.degrees` do. It is arranged so
+ * that little sits on its per-sample dependency chain, the quaternion
+ * recurrence. The proportional gain beta / gradient_ref is divided once per
+ * call and the per-sample beta / ns is taken only in a branch when the
+ * gradient norm exceeds gradient_ref: each is the Python loop's divide on
+ * the same operands, and a predicted branch lets the CPU run ahead without
+ * waiting on the sqrt and the divide. The hip angle's atan2, which reads
+ * the quaternion but feeds nothing back, runs per block of samples after
+ * the recurrence, on the numerator and denominator stored as they were
+ * computed.
  */
 static int madgwick_loop(double *q, const double *accel, const double *gyro, long n,
                          double dt, double beta, double gradient_ref,
@@ -358,10 +350,10 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_madgwick", NULL, -1, methods, NULL, NULL, NULL, NULL,
+    PyModuleDef_HEAD_INIT, "_kernel_c", NULL, -1, methods, NULL, NULL, NULL, NULL,
 };
 
-PyMODINIT_FUNC PyInit__madgwick(void)
+PyMODINIT_FUNC PyInit__kernel_c(void)
 {
     return PyModule_Create(&module);
 }

@@ -13,14 +13,9 @@ sides. Prominence confirmation makes detection causal with a latency of a
 few samples beyond the derivative stencil's two-sample look-ahead.
 
 The detector and segmenter are incremental; the batch operations feed them
-a whole series at once and produce identical results. The detector's loop
-runs in two languages with one calling convention: `_minima_loop`, and the
-`minima` entry point of the C kernel that also holds the Madgwick filter's
-loop (see `gaitlab.orientation`, whose loader builds and loads it on first
-use). Every feed, live or batch, runs in C where the kernel loads; the
-Python loop is its oracle and its fallback. Both keep the same operation
-order on the same state, five plain numbers, so they give the same events
-and state bit for bit.
+a whole series at once and produce identical results. Every feed, live or
+batch, runs the detector loop `minima` of `gaitlab._kernel`, in C where the
+kernel loads and in Python where it does not.
 
 A `MinimumEvent` is a NamedTuple rather than a frozen dataclass: a
 one-minute walk yields a few hundred of them, each built, sorted and read
@@ -39,7 +34,7 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from . import orientation
+from . import _kernel
 from .core import EventAngles, Side, StepMeasurement, attach_lengths  # noqa: F401  (re-exported)
 from .errors import GaitInputError
 from .signal import UniformSeries, _check_rate
@@ -201,49 +196,6 @@ def five_point_derivative(series: UniformSeries) -> UniformSeries:
     return UniformSeries(series.t0, series.rate_hz, np.concatenate([head, tail]))
 
 
-def _minima_loop(
-    values, derivs, i, d_prev, pending, run_max, last_accept_t, prominence, refractory, t0, rate
-):
-    """The detector loop in Python: the fallback and the oracle of the kernel's `minima`.
-
-    Takes the series, the derivatives, the detector's state as five numbers
-    and the settings. Returns the state after the derivatives processed, the
-    confirmed minima as `(index, t, value)` and whether the last derivative
-    processed outran the series; the loop stops there, with that
-    derivative's index and value in the state.
-    """
-    found = []
-    s = values
-    n = len(s)
-    nxt = i
-    for d in derivs.tolist():
-        i = nxt
-        nxt = i + 1
-        before, d_prev = d_prev, d
-        if i == 0:
-            continue
-        if i >= n:
-            return nxt, d_prev, pending, run_max, last_accept_t, found, True
-        if pending < 0:
-            if s[i - 1] > run_max:
-                run_max = s[i - 1]
-            if d > 0.0 and before <= 0.0:
-                j = i - 1 if s[i - 1] <= s[i] else i
-                t_j = t0 + j / rate
-                if t_j - last_accept_t >= refractory and run_max - s[j] >= prominence:
-                    pending = j
-        else:
-            j = pending
-            if s[i] < s[j]:
-                pending = i
-            elif s[i] - s[j] >= prominence:
-                last_accept_t = t0 + j / rate
-                found.append((j, last_accept_t, s[j]))
-                pending = -1
-                run_max = s[i]
-    return nxt, d_prev, pending, run_max, last_accept_t, found, False
-
-
 class MinimaDetector:
     """Single-pass trough detection with refractory and prominence debounce.
 
@@ -292,19 +244,17 @@ class MinimaDetector:
         Derivatives that are not 1-D raise GaitInputError and leave the state
         untouched. A derivative whose index outruns the series raises it and
         leaves the state of the derivatives processed before it. Every feed
-        runs the C kernel's `minima` where it loads and `_minima_loop` where
-        it does not: the same arguments, the same events and state.
+        runs `_kernel.loops().minima`: the same events and state in C and in
+        Python.
         """
         # Not np.ascontiguousarray, which reads a scalar as one derivative.
         d = np.asarray(d_values, dtype=np.float64, order="C")
         if d.ndim != 1:
             raise GaitInputError(f"{self.series_id}: derivatives are one channel, got {d.shape}")
-        kernel = orientation._kernel_module()
-        loop = _minima_loop if kernel is None else kernel.minima
         config = self.config
         (
             self._i, self._d_prev, self.pending, self.run_max, self.last_accept_t, found, outrun
-        ) = loop(
+        ) = _kernel.loops().minima(
             self.values, d, self._i, self._d_prev, self.pending, self.run_max,
             self.last_accept_t, config.prominence_deg, config.refractory_s, self.t0,
             self.rate_hz,

@@ -15,12 +15,8 @@ Output k is stamped at input sample M*(k+1) - 1 (0-based), so the first and
 last incomplete windows are dropped rather than padded. With the native
 rates used here (IMU 250 Hz with M=10, bend sensor 100 Hz with M=4) both
 streams come out at 25 Hz, comfortably above the <10 Hz content of gait.
-The filter's loop runs in two languages with one calling convention,
-`boxcar(values, out, m, k_start)`: the `boxcar` entry point of the C kernel
-that also holds the Madgwick filter's loop (see `gaitlab.orientation`,
-whose loader builds and loads it on first use), and `_boxcar_loop`, its
-numpy oracle and fallback. The kernel sums each window in the order of
-numpy's add reduction, so the two give the same bits.
+`smoothed_block` sums the windows with the boxcar loop `boxcar` of
+`gaitlab._kernel`, in C where the kernel loads and in numpy where it does not.
 
 Offsets are per-channel medians over a standing-still window; for the
 accelerometer the median is taken relative to the 1 g gravity vector so
@@ -38,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from . import orientation
+from . import _kernel
 from .errors import CalibrationError, GaitInputError
 
 GRAVITY_G = np.array([0.0, 0.0, 1.0])
@@ -176,13 +172,18 @@ def check_stream_timing(t: np.ndarray, nominal_rate_hz: float, label: str = "str
 
 
 def _check_still(
-    label: str, values: np.ndarray, limit: float, unit: str
+    label: str, values: np.ndarray, columns: tuple[int, ...], limit: float, unit: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raise CalibrationError unless one channel's standing window can give offsets.
 
-    Returns the window's median, the centre of its MAD-based spread, and
-    the window transposed (a channel per row) in some order within each row.
+    The window is (N, *columns): GaitInputError otherwise. Returns the
+    window's median, the centre of its MAD-based spread, and the window
+    transposed (a channel per row) in some order within each row.
     """
+    shape = np.shape(values)
+    if not shape or shape[1:] != columns:
+        want = f"(N, {columns[0]})" if columns else "(N,)"
+        raise GaitInputError(f"{label} window must be {want}, got shape {shape}")
     if len(values) < MIN_CALIB_SAMPLES:
         raise CalibrationError(
             f"standing window too short: {len(values)} {label} samples "
@@ -209,6 +210,8 @@ def compute_offsets(imu: ImuStream, bend: BendStream) -> OffsetSet:
     Medians reject occasional outlier samples. Accelerometer offsets are
     medians of the deviation from the (0, 0, 1) g gravity vector, so
     subtracting them preserves gravity on the vertical axis. Raises
+    GaitInputError, naming the sensor, unless the accelerometer and
+    gyroscope windows are (N, 3) and the bend sensor's is (N,). Raises
     CalibrationError, naming the channel (accelerometer, gyroscope or bend
     sensor), if its window
     - holds fewer than MIN_CALIB_SAMPLES samples,
@@ -216,9 +219,9 @@ def compute_offsets(imu: ImuStream, bend: BendStream) -> OffsetSet:
       corrected sample of the channel, NaN, or
     - spreads more than the channel's STILL_STD_* bound: the subject moved.
     """
-    _, accel_rows = _check_still("accelerometer", imu.accel, STILL_STD_ACCEL_G, "g")
-    gyro, _ = _check_still("gyroscope", imu.gyro, STILL_STD_GYRO_DPS, "deg/s")
-    bend_deg, _ = _check_still("bend sensor", bend.angle_deg, STILL_STD_BEND_DEG, "deg")
+    _, accel_rows = _check_still("accelerometer", imu.accel, (3,), STILL_STD_ACCEL_G, "g")
+    gyro, _ = _check_still("gyroscope", imu.gyro, (3,), STILL_STD_GYRO_DPS, "deg/s")
+    bend_deg, _ = _check_still("bend sensor", bend.angle_deg, (), STILL_STD_BEND_DEG, "deg")
     # The median of accel - g, which for an even-length window differs in
     # the last bit from the accel median minus g.
     return OffsetSet(_median_rows(accel_rows - GRAVITY_G[:, None]), gyro, float(bend_deg))
@@ -287,9 +290,8 @@ def smoothed_block(values: np.ndarray, m: int, k_start: int, k_stop: int) -> np.
     array (no copy for the buffers the chain passes), so its layout does
     not change the bits. The live decimator calls this about four times
     per 40 ms chunk, mostly for one output, so the per-call cost dominates
-    there. The C kernel's `boxcar` sums the windows where it loads, and
-    `_boxcar_loop`, its numpy oracle, where it does not; both take the
-    same arguments and give the same bits. A buffer that is not 1-D (a
+    there. The windows are summed by `_kernel.loops().boxcar`, with the
+    same bits in C and in numpy. A buffer that is not 1-D (a
     scalar too, even for an empty range), a buffer too short for output
     k_stop - 1, a negative k_start, indices that are not integers and a
     factor M that is not an integer >= 1 raise GaitInputError.
@@ -314,27 +316,9 @@ def smoothed_block(values: np.ndarray, m: int, k_start: int, k_stop: int) -> np.
         raise GaitInputError(
             f"output {k_stop - 1} needs {hi} samples, the buffer holds {len(values)}"
         )
-    kernel = orientation._kernel_module()
-    boxcar = _boxcar_loop if kernel is None else kernel.boxcar
     out = np.empty(k_stop - k_start)
-    boxcar(values, out, m, k_start)
+    _kernel.loops().boxcar(values, out, m, k_start)
     return out
-
-
-def _boxcar_loop(values, out, m, k_start):
-    """The boxcar in numpy: the fallback and the oracle of the kernel's `boxcar`.
-
-    Takes what the kernel's `boxcar` takes: the C-contiguous 1-D float64
-    value buffer, the float64 array that receives outputs
-    [k_start, k_start + len(out)), the factor M and k_start. Lays the
-    windows as one strided view over the samples they cover and divides
-    their np.add.reduce by 2M; numpy reduces each contiguous window in its
-    pairwise order, which the kernel reproduces.
-    """
-    seg = values[m * k_start : m * (k_start + len(out)) + m]
-    step = seg.strides[0]
-    window = np.ndarray((len(out), 2 * m), seg.dtype, seg, strides=(m * step, step))
-    np.divide(np.add.reduce(window, axis=-1), 2 * m, out=out)
 
 
 def downsample_smooth(
@@ -345,8 +329,10 @@ def downsample_smooth(
     `values` is one channel, (N,); it is filtered as float64, and any other
     shape, a scalar too, raises GaitInputError. The output rate is
     rate_hz / M; output sample j corresponds to input index M*(j+1) - 1.
-    Incomplete edge windows are dropped.
+    Incomplete edge windows are dropped. A rate that is not finite and > 0
+    raises GaitInputError.
     """
+    _check_rate(rate_hz)  # before the output's start time divides by it
     m = _check_factor(m)
     values = np.asarray(values, dtype=np.float64, order="C")
     if values.ndim != 1:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gaitlab import orientation
+from gaitlab import _kernel
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +21,16 @@ def compiled_kernel():
         pytest.skip("no C compiler (cc) on PATH, so only the Python loops can run")
     if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
         pytest.skip("no Python.h for this interpreter, so only the Python loops can run")
-    module = orientation._kernel_module()
-    assert module is not None, orientation._kernel_error
+    module = _kernel.loops()
+    assert module is not _kernel.PYTHON, _kernel._kernel_error
     return module
+
+
+@pytest.fixture
+def python_loops(monkeypatch):
+    """Call it to run the rest of the test on the Python loops.
+
+    Patches `_kernel.loops` to return `_kernel.PYTHON`, as it does where the
+    kernel cannot be built, until the test ends.
+    """
+    return lambda: monkeypatch.setattr(_kernel, "loops", lambda: _kernel.PYTHON)

@@ -12,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-from gaitlab import orientation
 from gaitlab.core import StaticParams, attach_lengths, gait_asymmetry, stride_metrics
 from gaitlab.events import (
     AngleQuad,
@@ -179,11 +178,11 @@ def test_live_chunks_equal_batch(recording):
         assert repr(got) == repr(detect_minima(quad.series(name), series_id=name))
 
 
-def test_kernel_and_python_loops_give_the_same_bits(compiled_kernel, recording, monkeypatch):
+def test_kernel_and_python_loops_give_the_same_bits(compiled_kernel, recording, python_loops):
     def outputs():
         *live_outputs, events = live(recording)
         return bits(*batch(recording)), bits(*live_outputs), repr(events)
 
     with_kernel = outputs()
-    monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+    python_loops()
     assert outputs() == with_kernel

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitlab import events as events_module
-from gaitlab import orientation
+from gaitlab import _kernel
+from gaitlab._kernel import _minima_loop
 from gaitlab.errors import GaitInputError
 from gaitlab.events import (
     AngleQuad,
@@ -397,7 +398,7 @@ class TestMinimaKernel:
         for start, stop in zip(bounds, bounds[1:]):
             # The series reaches at least as far as the derivatives read.
             args = (array("d", values[:stop].tobytes()), d[start:stop], *state, *settings)
-            got, want = minima(*args), events_module._minima_loop(*args)
+            got, want = minima(*args), _minima_loop(*args)
             assert result_bits(got) == result_bits(want)
             state = want[:5]
             found += len(want[5])
@@ -411,12 +412,12 @@ class TestMinimaKernel:
         det = MinimaDetector("series", 0.0, RATE, EventConfig())
         settings = (det.config.prominence_deg, det.config.refractory_s, det.t0, det.rate_hz)
         args = (array("d", s[:40].tobytes()), d, *state_of(det), *settings)
-        got, want = minima(*args), events_module._minima_loop(*args)
+        got, want = minima(*args), _minima_loop(*args)
         assert result_bits(got) == result_bits(want)
         assert got[6] is want[6] is True and want[:2] == (41, d[40])
         messages = []
-        for module in (orientation._kernel_module(), None):
-            monkeypatch.setattr(orientation, "_kernel_module", lambda: module)
+        for module in (_kernel.loops(), _kernel.PYTHON):
+            monkeypatch.setattr(_kernel, "loops", lambda: module)
             det = MinimaDetector("series", 0.0, RATE, EventConfig())
             det.extend_series(s[:40])
             with pytest.raises(GaitInputError) as err:
@@ -431,7 +432,7 @@ class TestMinimaKernel:
         s = np.append(np.tile([10.0, 5.0, 0.0, 5.0], 10), 10.0)
         d = five_point_derivative(series(s, rate=16.0)).values
         args = (array("d", s.tobytes()), d, 0, 0.0, -1, -math.inf, -math.inf, 1.0, 0.5, 0.0, 16.0)
-        got, want = minima(*args), events_module._minima_loop(*args)
+        got, want = minima(*args), _minima_loop(*args)
         assert result_bits(got) == result_bits(want)
         assert [j for j, _, _ in want[5]] == [2, 10, 18, 26, 34]
 
@@ -453,11 +454,11 @@ class TestMinimaKernel:
         s = np.array(values, dtype=float)
         d = five_point_derivative(series(s)).values
         args = (array("d", s.tobytes()), d, 0, 0.0, -1, -math.inf, -math.inf, 1.0, 0.0, 0.0, RATE)
-        got, want = minima(*args), events_module._minima_loop(*args)
+        got, want = minima(*args), _minima_loop(*args)
         assert result_bits(got) == result_bits(want)
         assert want[5] == [(event, event / RATE, s[event])]
 
-    def test_detect_minima_without_the_kernel_gives_the_same_events(self, minima, monkeypatch):
+    def test_detect_minima_without_the_kernel_gives_the_same_events(self, minima, monkeypatch, python_loops):
         rng = np.random.default_rng(7)
         t = np.arange(0, 12, 1 / RATE)
         s = series(20.0 * np.sin(2 * np.pi * t) + rng.normal(0, 0.5, len(t)))
@@ -467,7 +468,7 @@ class TestMinimaKernel:
             calls.append(len(derivs))
             return minima(values, derivs, *state)
 
-        monkeypatch.setattr(orientation, "_kernel_module", lambda: SimpleNamespace(minima=counted))
+        monkeypatch.setattr(_kernel, "loops", lambda: SimpleNamespace(minima=counted))
         with_kernel = detect_minima(s)
         assert calls == [len(t)]
         # A live feed takes the kernel too, however few its derivatives.
@@ -477,19 +478,19 @@ class TestMinimaKernel:
         det.feed_derivative(np.zeros(_SMALL_FEED - 1))
         det.feed_derivative(np.zeros(_SMALL_FEED))
         assert calls == [len(t), 1, _SMALL_FEED - 1, _SMALL_FEED]
-        monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+        python_loops()
         without = detect_minima(s)
         assert len(without) == 12
         assert event_bits(with_kernel) == event_bits(without)
 
-    def test_kernel_events_are_minimum_events(self, minima, monkeypatch):
+    def test_kernel_events_are_minimum_events(self, minima, python_loops):
         s = 20.0 * np.sin(2 * np.pi * np.arange(0, 6, 1 / RATE))
         d = five_point_derivative(series(s)).values
         fed_c, fed_py = (MinimaDetector("knee_R", 0.0, RATE, EventConfig()) for _ in range(2))
         for det in (fed_c, fed_py):
             det.extend_series(s)
         got = fed_c.feed_derivative(d)
-        monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+        python_loops()
         want = fed_py.feed_derivative(d)
         assert len(got) == 6 and got == want
         for ev in got:
@@ -499,11 +500,11 @@ class TestMinimaKernel:
 
     @pytest.mark.parametrize("shape", [(5, 2), (12, 2), (1, 1), ()], ids=["5x2", "12x2", "1x1", "scalar"])
     @pytest.mark.parametrize("kernel", ["as_built", "none"])
-    def test_derivatives_not_1d_rejected(self, minima, shape, kernel, monkeypatch):
+    def test_derivatives_not_1d_rejected(self, minima, shape, kernel, python_loops):
         # A (12, 2) feed used to reach the kernel, which read its 24 doubles
         # flat; a (5, 2) one failed in the Python loop with a bare TypeError.
         if kernel == "none":
-            monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+            python_loops()
         s = 20.0 * np.sin(2 * np.pi * np.arange(0, 2, 1 / RATE))
         d = five_point_derivative(series(s)).values
         det = MinimaDetector("knee_L", 0.0, RATE, EventConfig())

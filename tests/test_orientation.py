@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitlab import orientation
+from gaitlab import _kernel, orientation
+from gaitlab._kernel import _madgwick_loop
 from gaitlab.errors import GaitInputError
 from gaitlab.orientation import (
     BETA,
@@ -222,9 +223,9 @@ def kernel(compiled_kernel):
 def kernel_module(compiled_kernel, tmp_path_factory):
     """The extension module itself, built into a fresh cache directory."""
     cache = tmp_path_factory.mktemp("kernel")
-    assert orientation._load_kernel(cache) is not None, orientation._kernel_error
+    assert _kernel._load_kernel(cache) is not _kernel.PYTHON, _kernel._kernel_error
     (path,) = cache.iterdir()
-    loader = importlib.machinery.ExtensionFileLoader("gaitlab._madgwick", str(path))
+    loader = importlib.machinery.ExtensionFileLoader("gaitlab._kernel_c", str(path))
     module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
     loader.exec_module(module)
     return module
@@ -242,7 +243,7 @@ class TestUnits:
             [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308],
         ])
         with np.errstate(over="ignore"):  # 1e308 degrees is inf either way
-            assert np.degrees(x).tobytes() == (x * orientation._DEG_PER_RAD).tobytes()
+            assert np.degrees(x).tobytes() == (x * _kernel._DEG_PER_RAD).tobytes()
 
 
 class TestNonFiniteSamples:
@@ -256,7 +257,7 @@ class TestNonFiniteSamples:
         angles, state = madgwick_batch(accel, gyro, DT, filter_init())
         assert np.isfinite(angles).all()
         assert np.isfinite(state[:4]).all()
-        oracle = run(orientation._madgwick_loop, accel, gyro, filter_init())
+        oracle = run(_madgwick_loop, accel, gyro, filter_init())
         assert_same_bits((angles, state), oracle)
 
     def test_bad_accel_row_is_a_zero_accel_row(self):
@@ -295,14 +296,14 @@ class TestKernel:
         rng = np.random.default_rng(seed)
         accel, gyro = random_recording(rng, 400)
         state = random_state(rng, bool(seed % 2))
-        want = run(orientation._madgwick_loop, accel, gyro, state)
+        want = run(_madgwick_loop, accel, gyro, state)
         assert np.isfinite(want[0]).all()
         got = run(kernel, accel, gyro, state)
         assert_same_bits(got, want)
         assert type(got[1]) is type(want[1]) is tuple
         assert [type(v) for v in got[1]] == [type(v) for v in want[1]] == [float] * 4 + [bool]
         for chunk in (1, 7, 10):
-            for loop in (kernel, orientation._madgwick_loop):
+            for loop in (kernel, _madgwick_loop):
                 assert_same_bits(run_chunks(loop, accel, gyro, state, chunk), want)
 
     # The kernel takes atan2 per block of 256 samples, after the recurrence.
@@ -312,7 +313,7 @@ class TestKernel:
         accel, gyro = random_recording(rng, max(n, 6))
         accel, gyro = accel[:n], gyro[:n]
         state = random_state(rng, True)
-        want = run(orientation._madgwick_loop, accel, gyro, state)
+        want = run(_madgwick_loop, accel, gyro, state)
         got = run(kernel, accel, gyro, state)
         assert len(got[0]) == n
         assert_same_bits(got, want)
@@ -322,7 +323,7 @@ class TestKernel:
         rng = np.random.default_rng(chunk)
         accel, gyro = random_recording(rng, 1000)
         state = random_state(rng)
-        want = run(orientation._madgwick_loop, accel, gyro, state)
+        want = run(_madgwick_loop, accel, gyro, state)
         assert_same_bits(run_chunks(kernel, accel, gyro, state, chunk), want)
 
     def test_gradient_norm_crossing_the_reference_both_ways(self, kernel):
@@ -335,11 +336,11 @@ class TestKernel:
         accel = np.concatenate([settled, random_dirs, settled[::-1]])
         gyro = rng.normal(0.0, 0.5, accel.shape)
         state = filter_init()
-        want = run(orientation._madgwick_loop, accel, gyro, state)
+        want = run(_madgwick_loop, accel, gyro, state)
         assert_same_bits(run(kernel, accel, gyro, state), want)
         before = [state]
         for a, g in zip(accel[:-1], gyro[:-1]):
-            before.append(run(orientation._madgwick_loop, a[None], g[None], before[-1])[1])
+            before.append(run(_madgwick_loop, a[None], g[None], before[-1])[1])
         norms = gradient_norms(accel, before)
         above = norms > orientation.GRADIENT_REF
         assert ((norms > 0.0) & ~above).any() and above.any()
@@ -347,11 +348,11 @@ class TestKernel:
         assert (steps == 1).any() and (steps == -1).any()
 
     @pytest.mark.parametrize("layout", ["read_only", "fortran", "column_view"])
-    def test_any_array_layout_gives_the_oracle_bits(self, kernel, layout, monkeypatch):
+    def test_any_array_layout_gives_the_oracle_bits(self, kernel, layout, python_loops):
         rng = np.random.default_rng(11)
         accel, gyro = random_recording(rng, 300)
         state = random_state(rng)
-        want = run(orientation._madgwick_loop, accel, gyro, state)
+        want = run(_madgwick_loop, accel, gyro, state)
 
         def arrange(v):
             if layout == "read_only":
@@ -375,7 +376,7 @@ class TestKernel:
                 run(kernel, a, g, state)
         angles, end = madgwick_batch(arrange(accel), arrange(gyro), DT, state)
         assert_same_bits((angles, end), want)
-        monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+        python_loops()
         angles, end = madgwick_batch(arrange(accel), arrange(gyro), DT, state)
         assert_same_bits((angles, end), want)
 
@@ -401,34 +402,30 @@ class TestKernel:
             calls.append(len(accel))
             return kernel(accel, *args)
 
-        monkeypatch.setattr(orientation, "_kernel_module", lambda: SimpleNamespace(loop=counted))
+        monkeypatch.setattr(_kernel, "loops", lambda: SimpleNamespace(loop=counted))
         madgwick_batch(np.zeros((5, 3)), np.zeros((5, 3)), DT, filter_init())
         assert calls == [5]
 
     def test_failed_build_falls_back_to_python_loop(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(orientation, "_kernel_error", None)
+        monkeypatch.setattr(_kernel, "_kernel_error", None)
         missing = str(tmp_path / "no-such-cc")
-        assert orientation._load_kernel(tmp_path, missing) is None
-        assert "no-such-cc" in orientation._kernel_error
-        monkeypatch.setattr(
-            orientation,
-            "_kernel_module",
-            functools.partial(orientation._load_kernel, tmp_path, missing),
-        )
+        assert _kernel._load_kernel(tmp_path, missing) is _kernel.PYTHON
+        assert "no-such-cc" in _kernel._kernel_error
+        monkeypatch.setattr(_kernel, "loops", functools.partial(_kernel._load_kernel, tmp_path, missing))
         rng = np.random.default_rng(10)
         accel, gyro = random_recording(rng, 200)
         angles, state = madgwick_batch(accel, gyro, DT, filter_init())
-        want = run(orientation._madgwick_loop, accel, gyro, filter_init())
+        want = run(_madgwick_loop, accel, gyro, filter_init())
         assert_same_bits((angles, state), want)
         assert list(tmp_path.iterdir()) == []
 
     def test_cached_kernel_loads_without_the_compiler(self, kernel, tmp_path, monkeypatch):
-        monkeypatch.setattr(orientation, "_kernel_error", None)
-        assert orientation._load_kernel(tmp_path) is not None
+        monkeypatch.setattr(_kernel, "_kernel_error", None)
+        assert _kernel._load_kernel(tmp_path) is not _kernel.PYTHON
         built = list(tmp_path.iterdir())
         assert len(built) == 1 and built[0].name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
-        cached = orientation._load_kernel(tmp_path, str(tmp_path / "no-such-cc"))
-        assert cached is not None, orientation._kernel_error
+        cached = _kernel._load_kernel(tmp_path, str(tmp_path / "no-such-cc"))
+        assert cached is not _kernel.PYTHON, _kernel._kernel_error
         assert list(tmp_path.iterdir()) == built
 
 

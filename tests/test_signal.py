@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from gaitlab import orientation
+from gaitlab import _kernel
+from gaitlab._kernel import _boxcar_loop
 from gaitlab.errors import CalibrationError, GaitInputError
 from gaitlab.signal import (
     BendStream,
     ImuStream,
     OffsetSet,
     UniformSeries,
-    _boxcar_loop,
     apply_offsets,
     check_stream_timing,
     compute_offsets,
@@ -107,6 +107,30 @@ class TestComputeOffsets:
         with pytest.raises(CalibrationError, match=channel):
             compute_offsets(imu, bend)
 
+    @pytest.mark.parametrize(
+        "sensor, shape",
+        [("accelerometer", (30,)), ("accelerometer", (30, 2)), ("accelerometer", (30, 3, 1)),
+         ("gyroscope", (30,)), ("gyroscope", (30, 4)), ("bend sensor", (30, 2)),
+         ("bend sensor", (30, 1)), ("bend sensor", ())],
+        ids=["accel_30", "accel_30x2", "accel_30x3x1", "gyro_30", "gyro_30x4", "bend_30x2",
+             "bend_30x1", "bend_scalar"],
+    )
+    def test_window_of_the_wrong_shape_rejected(self, sensor, shape):
+        # A 1-D accelerometer window of ones used to give (3,) offsets
+        # [1, 1, 0] without an error; a (30, 2) one failed with a bare
+        # ValueError from broadcasting, a (30, 2) bend window with a bare
+        # TypeError from float().
+        imu, bend = still_imu(n=30), still_bend(n=30)
+        window = np.ones(shape)
+        if sensor == "accelerometer":
+            imu.accel = window
+        elif sensor == "gyroscope":
+            imu.gyro = window
+        else:
+            bend.angle_deg = window
+        with pytest.raises(GaitInputError, match=rf"{sensor} window must be \(N,"):
+            compute_offsets(imu, bend)
+
 
 def median_window(rng, n, channels):
     """A window with ties and signed zeros: few distinct values, -0.0 among them."""
@@ -193,11 +217,19 @@ class TestDownsampleSmooth:
         with pytest.raises(GaitInputError, match="one channel"):
             downsample_smooth(s, m=2, rate_hz=100.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -100.0, math.nan, math.inf])
+    def test_bad_rate_rejected(self, rate):
+        # A rate of 0 used to raise a bare ZeroDivisionError from the
+        # output's start time.
+        for m in (1, 4):
+            with pytest.raises(GaitInputError, match="rate must be finite and > 0"):
+                downsample_smooth(np.zeros(40), m, rate)
+
     @pytest.mark.parametrize("kernel", ["as_built", "none"])
-    def test_scalar_stream_rejected(self, kernel, monkeypatch):
+    def test_scalar_stream_rejected(self, kernel, python_loops):
         # Used to fail with a bare TypeError from len().
         if kernel == "none":
-            monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+            python_loops()
         for value in (np.float64(3.0), 3.0, np.array(3.0)):
             with pytest.raises(GaitInputError, match="one channel"):
                 downsample_smooth(value, 4, 100.0)
@@ -311,19 +343,19 @@ class TestSmoothedBlock:
         "shape", [(100, 1), (100, 2), (2, 100), (10, 10, 1)], ids=["100x1", "100x2", "2x100", "10x10x1"]
     )
     @pytest.mark.parametrize("kernel", ["as_built", "none"])
-    def test_multichannel_buffer_rejected(self, shape, kernel, monkeypatch):
+    def test_multichannel_buffer_rejected(self, shape, kernel, python_loops):
         if kernel == "none":
-            monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+            python_loops()
         for k_start, k_stop in ((0, 2), (3, 3)):
             with pytest.raises(GaitInputError, match="one channel"):
                 smoothed_block(np.zeros(shape), 4, k_start, k_stop)
 
     @pytest.mark.parametrize("kernel", ["as_built", "none"])
-    def test_scalar_buffer_rejected(self, kernel, monkeypatch):
+    def test_scalar_buffer_rejected(self, kernel, python_loops):
         # A scalar used to be read as a one-sample buffer: an empty range
         # returned an empty array.
         if kernel == "none":
-            monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+            python_loops()
         for value in (5.0, np.float64(5.0), np.array(5.0)):
             for k_start, k_stop in ((0, 0), (0, 1)):
                 with pytest.raises(GaitInputError, match="one channel"):
@@ -331,11 +363,11 @@ class TestSmoothedBlock:
 
     @pytest.mark.parametrize("layout", ["strided", "column", "read_only", "float32", "int", "list"])
     @pytest.mark.parametrize("kernel", ["as_built", "none"])
-    def test_any_layout_or_dtype_gives_the_oracle_bits(self, layout, kernel, monkeypatch):
+    def test_any_layout_or_dtype_gives_the_oracle_bits(self, layout, kernel, python_loops):
         # Every buffer is filtered as float64: float32 and int buffers give
         # the bits of their float64 conversion.
         if kernel == "none":
-            monkeypatch.setattr(orientation, "_kernel_module", lambda: None)
+            python_loops()
         rng = np.random.default_rng(21)
         wide = rng.normal(size=(800, 3)) * 30.0
         values = {
@@ -452,7 +484,7 @@ class TestBoxcarKernel:
             calls.append((values.dtype, values.ndim, values.flags.c_contiguous, len(out), m, k_start))
             return boxcar(values, out, m, k_start)
 
-        monkeypatch.setattr(orientation, "_kernel_module", lambda: SimpleNamespace(boxcar=counted))
+        monkeypatch.setattr(_kernel, "loops", lambda: SimpleNamespace(boxcar=counted))
         values = np.arange(100.0)
         smoothed_block(values, 4, 2, 5)
         smoothed_block(values[::2], 4, 1, 3)

@@ -201,6 +201,25 @@ _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 _kernel_error: str | None = None
 
 
+def _remove_stale_builds(path: Path, suffix: str) -> None:
+    """Unlink every `_kernel_c.*<suffix>` in `path`'s directory but `path`.
+
+    Called right after `path` is built, so the builds of older sources or
+    flags do not pile up. Temporary files (perhaps another process's build
+    in progress) and other ABIs' builds end otherwise, so they stay. Two
+    interpreters with one suffix but different include directories evict
+    each other's build, and each rebuilds on its next first load. An unlink
+    that fails (another process removed the file first, or the platform
+    keeps a loaded file) is skipped.
+    """
+    for old in path.parent.glob(f"_kernel_c.*{suffix}"):
+        if old != path:
+            try:
+                old.unlink()
+            except OSError:
+                pass
+
+
 def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
     """Load the C kernel from cache_dir, compiling `_kernel.c` there if needed.
 
@@ -208,7 +227,9 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
     the interpreter's include directory, and ends in the interpreter's
     extension suffix, so an interpreter with another ABI never loads it. It
     is compiled into a temporary file that is then renamed into place, so
-    processes building at once never load a partial file. Returns the
+    processes building at once never load a partial file. A build removes
+    the older builds with the same suffix (`_remove_stale_builds`); a load
+    that compiles nothing removes nothing. Returns the
     module, whose `loop`, `minima` and `boxcar` run the filter, the minima
     detector and the decimating boxcar, or `PYTHON` when the build or the
     load fails, with the reason in `_kernel_error`.
@@ -224,7 +245,8 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
         key = hashlib.sha256(
             _KERNEL_SOURCE.read_bytes() + " ".join(flags).encode()
         ).hexdigest()[:16]
-        path = cache_dir / f"_kernel_c.{key}{sysconfig.get_config_var('EXT_SUFFIX')}"
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        path = cache_dir / f"_kernel_c.{key}{suffix}"
         if not path.exists():
             cache_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(prefix="_kernel_c.", suffix=".tmp", dir=cache_dir)
@@ -239,6 +261,7 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+            _remove_stale_builds(path, suffix)
         loader = importlib.machinery.ExtensionFileLoader("gaitlab._kernel_c", str(path))
         module = importlib.util.module_from_spec(
             importlib.util.spec_from_loader(loader.name, loader)

@@ -209,7 +209,8 @@ def attach_lengths(
     `bias` is an additive per-angle correction (see gaitlab.calibrate); the
     corrected angles replace the measured ones on the returned steps. Each
     step is evaluated on its own, so N steps in one call give the same bits
-    as N one-step calls: the live path relies on that to match batch. The
+    as N one-step calls: `gaitlab.pipeline.StreamingAnalyzer`, which calls
+    it per step, relies on that to match `analyze`. The
     length is `step_length(params, a).total`, summed in the same order
     without building the breakdown.
     """

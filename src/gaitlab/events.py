@@ -413,7 +413,7 @@ def _quad_sampler(quad: AngleQuad) -> Callable[[str, float], float]:
     `sampler(name, t)` is `float(s.values[s.index_near(t)])` for the series
     `s` named `name`, looked up once per quad rather than once per call:
     the nearest-sample rule is `UniformSeries.index_near`'s alone, the one
-    the benchmark's live sampler reads too.
+    the sampler of `gaitlab.pipeline.StreamingAnalyzer` reads too.
     """
     by_name = {name: quad.series(name) for name in _TIE_ORDER}
 

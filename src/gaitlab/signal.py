@@ -279,19 +279,31 @@ def _check_factor(m: int) -> int:
     return m
 
 
+def smoothed_t0(t0: float, m: int, rate_hz: float) -> float:
+    """Start time of the filter's output for input that starts at `t0`.
+
+    Output 0 is stamped at input sample M - 1. The one home of the stamp
+    rule: `downsample_smooth` and the streaming decimator of
+    `gaitlab.pipeline.StreamingAnalyzer` both read it. No checks: callers
+    check the rate and the factor first.
+    """
+    return t0 + (m - 1) / rate_hz
+
+
 def smoothed_block(values: np.ndarray, m: int, k_start: int, k_stop: int) -> np.ndarray:
     """Filter outputs for output indices [k_start, k_stop) of a 1-D value buffer.
 
-    Shared by the batch operation and the streaming decimator so that both
-    produce bit-identical results: output k is the sum of the 2M input
-    samples from M*k, reduced in np.add.reduce's order, divided by 2M.
+    Shared by the batch operation and the streaming decimator of
+    `gaitlab.pipeline.StreamingAnalyzer` so that both produce bit-identical
+    results: output k is the sum of the 2M input samples from M*k, reduced
+    in np.add.reduce's order, divided by 2M.
 
     The buffer is one channel, converted once to a C-contiguous float64
     array (no copy for the buffers the chain passes), so its layout does
-    not change the bits. The live decimator calls this about four times
-    per 40 ms chunk, mostly for one output, so the per-call cost dominates
-    there. The windows are summed by `_kernel.loops().boxcar`, with the
-    same bits in C and in numpy. A buffer that is not 1-D (a
+    not change the bits. The streaming decimator calls this about four
+    times per 40 ms chunk, mostly for one output, so the per-call cost
+    dominates there. The windows are summed by `_kernel.loops().boxcar`,
+    with the same bits in C and in numpy. A buffer that is not 1-D (a
     scalar too, even for an empty range), a buffer too short for output
     k_stop - 1, a negative k_start, indices that are not integers and a
     factor M that is not an integer >= 1 raise GaitInputError.
@@ -345,4 +357,4 @@ def downsample_smooth(
             f"stream of {n} samples is shorter than one 2M={2 * m} window"
         )
     out = smoothed_block(values, m, 0, (n - 2 * m) // m + 1)
-    return UniformSeries(t0=t0 + (m - 1) / rate_hz, rate_hz=rate_hz / m, values=out)
+    return UniformSeries(t0=smoothed_t0(t0, m, rate_hz), rate_hz=rate_hz / m, values=out)

@@ -4,8 +4,10 @@ Every fresh process pays for what the import loads (the benchmark's
 `setup_s`). scipy.optimize alone takes most of a second, so `calibrate`
 imports it in the functions that fit. The C kernel is built and loaded by
 the first call that runs one of its loops (`madgwick_batch`,
-`smoothed_block` or `MinimaDetector.feed_derivative`), never by the
+`smoothed_block` or `MinimaDetector.feed_derivative`, which
+`gaitlab.pipeline`'s `analyze` and `StreamingAnalyzer` call), never by the
 import, and so are `hashlib` and `subprocess`, which only its loader uses.
+`import gaitlab` alone loads none of the modules.
 """
 
 import os
@@ -16,7 +18,7 @@ from pathlib import Path
 import gaitlab
 
 PACKAGE = Path(gaitlab.__file__).parent
-MODULES = ("calibrate", "core", "events", "orientation", "signal")
+MODULES = ("calibrate", "core", "events", "orientation", "pipeline", "signal")
 
 
 def run_fresh(*lines):
@@ -59,3 +61,10 @@ def test_signal_and_events_do_not_import_orientation():
     )
     assert "gaitlab._kernel" in loaded
     assert "gaitlab.orientation" not in loaded
+
+
+def test_package_import_loads_no_module():
+    # gaitlab/__init__.py is empty: the pipeline is imported only by name.
+    loaded = run_fresh("import gaitlab", "import sys", "print(*sys.modules, sep='\\n')")
+    assert "gaitlab" in loaded
+    assert not [m for m in loaded if m.startswith("gaitlab.")]

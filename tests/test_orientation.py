@@ -428,6 +428,23 @@ class TestKernel:
         assert cached is not _kernel.PYTHON, _kernel._kernel_error
         assert list(tmp_path.iterdir()) == built
 
+    def test_build_removes_older_builds_of_this_abi_only(self, kernel, tmp_path, monkeypatch):
+        monkeypatch.setattr(_kernel, "_kernel_error", None)
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        stale = tmp_path / f"_kernel_c.0000000000000000{suffix}"
+        in_progress = tmp_path / "_kernel_c.abcd1234.tmp"  # another process's build
+        other_abi = tmp_path / "_kernel_c.0000000000000000.cpython-399-other.so"
+        for path in (stale, in_progress, other_abi):
+            path.write_bytes(b"")
+        assert _kernel._load_kernel(tmp_path) is not _kernel.PYTHON, _kernel._kernel_error
+        (built,) = set(tmp_path.iterdir()) - {in_progress, other_abi}
+        assert built.name.endswith(suffix) and built != stale
+        assert in_progress.exists() and other_abi.exists()
+        # A load that compiles nothing removes nothing.
+        stale.write_bytes(b"")
+        assert _kernel._load_kernel(tmp_path) is not _kernel.PYTHON, _kernel._kernel_error
+        assert set(tmp_path.iterdir()) == {built, stale, in_progress, other_abi}
+
 
 @st.composite
 def chunked_recording(draw):

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import attach_lengths, gait_asymmetry, stride_metrics
+from .errors import GaitInputError
 from .events import (
     AngleQuad,
     DerivativeStream,
@@ -173,9 +174,10 @@ class StreamingAnalyzer:
     `feed(chunk_legs, end_t)` takes one chunk: `chunk_legs` maps a side to
     its `(ImuStream, BendStream)` samples, and `end_t` is the chunk's end
     time, recorded in `emitted_at` for each step the chunk confirms.
-    `finish(end_t)` ends the stream and returns the `Analysis`. `steps`,
-    `strides` and `asymmetry` grow as they are confirmed; `series` holds
-    each 25 Hz series' decimator, derivative and detector by name.
+    `finish(end_t)` ends the stream and returns the `Analysis`; a `feed` or
+    a second `finish` after it raises `GaitInputError` and changes nothing.
+    `steps`, `strides` and `asymmetry` grow as they are confirmed; `series`
+    holds each 25 Hz series' decimator, derivative and detector by name.
     """
 
     def __init__(self, legs, params, probe=NULL_PROBE):
@@ -217,6 +219,11 @@ class StreamingAnalyzer:
         self.emitted_at: list[float] = []  # chunk end time that emitted each step
         self.strides: list = []
         self.asymmetry: list = []
+        self._finished = False
+
+    def _check_open(self, call: str) -> None:
+        if self._finished:
+            raise GaitInputError(f"StreamingAnalyzer.{call} called after finish")
 
     def _push(self, events) -> None:
         for ev in events:
@@ -239,6 +246,7 @@ class StreamingAnalyzer:
         self._push(probe.call("events.MinimaDetector.feed_derivative", det.feed_derivative, d))
 
     def feed(self, chunk_legs, end_t: float) -> None:
+        self._check_open("feed")
         probe = self.probe
         for side, (imu, bend) in chunk_legs.items():
             leg = self.legs[side]
@@ -258,6 +266,8 @@ class StreamingAnalyzer:
         self._release(min(s.detector.frontier_t for s in self.series.values()), end_t)
 
     def finish(self, end_t: float) -> Analysis:
+        self._check_open("finish")
+        self._finished = True
         probe = self.probe
         for s in self.series.values():
             d = probe.call("events.DerivativeStream.finalize", s.derivative.finalize)

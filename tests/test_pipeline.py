@@ -6,7 +6,8 @@ included, on short synthetic walks of two seeds, fed in chunks of 10, 40,
 130 and 1000 ms, once with the C kernel and once on the Python loops. The
 outputs are compared by the sha256 of their pickles, and the calls by the
 span names, in order, and the counts that a `gaitbench.tracing.Tracer`
-records.
+records. After `finish`, the analyzer refuses more input and leaves its
+state as it was.
 """
 
 import hashlib
@@ -17,7 +18,9 @@ import pytest
 from gaitbench import synth
 from gaitbench import workloads as W
 from gaitbench.tracing import Tracer
+from gaitlab.errors import GaitInputError
 from gaitlab.pipeline import StreamingAnalyzer, analyze
+from gaitlab.signal import BendStream, ImuStream
 
 SEEDS = (2929, 8383)
 CHUNK_MS = (10, 40, 130, 1000)
@@ -95,3 +98,47 @@ def test_streaming_analyzer_equals_live_session(walk, loops, chunk_ms):
     assert spans == want_spans
     assert counts == want_counts
     assert got == analyze(walk.legs, walk.params)
+
+
+def finished_analyzer(walk):
+    chunks = W.make_chunks(walk, 40)
+    a = StreamingAnalyzer(walk.legs, walk.params)
+    for chunk in chunks:
+        a.feed(chunk.legs, chunk.end_t)
+    return a, a.finish(chunks[-1].end_t), chunks[-1]
+
+
+def state(a):
+    """The pickled buffers, filter states, detectors, pending events and outputs."""
+    return pickle.dumps((
+        a.legs, a.series, a._heap, a.steps, a.emitted_at, a.strides, a.asymmetry, a.diagnostics
+    ))
+
+
+@pytest.mark.parametrize("rows", ["chunk", "one_row"])
+def test_feed_after_finish_raises_and_changes_nothing(walk, rows):
+    """A whole 40 ms chunk completes a 25 Hz sample; one IMU and one bend
+    row complete none, and were taken silently before."""
+    a, _, last = finished_analyzer(walk)
+    chunk_legs = last.legs
+    if rows == "one_row":
+        chunk_legs = {
+            side: (
+                ImuStream(imu.t[:1], imu.accel[:1], imu.gyro[:1]),
+                BendStream(bend.t[:1], bend.angle_deg[:1]),
+            )
+            for side, (imu, bend) in last.legs.items()
+        }
+    before = state(a)
+    with pytest.raises(GaitInputError, match="StreamingAnalyzer.feed"):
+        a.feed(chunk_legs, last.end_t + 0.04)
+    assert state(a) == before
+
+
+def test_second_finish_raises_and_changes_nothing(walk):
+    a, result, last = finished_analyzer(walk)
+    before = state(a)
+    with pytest.raises(GaitInputError, match="StreamingAnalyzer.finish"):
+        a.finish(last.end_t)
+    assert state(a) == before
+    assert result == analyze(walk.legs, walk.params)

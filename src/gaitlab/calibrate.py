@@ -10,7 +10,9 @@ The step-length model (`gaitlab.core`) is linear in the body parameters:
 so the offline fit against reference step lengths is a bounded-variable
 linear least squares problem (each parameter is constrained within 10% of
 its hand-measured nominal), solved exactly by bounded-variable least
-squares (BVLS; Stark & Parker, Computational Statistics 10, 1995).
+squares (BVLS; Stark & Parker, Computational Statistics 10, 1995). The
+module's own active-set BVLS (`_box_step`) solves it, and the bias fit's
+steps below, so calibration needs numpy alone, not scipy.
 
 Angle biases are fitted second, holding the parameters fixed: one additive
 offset per event angle, each constrained within 10% of the magnitude of
@@ -32,6 +34,13 @@ The online path is a recursive least squares update with a forgetting
 factor, warm-started at the nominal parameters. An innovation that is large
 against its predicted spread resets the covariance (Goodwin & Sin 1984), so
 the estimate follows a parameter jump instead of averaging it with old data.
+
+The unknowns number three or four, so numpy's per-call overhead, not the
+arithmetic, dominates their small updates. The solver and the RLS update
+keep every matrix product in numpy (its BLAS kernels may fuse
+multiply-adds, which Python cannot reproduce) and do the exactly rounded
+elementwise operations around them on Python floats, in numpy's order, so
+each result equals the all-numpy form's bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    EventAngles, StaticParams, StepMeasurement, angle_matrix, step_features, step_length
+    EventAngles, StaticParams, StepMeasurement, _components, angle_matrix, step_features
 )
 from .errors import CalibrationError, GaitInputError
 
@@ -90,8 +99,8 @@ class FeatureVector:
 def feature_vector(angles: EventAngles) -> FeatureVector:
     """Linear-model features of one step; h . (l1, l2, d5) equals the model."""
     # Scalar on purpose: a one-row step_features call costs several times more.
-    d = step_length(_UNIT_PARAMS, angles)
-    return FeatureVector(h1=d.d2 + d.d3, h2=d.d1 + d.d4)
+    d1, d2, d3, d4, _ = _components(_UNIT_PARAMS, angles)
+    return FeatureVector(d2 + d3, d1 + d4)
 
 
 def feature_matrix(steps: Sequence[StepMeasurement]) -> np.ndarray:
@@ -137,9 +146,11 @@ def batch_fit_params(
     """Box-constrained least squares over (l1, l2, d5).
 
     Globally optimal: the model is linear in the parameters, and BVLS
-    solves the bounded problem exactly. A rank-deficient feature matrix
-    (e.g. all steps identical) returns the nominal parameters with
-    `degenerate` set instead of an arbitrary fit.
+    (`_box_step`, on the offset from the nominal) solves the bounded
+    problem exactly. The reported SSE never exceeds the nominal's: where
+    the fit does not lower it, the nominal parameters are returned. A
+    rank-deficient feature matrix (e.g. all steps identical) returns the
+    nominal parameters with `degenerate` set instead of an arbitrary fit.
     """
     _check_paired(steps, refs)
     if len(steps) < 3:
@@ -151,7 +162,8 @@ def batch_fit_params(
     lo = (1.0 - PARAM_BOX_FRACTION) * w_nom
     hi = (1.0 + PARAM_BOX_FRACTION) * w_nom
 
-    sse_before = float(np.sum((y - H @ w_nom) ** 2))
+    r_nom = H @ w_nom - y
+    sse_before = float(np.sum(r_nom ** 2))
 
     if np.linalg.matrix_rank(H, tol=1e-8) < 3:
         return CalibrationResult(
@@ -161,16 +173,15 @@ def batch_fit_params(
             degenerate=True,
         )
 
-    from scipy.optimize import lsq_linear  # lazily: the import alone takes most of a second
-
-    fit = lsq_linear(H, y, bounds=(lo, hi), method="bvls")
-    w = np.clip(fit.x, lo, hi)
-    return CalibrationResult(
-        params=StaticParams(*w),
-        sse_before_cm2=sse_before,
-        sse_after_cm2=float(np.sum((y - H @ w) ** 2)),
-        degenerate=False,
-    )
+    w = np.clip(w_nom + _box_step(H, r_nom, lo - w_nom, hi - w_nom), lo, hi)
+    sse_after = float(np.sum((y - H @ w) ** 2))
+    if sse_after < sse_before:
+        return CalibrationResult(
+            params=StaticParams(*w), sse_before_cm2=sse_before, sse_after_cm2=sse_after
+        )
+    # The nominal is already optimal in the box: the fit can differ from it
+    # only by rounding, which may raise the SSE.
+    return CalibrationResult(params=nominal, sse_before_cm2=sse_before, sse_after_cm2=sse_before)
 
 
 def _bias_problem(A: np.ndarray, y: np.ndarray, w: np.ndarray, free: np.ndarray):
@@ -212,37 +223,49 @@ def _box_step(J: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
     gradient pushes it into the box by more than 1e-12 ||J|| ||r||, well
     above rounding, and the loop is capped all the same: d stays feasible
     throughout, and the caller's step halving guards the cost.
+
+    The products with J's m rows run in numpy; the bookkeeping on the n
+    unknowns (at most four) runs on Python floats, which round each
+    elementwise operation as numpy does.
     """
     n = len(lo)
-    d = np.zeros(n)
-    held = (lo == 0.0) | (hi == 0.0)
+    lo, hi = lo.tolist(), hi.tolist()
+    d = [0.0] * n
+    held = [a == 0.0 or b == 0.0 for a, b in zip(lo, hi)]
+    tol = 1e-12 * np.linalg.norm(J) * np.linalg.norm(r)
     for _ in range(4 * n):
-        free = ~held
-        z = d.copy()
-        if free.any():
-            z[free] = np.linalg.lstsq(J[:, free], -(r + J[:, held] @ d[held]), rcond=None)[0]
-        out = free & ((z < lo) | (z > hi))
-        if out.any():
+        free = [i for i in range(n) if not held[i]]
+        z = list(d)
+        if free:
+            fixed = [i for i in range(n) if held[i]]
+            rhs = -(r + J[:, fixed] @ np.array([d[i] for i in fixed]))
+            for i, v in zip(free, np.linalg.lstsq(J[:, free], rhs, rcond=None)[0].tolist()):
+                z[i] = v
+        out = [i for i in free if z[i] < lo[i] or z[i] > hi[i]]
+        if out:
             # Walk from d towards z up to the first bound crossed; hold it there.
-            edge = np.where(z < lo, lo, hi)
-            frac = np.ones(n)
-            frac[out] = (edge[out] - d[out]) / (z[out] - d[out])
-            t = frac.min()
-            d += t * (z - d)
-            hit = out & (frac <= t)
-            d[hit] = edge[hit]
-            held |= hit
+            edge = {i: lo[i] if z[i] < lo[i] else hi[i] for i in out}
+            frac = {i: (edge[i] - d[i]) / (z[i] - d[i]) for i in out}
+            t = min(1.0, *frac.values())  # never past z
+            d = [di + t * (zi - di) for di, zi in zip(d, z)]
+            for i in out:
+                if frac[i] <= t:
+                    d[i] = edge[i]
+                    held[i] = True
             continue
         d = z
-        if not held.any():
+        if not any(held):
             break
-        g = J.T @ (r + J @ d)
-        pull = np.where(d <= lo, -g, np.where(d >= hi, g, 0.0)) * held
-        i = int(np.argmax(pull))
-        if pull[i] <= 1e-12 * np.linalg.norm(J) * np.linalg.norm(r):
+        g = (J.T @ (r + J @ np.array(d))).tolist()
+        pull = [
+            (-g[i] if d[i] <= lo[i] else g[i] if d[i] >= hi[i] else 0.0) if held[i] else 0.0
+            for i in range(n)
+        ]
+        i = max(range(n), key=pull.__getitem__)  # the first maximum, as np.argmax
+        if pull[i] <= tol:
             break
         held[i] = False
-    return d
+    return np.array(d)
 
 
 def _fit_box(residuals, jacobian, lo: np.ndarray, hi: np.ndarray, max_nfev: int) -> np.ndarray:
@@ -371,19 +394,31 @@ def rls_update(state: RlsState, h: FeatureVector, d_ref_cm: float) -> RlsState:
     if not (math.isfinite(h.h1) and math.isfinite(h.h2) and math.isfinite(d_ref_cm)):
         raise GaitInputError("non-finite RLS inputs")
     hv = h.as_array()
-    P, lam, w = state.P, state.lam, state.w
-    e = d_ref_cm - hv @ w
+    P, lam = state.P, state.lam
+    # The three products in numpy, the rest on Python floats (module docstring).
+    e = d_ref_cm - float(hv @ state.w)
     Ph = P @ hv
-    spread = lam + hv @ Ph
-    reset = bool(e * e > RLS_RESET_INNOVATION_CM2 * spread)
+    spread = lam + float(hv @ Ph)
+    reset = e * e > RLS_RESET_INNOVATION_CM2 * spread
     if reset:
         P = state.p0_scale * np.eye(3)
         Ph = P @ hv
-        spread = lam + hv @ Ph
-    gain = Ph / spread
-    w_new = w + gain * e
-    P_new = (P - gain[:, None] * Ph) / lam
-    P_new = 0.5 * (P_new + P_new.T)  # keep symmetric against roundoff
+        spread = lam + float(hv @ Ph)
+    p0, p1, p2 = Ph.tolist()
+    g0, g1, g2 = p0 / spread, p1 / spread, p2 / spread
+    w0, w1, w2 = state.w.tolist()
+    w_new = np.array([w0 + g0 * e, w1 + g1 * e, w2 + g2 * e])
+    # (P - gain Ph') / lam, then its symmetric part against roundoff.
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = P.tolist()
+    a00, a01, a02 = (a00 - g0 * p0) / lam, (a01 - g0 * p1) / lam, (a02 - g0 * p2) / lam
+    a10, a11, a12 = (a10 - g1 * p0) / lam, (a11 - g1 * p1) / lam, (a12 - g1 * p2) / lam
+    a20, a21, a22 = (a20 - g2 * p0) / lam, (a21 - g2 * p1) / lam, (a22 - g2 * p2) / lam
+    s01, s02, s12 = 0.5 * (a01 + a10), 0.5 * (a02 + a20), 0.5 * (a12 + a21)
+    P_new = np.array([
+        [0.5 * (a00 + a00), s01, s02],
+        [s01, 0.5 * (a11 + a11), s12],
+        [s02, s12, 0.5 * (a22 + a22)],
+    ])
     return RlsState(w_new, P_new, lam, state.p0_scale, state.n_updates + 1, state.n_resets + reset)
 
 

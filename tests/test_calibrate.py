@@ -99,6 +99,15 @@ class TestFeatureVector:
         rows = feature_matrix(steps) @ w
         assert np.all(np.abs(rows - model_lengths(NOMINAL, steps)) < 1e-12)
 
+    def test_bit_identical_to_step_length(self):
+        # feature_vector reads the model's components directly; the sums are
+        # those of the step_length breakdown at unit parameters, bit for bit.
+        unit = StaticParams(1.0, 1.0, 1.0)
+        for a in np.random.default_rng(23).uniform(-90, 90, size=(20_000, 4)).tolist():
+            angles = EventAngles(*a)
+            h, d = feature_vector(angles), step_length(unit, angles)
+            assert (h.h1, h.h2) == (d.d2 + d.d3, d.d1 + d.d4)
+
     def test_features_bounded(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
@@ -168,6 +177,25 @@ class TestBatchFitParams:
             y = model_lengths(NOMINAL, steps) + rng.normal(0, 3.0, 30)
             result = batch_fit_params(steps, refs_from(y), NOMINAL)
             assert result.sse_after_cm2 <= result.sse_before_cm2 + 1e-9
+
+    def test_optimal_nominal_keeps_its_sse(self):
+        """References at the nominal plus noise orthogonal to the features:
+        the nominal is the least-squares optimum, and a fit that differs
+        from it by rounding alone could report a higher SSE. The nominal
+        is returned instead, with its own SSE."""
+        rng = np.random.default_rng(19)
+        w = np.array(NOMINAL.as_tuple())
+        for _ in range(300):
+            steps = random_steps(rng, 30)
+            H = feature_matrix(steps)
+            noise = rng.normal(0, 2.0, 30)
+            noise -= H @ np.linalg.lstsq(H, noise, rcond=None)[0]
+            result = batch_fit_params(steps, refs_from(H @ w + noise), NOMINAL)
+            if result.params != NOMINAL:
+                assert result.sse_after_cm2 < result.sse_before_cm2
+            else:
+                assert result.sse_after_cm2 == result.sse_before_cm2
+            assert not result.degenerate
 
     def test_box_compliance_with_out_of_box_truth(self):
         rng = np.random.default_rng(6)
@@ -482,6 +510,42 @@ class TestBiasSolver:
             cost = np.sum((r + J @ d) ** 2)
             assert cost <= np.sum((r + J @ want) ** 2) * (1 + 1e-12) + 1e-9
 
+    def test_box_step_bit_identical_to_numpy_oracle(self):
+        """`_box_step` against its numpy form on the problems of
+        `test_box_step_matches_bvls`, rank-deficient and zero-bound cases
+        included."""
+        rng = np.random.default_rng(41)
+        for k in range(120):
+            n = 1 + k % 4
+            J = rng.normal(size=(30, n))
+            if n > 1 and k % 3 == 0:
+                J[:, -1] = J[:, 0]
+            r = rng.normal(size=30) * 10.0
+            lo, hi = -rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+            if k % 5 == 0:
+                (lo if k % 2 else hi)[0] = 0.0
+            assert _box_step(J, r, lo, hi).tobytes() == box_step_oracle(J, r, lo, hi).tobytes()
+
+    def test_box_step_bit_identical_on_a_cohort(self, monkeypatch):
+        """Every box problem met while fitting 32 users' parameters and
+        biases: `_box_step` returns the numpy form's bits."""
+        from gaitbench.synth import make_cohort
+
+        problems = []
+
+        def recorded(*args):
+            problems.append(args)
+            return _box_step(*args)
+
+        monkeypatch.setattr(calibrate, "_box_step", recorded)
+        for user in make_cohort(4646, 32, 80):
+            train, _ = split_train_test(len(user.steps))
+            steps, refs = user.steps[train], user.refs[train]
+            batch_fit_biases(steps, refs, batch_fit_params(steps, refs, user.nominal).params)
+        assert len(problems) > 64
+        for J, r, lo, hi in problems:
+            assert _box_step(J, r, lo, hi).tobytes() == box_step_oracle(J, r, lo, hi).tobytes()
+
     @pytest.mark.parametrize("cap", [1, 3])
     def test_evaluation_cap(self, monkeypatch, cap):
         """`BIAS_MAX_NFEV` bounds the residual evaluations; a capped fit is
@@ -513,6 +577,40 @@ class TestBiasSolver:
         assert training_sse(A, y, w, got) <= training_sse(A, y, w, np.zeros(4))
         if cap == 1:
             assert np.all(got == 0.0)
+
+
+def box_step_oracle(J, r, lo, hi):
+    """`_box_step` as first written, in numpy throughout: the reference its
+    scalar bookkeeping must match bit for bit."""
+    n = len(lo)
+    d = np.zeros(n)
+    held = (lo == 0.0) | (hi == 0.0)
+    for _ in range(4 * n):
+        free = ~held
+        z = d.copy()
+        if free.any():
+            z[free] = np.linalg.lstsq(J[:, free], -(r + J[:, held] @ d[held]), rcond=None)[0]
+        out = free & ((z < lo) | (z > hi))
+        if out.any():
+            edge = np.where(z < lo, lo, hi)
+            frac = np.ones(n)
+            frac[out] = (edge[out] - d[out]) / (z[out] - d[out])
+            t = frac.min()
+            d += t * (z - d)
+            hit = out & (frac <= t)
+            d[hit] = edge[hit]
+            held |= hit
+            continue
+        d = z
+        if not held.any():
+            break
+        g = J.T @ (r + J @ d)
+        pull = np.where(d <= lo, -g, np.where(d >= hi, g, 0.0)) * held
+        i = int(np.argmax(pull))
+        if pull[i] <= 1e-12 * np.linalg.norm(J) * np.linalg.norm(r):
+            break
+        held[i] = False
+    return d
 
 
 def rls_update_oracle(state, h, d_ref_cm):

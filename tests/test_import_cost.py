@@ -1,8 +1,9 @@
 """Importing gaitlab loads no heavy dependency and builds nothing.
 
 Every fresh process pays for what the import loads (the benchmark's
-`setup_s`). scipy.optimize alone takes most of a second, so `calibrate`
-imports it in the functions that fit. The C kernel is built and loaded by
+`setup_s`). gaitlab needs no scipy at all: both calibration fits run on
+the package's own bounded-variable least squares, so not even a whole
+user's calibration loads it. The C kernel is built and loaded by
 the first call that runs one of its loops (`madgwick_batch`,
 `smoothed_block` or `MinimaDetector.feed_derivative`, which
 `gaitlab.pipeline`'s `analyze` and `StreamingAnalyzer` call), never by the
@@ -68,3 +69,29 @@ def test_package_import_loads_no_module():
     loaded = run_fresh("import gaitlab", "import sys", "print(*sys.modules, sep='\\n')")
     assert "gaitlab" in loaded
     assert not [m for m in loaded if m.startswith("gaitlab.")]
+
+
+def test_calibration_loads_no_scipy():
+    # One user's whole calibration: both offline fits and ten RLS updates.
+    loaded = run_fresh(
+        "import sys",
+        "import numpy as np",
+        "from gaitlab import calibrate as c",
+        "from gaitlab.core import EventAngles, StaticParams, StepMeasurement, step_length",
+        "rng = np.random.default_rng(3)",
+        "nominal = StaticParams(30.0, 45.0, 14.0)",
+        "angles = [EventAngles(*rng.uniform([22, 6, -13, 28], [30, 12, -8, 38])) for _ in range(40)]",
+        "steps = [StepMeasurement(i, 'LR'[i % 2], a, 0.5 * i, 0.5 * i + 0.1)"
+        " for i, a in enumerate(angles)]",
+        "refs = [c.ReferenceStep(i, step_length(StaticParams(31.0, 44.0, 13.5), a).total"
+        " + rng.normal(0, 0.8)) for i, a in enumerate(angles)]",
+        "fit = c.batch_fit_params(steps, refs, nominal)",
+        "assert not fit.degenerate",
+        "c.batch_fit_biases(steps, refs, fit.params)",
+        "state = c.rls_init(nominal)",
+        "for s, r in zip(steps[:10], refs):",
+        "    state = c.rls_update(state, c.feature_vector(s.angles), r.length_cm)",
+        "print(*sys.modules, sep='\\n')",
+    )
+    assert "gaitlab.calibrate" in loaded
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]

@@ -33,6 +33,16 @@ keep them off the per-sample quaternion recurrence:
   `beta / (ns if ns > gradient_ref else gradient_ref)`.
 - The hip angle's `atan2` runs per block of 256 samples on the numerator
   and denominator the recurrence stored, which it reads and never feeds back.
+  On a call of at least 2048 samples (`THREADED_MIN_SAMPLES` in `_kernel.c`)
+  in a process that may run on two or more CPUs (its affinity mask; Linux
+  only), a worker thread takes that pass while the recurrence runs: the
+  recurrence publishes each finished block through one atomic index, the
+  worker converts the blocks published, and the call joins the worker
+  before it returns. Each `atan2` reads only the two stored doubles, so which thread
+  runs it cannot change its bits. The call holds the GIL throughout, the
+  worker touches no Python object, and no thread outlives the call. A
+  live chunk, a process pinned to one CPU, and a call whose buffer or
+  thread cannot be had take the serial pass.
 
 The filter takes accel in g and gyro in deg/s and writes the hip angles in
 degrees: each loop multiplies per sample by `DEG` and by `_DEG_PER_RAD`, the
@@ -193,8 +203,9 @@ PYTHON = SimpleNamespace(loop=_madgwick_loop, minima=_minima_loop, boxcar=_boxca
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 # Contraction into fused multiply-adds or any reordering would change the
-# bits, so the flags hold neither -ffast-math nor -march=native.
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# bits, so the flags hold neither -ffast-math nor -march=native. -pthread
+# links the filter's worker thread where libc does not hold pthreads.
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 
 # Why the last kernel load failed, or None after one that succeeded.

@@ -177,7 +177,7 @@ def batch_fit_params(
     sse_after = float(np.sum((y - H @ w) ** 2))
     if sse_after < sse_before:
         return CalibrationResult(
-            params=StaticParams(*w), sse_before_cm2=sse_before, sse_after_cm2=sse_after
+            params=StaticParams(*w.tolist()), sse_before_cm2=sse_before, sse_after_cm2=sse_after
         )
     # The nominal is already optimal in the box: the fit can differ from it
     # only by rounding, which may raise the SSE.

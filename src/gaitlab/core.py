@@ -74,7 +74,20 @@ class StaticParams:
         return (self.l1_cm, self.l2_cm, self.d5_cm)
 
 
-@dataclass(frozen=True)
+# The step records, EventAngles, StepMeasurement, Stride and GaitAsymmetry,
+# are frozen dataclasses with their own __init__, since several are built
+# per detected step: it validates in its own frame, with no __post_init__
+# call, and sets the fields in field order, so pickles, `==`, `hash`, `repr`
+# and `dataclasses.replace` are unchanged. StepMeasurement, Stride and
+# GaitAsymmetry write straight into the instance __dict__, which skips the
+# object.__setattr__ call per field. EventAngles does not: on CPython 3.11
+# an instance whose __dict__ was read keeps its fields in a real dict, not
+# inline, and every later attribute read is about twice as slow, while
+# each step length and calibration feature reads all four angles.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class EventAngles:
     """Hip and knee angles (degrees) at the two key instants of one step."""
 
@@ -83,17 +96,23 @@ class EventAngles:
     alpha_b: float
     beta_b: float
 
-    def __post_init__(self):
+    def __init__(self, alpha_f: float, beta_f: float, alpha_b: float, beta_b: float):
         # One chained test for the usual case; NaN and +-inf fail it too.
         # Only a failure pays for the per-field checks, which name the angle.
         if not (
-            -180.0 <= self.alpha_f <= 180.0
-            and -180.0 <= self.beta_f <= 180.0
-            and -180.0 <= self.alpha_b <= 180.0
-            and -180.0 <= self.beta_b <= 180.0
+            -180.0 <= alpha_f <= 180.0
+            and -180.0 <= beta_f <= 180.0
+            and -180.0 <= alpha_b <= 180.0
+            and -180.0 <= beta_b <= 180.0
         ):
-            for name in ("alpha_f", "beta_f", "alpha_b", "beta_b"):
-                _check_angle(name, getattr(self, name))
+            _check_angle("alpha_f", alpha_f)
+            _check_angle("beta_f", beta_f)
+            _check_angle("alpha_b", alpha_b)
+            _check_angle("beta_b", beta_b)
+        _set(self, "alpha_f", alpha_f)
+        _set(self, "beta_f", beta_f)
+        _set(self, "alpha_b", alpha_b)
+        _set(self, "beta_b", beta_b)
 
 
 @dataclass(frozen=True)
@@ -108,7 +127,7 @@ class StepLengthBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepMeasurement:
     """One detected step: event angles, event times, and computed length."""
 
@@ -117,24 +136,39 @@ class StepMeasurement:
     angles: EventAngles
     t_front_event: float
     t_back_event: float
-    length_cm: float = float("nan")
+    length_cm: float = math.nan
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        index: int,
+        front_side: Side,
+        angles: EventAngles,
+        t_front_event: float,
+        t_back_event: float,
+        length_cm: float = math.nan,
+    ):
         # NaN and +-inf fail the chained test, as a back event before the
         # front one does.
-        if not (-math.inf < self.t_front_event <= self.t_back_event < math.inf):
-            if not (math.isfinite(self.t_front_event) and math.isfinite(self.t_back_event)):
+        if not (-math.inf < t_front_event <= t_back_event < math.inf):
+            if not (math.isfinite(t_front_event) and math.isfinite(t_back_event)):
                 raise GaitInputError(
-                    f"step {self.index}: event times must be finite, got front "
-                    f"{self.t_front_event} s, back {self.t_back_event} s"
+                    f"step {index}: event times must be finite, got front "
+                    f"{t_front_event} s, back {t_back_event} s"
                 )
             raise GaitInputError(
-                f"step {self.index}: back event at {self.t_back_event} s precedes "
-                f"front event at {self.t_front_event} s"
+                f"step {index}: back event at {t_back_event} s precedes "
+                f"front event at {t_front_event} s"
             )
+        d = self.__dict__
+        d["index"] = index
+        d["front_side"] = front_side
+        d["angles"] = angles
+        d["t_front_event"] = t_front_event
+        d["t_back_event"] = t_back_event
+        d["length_cm"] = length_cm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Stride:
     """Two consecutive steps of one gait cycle plus derived timing."""
 
@@ -148,13 +182,41 @@ class Stride:
     velocity_mps: float
     velocity_partial: bool = field(default=False)
 
+    def __init__(
+        self,
+        index: int,
+        step_a: StepMeasurement,
+        step_b: StepMeasurement,
+        length_cm: float,
+        stride_time_s: float,
+        stance_time_s: float,
+        swing_time_s: float,
+        velocity_mps: float,
+        velocity_partial: bool = False,
+    ):
+        d = self.__dict__
+        d["index"] = index
+        d["step_a"] = step_a
+        d["step_b"] = step_b
+        d["length_cm"] = length_cm
+        d["stride_time_s"] = stride_time_s
+        d["stance_time_s"] = stance_time_s
+        d["swing_time_s"] = swing_time_s
+        d["velocity_mps"] = velocity_mps
+        d["velocity_partial"] = velocity_partial
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class GaitAsymmetry:
     """Percentage left/right step-length asymmetry of one stride."""
 
     stride_index: int
     percent: float
+
+    def __init__(self, stride_index: int, percent: float):
+        d = self.__dict__
+        d["stride_index"] = stride_index
+        d["percent"] = percent
 
 
 def step_length(params: StaticParams, angles: EventAngles) -> StepLengthBreakdown:

@@ -197,6 +197,15 @@ class TestBatchFitParams:
                 assert result.sse_after_cm2 == result.sse_before_cm2
             assert not result.degenerate
 
+    def test_fitted_params_are_python_floats(self):
+        rng = np.random.default_rng(3)
+        steps = random_steps(rng, 100)
+        y = model_lengths(StaticParams(31.0, 43.0, 13.0), steps) + rng.normal(0, 1.0, 100)
+        result = batch_fit_params(steps, refs_from(y), NOMINAL)
+        assert result.params != NOMINAL
+        assert [type(v) for v in result.params.as_tuple()] == [float] * 3
+        assert "np.float64(" not in repr(result.params)
+
     def test_box_compliance_with_out_of_box_truth(self):
         rng = np.random.default_rng(6)
         far = StaticParams(40.0, 55.0, 20.0)  # all beyond +10%

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from gaitlab.calibrate import AngleBias
 from gaitlab.core import (
     EventAngles,
+    GaitAsymmetry,
     StaticParams,
     StepMeasurement,
     Stride,
@@ -291,3 +295,102 @@ class TestStepMeasurementTimes:
 
     def test_simultaneous_events_accepted(self):
         assert make_step(0, "L", 60.0, 1.0, t_back=1.0).t_back_event == 1.0
+
+
+def one_of_each():
+    """A fixed instance of each step record, the stride holding the other two kinds."""
+    angles = EventAngles(20.0, 10.0, -8.0, 15.0)
+    step_a = StepMeasurement(0, "L", angles, 1.0, 1.25, 60.5)
+    step_b = StepMeasurement(1, "R", EventAngles(18.0, 12.0, -6.0, 14.0), 1.5, 1.75, 59.5)
+    stride = Stride(0, step_a, step_b, 120.0, 1.0, 0.75, 0.25, 1.2, True)
+    return [angles, step_a, stride, GaitAsymmetry(0, 1.5)]
+
+
+RECORDS = one_of_each()
+RECORD_IDS = [type(r).__name__ for r in RECORDS]
+
+
+class TestRecordsAreFrozenDataclasses:
+    """The step records keep a generated frozen dataclass's behaviour."""
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_fields_in_field_order(self, record):
+        names = [f.name for f in dataclasses.fields(record)]
+        assert list(vars(record)) == names
+        assert record == type(record)(**{n: getattr(record, n) for n in names})
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_replace_changes_one_field(self, record):
+        first = dataclasses.fields(record)[0].name
+        changed = dataclasses.replace(record, **{first: 7})
+        assert type(changed) is type(record) and getattr(changed, first) == 7
+        assert changed != record
+        assert dataclasses.replace(changed, **{first: getattr(record, first)}) == record
+
+    def test_replace_validates(self):
+        angles, step = RECORDS[0], RECORDS[1]
+        with pytest.raises(GaitInputError, match="alpha_b is not finite"):
+            dataclasses.replace(angles, alpha_b=math.nan)
+        with pytest.raises(GaitInputError, match="precedes"):
+            dataclasses.replace(step, t_back_event=0.5)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_assignment_raises(self, record):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, f.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.extra = 1
+
+    def test_equal_records_hash_equal(self):
+        for a, b in zip(one_of_each(), RECORDS):
+            assert a is not b and a == b and hash(a) == hash(b)
+        angles = RECORDS[0]
+        assert EventAngles(20.0, 10.0, -8.0, 15.5) != angles
+        assert StepMeasurement(0, "L", angles, 1.0, 1.25) != RECORDS[1]  # NaN length
+
+    def test_defaults(self):
+        step = StepMeasurement(0, "L", RECORDS[0], 1.0, 1.25)
+        assert math.isnan(step.length_cm)
+        stride = Stride(0, step, step, 1.0, 1.0, 0.5, 0.5, 1.0)
+        assert stride.velocity_partial is False
+
+    def test_pickle_round_trip_keeps_the_bytes(self):
+        stride, asym = RECORDS[2], RECORDS[3]
+        data = pickle.dumps((stride, asym), protocol=4)
+        assert pickle.loads(data) == (stride, asym)
+        # The digest of the same pickle of records built by the generated
+        # dataclass __init__.
+        assert hashlib.sha256(data).hexdigest() == (
+            "e7debd368764af7c122c8bd0f5e2ac358a8fa4292b1d68110e8b8ada3ffb80ca"
+        )
+
+    @pytest.mark.parametrize(
+        "angles, message",
+        [
+            ((math.nan, 10.0, -8.0, 15.0), "alpha_f is not finite: nan"),
+            ((20.0, 10.0, -8.0, -math.inf), "beta_b is not finite: -inf"),
+            ((20.0, 180.5, -8.0, 15.0), "|beta_f| exceeds 180 deg: 180.5"),
+            # The first bad field in field order is the one named.
+            ((20.0, 10.0, -200.0, math.nan), "|alpha_b| exceeds 180 deg: -200.0"),
+        ],
+    )
+    def test_angle_messages(self, angles, message):
+        with pytest.raises(GaitInputError) as raised:
+            EventAngles(*angles)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ((math.nan, 1.2), "step 3: event times must be finite, got front nan s, back 1.2 s"),
+            ((1.0, math.inf), "step 3: event times must be finite, got front 1.0 s, back inf s"),
+            ((1.0, 0.9), "step 3: back event at 0.9 s precedes front event at 1.0 s"),
+        ],
+    )
+    def test_event_time_messages(self, times, message):
+        with pytest.raises(GaitInputError) as raised:
+            StepMeasurement(3, "L", RECORDS[0], *times)
+        assert str(raised.value) == message

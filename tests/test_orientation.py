@@ -2,7 +2,12 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import os
+import re
+import subprocess
+import sys
 import sysconfig
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +29,12 @@ from gaitlab.orientation import (
 )
 
 DT = 0.04  # 25 Hz
+
+# From this many samples on, the kernel takes the hip angles' atan2 pass on
+# a worker thread where the process may run on two or more CPUs.
+THREADED = int(
+    re.search(r"#define THREADED_MIN_SAMPLES (\d+)", _kernel._KERNEL_SOURCE.read_text()).group(1)
+)
 
 
 def gravity_for(tilt_deg):
@@ -201,6 +212,33 @@ def assert_same_bits(got, want):
     assert got[1][4] == want[1][4]
 
 
+def run_python(body):
+    """Run `body` in a fresh interpreter, within two minutes, after a prelude.
+
+    The prelude imports os and numpy, loads the kernel as `kernel` (it must
+    load) and `_madgwick_loop`, and defines `rng` and the filter arguments
+    `ARGS`. The process must exit cleanly.
+    """
+    prelude = """
+import os
+import numpy as np
+from gaitlab import _kernel, orientation
+from gaitlab._kernel import _madgwick_loop
+
+kernel = _kernel.loops()
+assert kernel is not _kernel.PYTHON, _kernel._kernel_error
+rng = np.random.default_rng(7)
+ARGS = (0.004, 1.0, 0.0, 0.0, 0.0, False, orientation.BETA, orientation.GRADIENT_REF)
+"""
+    src = str(Path(orientation.__file__).parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", prelude + body], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def gradient_norms(accel, states):
     """The filter's objective-gradient norm at each sample, from the state before it."""
     w, x, y, z = np.array([s[:4] for s in states]).T
@@ -306,8 +344,12 @@ class TestKernel:
             for loop in (kernel, _madgwick_loop):
                 assert_same_bits(run_chunks(loop, accel, gyro, state, chunk), want)
 
-    # The kernel takes atan2 per block of 256 samples, after the recurrence.
-    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513, 15000])
+    # The kernel takes atan2 per block of 256 samples, after the recurrence,
+    # and from THREADED samples on, on a worker thread.
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 255, 256, 257, 513, 15000, THREADED - 1, THREADED, THREADED + 1, THREADED + 257],
+    )
     def test_every_length_around_the_angle_block(self, kernel, n):
         rng = np.random.default_rng(n)
         accel, gyro = random_recording(rng, max(n, 6))
@@ -317,6 +359,36 @@ class TestKernel:
         got = run(kernel, accel, gyro, state)
         assert len(got[0]) == n
         assert_same_bits(got, want)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity on this platform"
+    )
+    def test_one_cpu_takes_the_serial_pass_with_the_same_bits(self, kernel):
+        # A process pinned to one CPU runs the atan2 pass on its own thread.
+        run_python(f"""
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+assert len(os.sched_getaffinity(0)) == 1
+for n in ({THREADED}, 15000):
+    accel, gyro = rng.normal([0, 0, 1], 0.5, (n, 3)), rng.normal(0, 200, (n, 3))
+    got, want = np.empty(n), np.empty(n)
+    assert kernel.loop(accel, gyro, got, *ARGS) == _madgwick_loop(accel, gyro, want, *ARGS)
+    assert got.tobytes() == want.tobytes(), n
+""")
+
+    def test_repeated_threaded_calls_give_the_oracle_bits(self, kernel):
+        # 300 calls that hand the pass to the worker, at lengths ending at
+        # every offset in a block; the filter is causal, so a call on the
+        # first m samples gives the first m angles of the whole.
+        run_python(f"""
+n = {THREADED} + 600
+accel, gyro = rng.normal([0, 0, 1], 0.5, (n, 3)), rng.normal(0, 200, (n, 3))
+want = np.empty(n)
+_madgwick_loop(accel, gyro, want, *ARGS)
+for m in range({THREADED}, n, 2):
+    got = np.empty(m)
+    kernel.loop(accel[:m], gyro[:m], got, *ARGS)
+    assert got.tobytes() == want[:m].tobytes(), m
+""")
 
     @pytest.mark.parametrize("chunk", [100, 255, 257, 300])
     def test_chunks_that_split_an_angle_block(self, kernel, chunk):

@@ -1,5 +1,5 @@
-/* The three compiled loops of the gaitlab chain, as one CPython extension
- * module, gaitlab._kernel_c.
+/* The three compiled loops of the gaitlab chain and the recycler of their
+ * stages' large outputs, as one CPython extension module, gaitlab._kernel_c.
  *
  * `madgwick_loop` is the loop of gaitlab.orientation.madgwick_batch,
  * `minima_loop` the loop of gaitlab.events.MinimaDetector.feed_derivative
@@ -21,6 +21,14 @@
  * which thread runs it, and when, cannot change a bit. The call keeps the
  * GIL, the worker touches no Python object, and no thread outlives the
  * call, so a fork between calls finds none.
+ *
+ * `block(nbytes)` returns a writable buffer of exactly nbytes, which
+ * gaitlab._kernel.empty wraps as the float64 output of a whole-recording
+ * stage. When the last reference to a block goes, its memory is kept on a
+ * small free list rather than handed back to malloc, and the next block of
+ * about its size takes it: a recording analysed after another writes into
+ * pages already mapped instead of faulting fresh ones in (a slab cache;
+ * Bonwick, USENIX Summer 1994). The list is touched only with the GIL held.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -419,10 +427,123 @@ static PyObject *boxcar(PyObject *self, PyObject *args)
     return result;
 }
 
+/* The free list holds at most BLOCK_POOL_COUNT blocks of at most
+ * BLOCK_POOL_BYTES together. A 60 s two-leg recording takes ten blocks,
+ * eight (15000, 3) arrays and two hip angles, but a stage's output is
+ * released while the next leg runs, so eight blocks of 2.4 MB in all serve
+ * it (measured on the batch chain). The caps hold twice that count, and
+ * every block of a recording of up to about 28 minutes. */
+#define BLOCK_POOL_COUNT 16
+#define BLOCK_POOL_BYTES (64 << 20)
+
+typedef struct {
+    PyObject_HEAD
+    char *buf;
+    Py_ssize_t len; /* the bytes the buffer exposes */
+    size_t cap;     /* the bytes malloc gave, len or more */
+} block_object;
+
+/* Released memory, most recently released last. */
+static struct {
+    char *buf;
+    size_t cap;
+} pool[BLOCK_POOL_COUNT];
+static int pool_count;
+static size_t pool_bytes;
+
+static int block_getbuffer(PyObject *self, Py_buffer *view, int flags)
+{
+    block_object *b = (block_object *)self;
+    return PyBuffer_FillInfo(view, self, b->buf, b->len, 0, flags);
+}
+
+/* Runs once no array, view or memoryview of the block is left, so memory
+ * it puts back on the list is no longer read or written by anyone. */
+static void block_dealloc(PyObject *self)
+{
+    block_object *b = (block_object *)self;
+    if (pool_count < BLOCK_POOL_COUNT && b->cap <= BLOCK_POOL_BYTES - pool_bytes) {
+        pool[pool_count].buf = b->buf;
+        pool[pool_count].cap = b->cap;
+        pool_count++;
+        pool_bytes += b->cap;
+    }
+    else
+        free(b->buf);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyBufferProcs block_as_buffer = {block_getbuffer, NULL};
+
+static PyTypeObject block_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "gaitlab._kernel_c.block",
+    .tp_basicsize = sizeof(block_object),
+    .tp_dealloc = block_dealloc,
+    .tp_as_buffer = &block_as_buffer,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "A writable buffer whose memory goes back to the free list.",
+};
+
+/* block(nbytes)
+ *
+ * Returns a writable buffer of exactly nbytes (nbytes >= 0), uninitialised.
+ * Its memory is the most recently released block on the free list whose
+ * capacity is at least nbytes and under twice that, or else malloc's.
+ */
+static PyObject *block(PyObject *self, PyObject *args)
+{
+    Py_ssize_t nbytes;
+    (void)self;
+
+    if (!PyArg_ParseTuple(args, "n:block", &nbytes))
+        return NULL;
+    if (nbytes < 0) {
+        PyErr_Format(PyExc_ValueError, "block needs nbytes >= 0, got %zd", nbytes);
+        return NULL;
+    }
+    block_object *b = PyObject_New(block_object, &block_type);
+    if (b == NULL)
+        return NULL;
+    b->buf = NULL;
+    b->len = nbytes;
+    for (int k = pool_count - 1; k >= 0; k--) {
+        if (pool[k].cap >= (size_t)nbytes && pool[k].cap - (size_t)nbytes < (size_t)nbytes) {
+            b->buf = pool[k].buf;
+            b->cap = pool[k].cap;
+            pool_bytes -= pool[k].cap;
+            pool_count--;
+            for (; k < pool_count; k++)
+                pool[k] = pool[k + 1];
+            break;
+        }
+    }
+    if (b->buf == NULL) {
+        b->cap = (size_t)nbytes;
+        b->buf = malloc(nbytes > 0 ? (size_t)nbytes : 1);
+        if (b->buf == NULL) {
+            PyObject_Free(b);
+            return PyErr_NoMemory();
+        }
+    }
+    return (PyObject *)b;
+}
+
+/* pooled() -> (count, nbytes): the blocks on the free list and their total
+ * capacity. */
+static PyObject *pooled(PyObject *self, PyObject *args)
+{
+    (void)self;
+    (void)args;
+    return Py_BuildValue("(in)", pool_count, (Py_ssize_t)pool_bytes);
+}
+
 static PyMethodDef methods[] = {
     {"loop", loop, METH_VARARGS, "Run the Madgwick filter loop over n samples."},
     {"minima", minima, METH_VARARGS, "Run the minima detector loop over derivatives."},
     {"boxcar", boxcar, METH_VARARGS, "Write the decimating boxcar's means for n outputs."},
+    {"block", block, METH_VARARGS, "Return a writable buffer of nbytes from the free list."},
+    {"pooled", pooled, METH_NOARGS, "Return the free list's block count and total bytes."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -432,5 +553,13 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__kernel_c(void)
 {
-    return PyModule_Create(&module);
+    if (PyType_Ready(&block_type) < 0)
+        return NULL;
+    PyObject *m = PyModule_Create(&module);
+    if (m != NULL && (PyModule_AddIntConstant(m, "BLOCK_POOL_COUNT", BLOCK_POOL_COUNT) < 0
+                      || PyModule_AddIntConstant(m, "BLOCK_POOL_BYTES", BLOCK_POOL_BYTES) < 0)) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
 }

@@ -1,4 +1,5 @@
-"""The chain's three compiled loops, their Python twins and the loader that picks one.
+"""The chain's three compiled loops, their Python twins, the loader that picks
+one, and the recycler that whole-recording outputs take their memory from.
 
 Three loops of the chain run once per sample, so they run in C wherever a C
 compiler is found: the Madgwick filter of `orientation.madgwick_batch`
@@ -51,6 +52,23 @@ multiplies numpy's `gyro * DEG` and `np.degrees` would do, so
 five plain numbers in both languages. The kernel's boxcar sums each window
 in the order of numpy's contiguous add reduction, so its means are
 `np.add.reduce`'s bits.
+
+A whole recording's stage outputs, from `signal.apply_offsets`,
+`orientation.remap_mounting` and `orientation.madgwick_batch`, are arrays of
+hundreds of kilobytes, and a process analysing one recording after another
+would free them and then fault fresh pages in for the next (malloc hands
+the top of its heap back to the system). `empty(shape)` gives such an
+output, from BLOCK_MIN_BYTES (64 KiB) on, the memory of a `block`: the
+kernel's `block(nbytes)` returns a buffer whose memory, once the last array,
+view or memoryview of it has gone, goes back to a free list of at most 16
+blocks and 64 MiB (BLOCK_POOL_COUNT and BLOCK_POOL_BYTES in `_kernel.c`)
+rather than to malloc, and the next block of about its size reuses it. The
+first call that takes a block loads the kernel, as the loops' first call
+does; `PYTHON.block` is `bytearray`. A live chunk's arrays, about ten rows,
+stay far below the threshold and stay `np.empty`'s. A block is handed out
+again only once nothing refers to it, so no live array shares memory with
+a new one, and each stage writes every element of its output before
+returning it, so which memory an output takes cannot change its bits.
 """
 
 from __future__ import annotations
@@ -197,8 +215,33 @@ def _boxcar_loop(values, out, m, k_start):
     np.divide(np.add.reduce(window, axis=-1), 2 * m, out=out)
 
 
-# The twins under the kernel's entry-point names.
-PYTHON = SimpleNamespace(loop=_madgwick_loop, minima=_minima_loop, boxcar=_boxcar_loop)
+# The twins under the kernel's entry-point names; a bytearray is a block
+# whose memory goes back to the allocator.
+PYTHON = SimpleNamespace(
+    loop=_madgwick_loop, minima=_minima_loop, boxcar=_boxcar_loop, block=bytearray
+)
+
+# From this many bytes on, `empty` takes its memory from `block`. On the
+# batch chain (seed 101, getrusage around each stage) any threshold from 4 to
+# 256 KiB took the stages' minor faults from about 210 per recording to 0;
+# 64 KiB takes a 60 s leg's 120 KB hip angles too, while a live chunk's
+# 240-byte arrays keep np.empty, about 0.4 us a call against 1.7 us for an
+# array on a block (timeit, best of 5, loaded 2-vCPU VM).
+BLOCK_MIN_BYTES = 64 * 1024
+
+
+def empty(shape) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array of `shape` (an int or a tuple).
+
+    From BLOCK_MIN_BYTES on, its memory is a `loops().block`, reused from an
+    output released before: the array's `.base` chain ends at a memoryview
+    of the block, which it holds until the array and every view of it have
+    gone. A smaller array is `np.empty(shape)`.
+    """
+    nbytes = 8 * (shape if isinstance(shape, int) else math.prod(shape))
+    if nbytes < BLOCK_MIN_BYTES:
+        return np.empty(shape)
+    return np.frombuffer(loops().block(nbytes), np.float64).reshape(shape)
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")

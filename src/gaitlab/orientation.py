@@ -27,6 +27,7 @@ import numpy as np
 
 from . import _kernel
 from .errors import GaitInputError
+from .signal import _COLUMNWISE_MIN_ROWS
 
 # Below this error-gradient norm the correction becomes proportional instead
 # of unit-length, so the filter settles exactly instead of chattering by
@@ -79,7 +80,11 @@ def madgwick_batch(
     zero rate.
 
     The loop is `_kernel.loops().loop`, which takes the arguments prepared
-    here and gives the same bits in C and in Python.
+    here and gives the same bits in C and in Python. The returned angles
+    are `_kernel.empty`'s: from `_kernel.BLOCK_MIN_BYTES` on (a whole
+    recording), memory an earlier output released, so the array does not
+    own it but is writable, C-contiguous and pickles as any other. The loop
+    writes every element, so the bits are those of a new array.
     """
     a = np.asarray(accel, dtype=np.float64, order="C")
     g = np.asarray(gyro, dtype=np.float64, order="C")
@@ -90,7 +95,7 @@ def madgwick_batch(
         )
     if not (math.isfinite(dt) and dt > 0):
         raise GaitInputError(f"dt must be finite and > 0, got {dt}")
-    out = np.empty(len(a))
+    out = _kernel.empty(len(a))
     state = _kernel.loops().loop(a, g, out, float(dt), *state, BETA, GRADIENT_REF)
     return out, OrientationFilterState._make(state)
 
@@ -117,6 +122,13 @@ def remap_mounting(vectors: np.ndarray, mounting_axis: str) -> np.ndarray:
 
     mounting_axis names the sensor axis that points to the wearer's left;
     the sensor z-axis is assumed up along the thigh in all supported mounts.
+
+    A float64 input of at least `signal._COLUMNWISE_MIN_ROWS` rows (a whole
+    recording) is multiplied into `_kernel.empty`, which from
+    `_kernel.BLOCK_MIN_BYTES` on is memory an earlier output released: the
+    result does not own it but is writable, C-contiguous and pickles as any
+    other. `np.matmul` with `out=` runs the same loop as `@`, so the bits
+    are the same; a shorter input, such as a live chunk, keeps `v @ M`.
     """
     if mounting_axis not in _MOUNT_MATRICES_T:
         raise GaitInputError(
@@ -126,4 +138,7 @@ def remap_mounting(vectors: np.ndarray, mounting_axis: str) -> np.ndarray:
     v = np.asarray(vectors)
     if v.ndim != 2 or v.shape[1] != 3:
         raise GaitInputError(f"vectors must be (N, 3), got {v.shape}")
-    return v @ _MOUNT_MATRICES_T[mounting_axis]
+    m = _MOUNT_MATRICES_T[mounting_axis]
+    if v.dtype == np.float64 and len(v) >= _COLUMNWISE_MIN_ROWS:
+        return np.matmul(v, m, out=_kernel.empty(v.shape))
+    return v @ m

@@ -237,12 +237,14 @@ def _minus_columns(values: ArrayLike, offset: ArrayLike) -> np.ndarray:
     Each column is one strided subtraction of a one-element array, so numpy
     runs its inner loop N long, where the (N, C) - (C,) broadcast runs it C
     long N times. The same operation on the same dtypes: the same bits.
-    Other shapes take the broadcast.
+    Other shapes take the broadcast. A float64 result takes its memory from
+    `_kernel.empty`.
     """
     values, offset = np.asarray(values), np.asarray(offset)
     if values.ndim != 2 or offset.shape != values.shape[1:]:
         return values - offset
-    out = np.empty(values.shape, np.result_type(values, offset))
+    dtype = np.result_type(values, offset)
+    out = _kernel.empty(values.shape) if dtype == np.float64 else np.empty(values.shape, dtype)
     for c in range(values.shape[1]):
         np.subtract(values[:, c], offset[c : c + 1], out=out[:, c])
     return out
@@ -259,13 +261,26 @@ def apply_offsets(
     subtracted column by column, several times faster than the broadcast.
     A shorter input (a live chunk holds about ten rows) keeps the one
     broadcast `accel - offset`, whose fixed cost is the lower.
+
+    On the column path, float64 outputs from `_kernel.BLOCK_MIN_BYTES` on
+    (a whole recording's accel, gyro and, if long enough, bend) take
+    memory an earlier output released (`_kernel.empty`): such an array does
+    not own its memory, its `.base` chain ending at a recycled block, but it
+    is writable, C-contiguous and pickles as any other. Every element is
+    written before it is returned, so its bits are those of a new array.
     """
+    angle = bend.angle_deg
     if len(imu.accel) < _COLUMNWISE_MIN_ROWS:
         accel, gyro = imu.accel - offsets.accel_g, imu.gyro - offsets.gyro_dps
+        angle = angle - offsets.bend_deg
     else:
         accel = _minus_columns(imu.accel, offsets.accel_g)
         gyro = _minus_columns(imu.gyro, offsets.gyro_dps)
-    return ImuStream(imu.t, accel, gyro), BendStream(bend.t, bend.angle_deg - offsets.bend_deg)
+        if angle.dtype == np.float64:
+            angle = np.subtract(angle, offsets.bend_deg, out=_kernel.empty(angle.shape))
+        else:
+            angle = angle - offsets.bend_deg
+    return ImuStream(imu.t, accel, gyro), BendStream(bend.t, angle)
 
 
 def _check_factor(m: int) -> int:

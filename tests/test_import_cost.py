@@ -6,8 +6,10 @@ the package's own bounded-variable least squares, so not even a whole
 user's calibration loads it. The C kernel is built and loaded by
 the first call that runs one of its loops (`madgwick_batch`,
 `smoothed_block` or `MinimaDetector.feed_derivative`, which
-`gaitlab.pipeline`'s `analyze` and `StreamingAnalyzer` call), never by the
-import, and so are `hashlib` and `subprocess`, which only its loader uses.
+`gaitlab.pipeline`'s `analyze` and `StreamingAnalyzer` call) or takes a
+recycled output block (`_kernel.empty` from `BLOCK_MIN_BYTES` on, so also a
+whole-recording `apply_offsets` or `remap_mounting`), never by the import,
+and so are `hashlib` and `subprocess`, which only its loader uses.
 `import gaitlab` alone loads none of the modules.
 """
 

@@ -34,3 +34,13 @@ def python_loops(monkeypatch):
     kernel cannot be built, until the test ends.
     """
     return lambda: monkeypatch.setattr(_kernel, "loops", lambda: _kernel.PYTHON)
+
+
+@pytest.fixture(params=["kernel", "python_loops"])
+def loops(request):
+    """Runs the test once on the C kernel (skipped where it cannot be built)
+    and once on the Python loops."""
+    if request.param == "kernel":
+        request.getfixturevalue("compiled_kernel")
+    else:
+        request.getfixturevalue("python_loops")()

@@ -32,16 +32,6 @@ def walk(request):
     return synth.make_walks(request.param, 1, WALK_S)[0]
 
 
-@pytest.fixture(params=["kernel", "python_loops"])
-def loops(request):
-    """Runs the test once on the C kernel (skipped where it cannot be built)
-    and once on the Python loops."""
-    if request.param == "kernel":
-        request.getfixturevalue("compiled_kernel")
-    else:
-        request.getfixturevalue("python_loops")()
-
-
 def digest(steps, strides, asymmetry, diagnostics, quad=None, emitted_at=None):
     """sha256 of the pickled outputs: equal only if every float has the same bits."""
     series = None

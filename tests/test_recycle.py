@@ -35,16 +35,6 @@ LENGTHS = [_kernel.BLOCK_MIN_BYTES // 8 + d for d in (-1, 0, 1)]
 ROWS = [math.ceil(_kernel.BLOCK_MIN_BYTES / 24) + d for d in (-1, 0, 1)]
 
 
-@pytest.fixture(params=["kernel", "python_loops"])
-def loops(request):
-    """Runs the test on the C kernel's blocks (skipped where it cannot be
-    built) and on the Python loops' bytearrays."""
-    if request.param == "kernel":
-        request.getfixturevalue("compiled_kernel")
-    else:
-        request.getfixturevalue("python_loops")()
-
-
 def fill_free_list(*shapes):
     """Release one block per float64 shape, each full of NaN garbage, so the
     next outputs of those shapes take memory that held something else."""
@@ -68,10 +58,6 @@ def drain(kernel):
     while kernel.pooled()[0]:
         held += [kernel.block(1 << k) for k in range(28)]
     return held
-
-
-def recycled(a):
-    return not a.flags.owndata
 
 
 def special_rows(rng, n):
@@ -99,7 +85,7 @@ class TestSameBits:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             assert got.flags.c_contiguous and got.flags.writeable
-            assert recycled(got) == (got.nbytes >= _kernel.BLOCK_MIN_BYTES)
+            assert (not got.flags.owndata) == (got.nbytes >= _kernel.BLOCK_MIN_BYTES)
 
     @pytest.mark.parametrize("rows", [1, 10, 64, *ROWS, 15000])
     @pytest.mark.parametrize("axis", MOUNTING_AXES)
@@ -112,7 +98,7 @@ class TestSameBits:
             want = v @ _MOUNT_MATRICES_T[axis]
         assert got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous and got.flags.writeable
-        assert recycled(got) == (got.nbytes >= _kernel.BLOCK_MIN_BYTES)
+        assert (not got.flags.owndata) == (got.nbytes >= _kernel.BLOCK_MIN_BYTES)
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_madgwick_batch(self, loops, n, monkeypatch):
@@ -122,7 +108,7 @@ class TestSameBits:
         fill_free_list((n,))
         got, state = madgwick_batch(accel, gyro, DT, filter_init())
         assert got.tobytes() == want.tobytes() and state == want_state
-        assert recycled(got) == (n >= _kernel.BLOCK_MIN_BYTES // 8)
+        assert (not got.flags.owndata) == (n >= _kernel.BLOCK_MIN_BYTES // 8)
 
     def test_output_pickles_as_a_new_array(self, loops):
         out = _kernel.empty((ROWS[-1], 3))

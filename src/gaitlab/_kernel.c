@@ -1,15 +1,25 @@
-/* The three compiled loops of the gaitlab chain and the recycler of their
- * stages' large outputs, as one CPython extension module, gaitlab._kernel_c.
+/* The compiled loops of the gaitlab chain and the recycler of their stages'
+ * large outputs, as one CPython extension module, gaitlab._kernel_c.
  *
  * `madgwick_loop` is the loop of gaitlab.orientation.madgwick_batch,
- * `minima_loop` the loop of gaitlab.events.MinimaDetector.feed_derivative
- * and `boxcar_loop` the decimating boxcar of gaitlab.signal.smoothed_block.
- * Each entry point, `loop`, `minima` and `boxcar`, takes the same arguments
- * and returns the same values as its Python twin in gaitlab/_kernel.py,
- * which builds and loads this module; its docstring says how the two give
- * the same bits. The entry points pass the loops the buffers without
- * copying them; building the module needs the interpreter's headers
- * (Python.h).
+ * `minima_loop` the loop of gaitlab.events.MinimaDetector.feed_derivative,
+ * `segment_event` the rule of gaitlab.events.StepSegmenter, run over a list
+ * of events by `segment`, and `boxcar_loop` the decimating boxcar of
+ * gaitlab.signal.smoothed_block; `offset` and `rotate` are the row loops of
+ * gaitlab.signal.apply_offsets and gaitlab.orientation.remap_mounting. Each
+ * entry point, `loop`, `minima`, `segment`, `boxcar`, `offset` and
+ * `rotate`, takes the same arguments and returns the same values as its
+ * Python twin in gaitlab/_kernel.py, which builds and loads this module;
+ * its docstring says how the two give the same bits. The entry points pass
+ * the loops the buffers without copying them; building the module needs
+ * the interpreter's headers (Python.h).
+ *
+ * `segment` takes the segmenter's state as plain numbers and its events as
+ * the tuples they are, and reads each event's paired angle through a
+ * callable (live, one event a call) or from the four angle series' buffers
+ * in place (a whole recording in one call). It allocates nothing but the
+ * lists and tuples it returns, and an error a callable sampler raises
+ * leaves it with every buffer released.
  *
  * On a call of at least THREADED_MIN_SAMPLES samples in a process that may
  * run on two or more CPUs, `madgwick_loop` takes the hip angle's atan2 on a
@@ -35,6 +45,7 @@
 #include <math.h>
 #include <pthread.h>
 #include <sched.h>
+#include <stdarg.h>
 #include <stdatomic.h>
 #include <stdlib.h>
 
@@ -345,6 +356,242 @@ done:
     return result;
 }
 
+/* The step segmenter's state between events, as StepSegmenter holds it: a
+ * front event pending (its side, time and paired angles), the front side
+ * of the last completed step and the steps completed. A side is 0 for L
+ * and 1 for R; last_front is -1 before the first step and after a resync. */
+typedef struct {
+    int pending;
+    int side;
+    double t, beta_f, alpha_f;
+    int last_front;
+    Py_ssize_t count;
+} segment_state;
+
+/* The diagnostics' codes, each the index of its message in the message
+ * table of gaitlab.events (_DIAGNOSTICS), which formats them. */
+enum { DIAG_TIMEOUT, DIAG_KNEE_FIRST, DIAG_SAME_SIDE, DIAG_NOT_AFTER, DIAG_NOT_ALTERNATE };
+
+/* The four series in the sampler's order, index 2 * side + (1 for a knee),
+ * the two sides' names and the knee series' prefix, set by the module's
+ * init. */
+static PyObject *series_names[4], *side_names[2], *knee_prefix;
+
+/* One series of a buffer sampler: sample k is stamped t0 + k / rate. */
+typedef struct {
+    const double *values;
+    Py_ssize_t n;
+    double t0, rate;
+} sampled_series;
+
+/* Stores in *out the value of series k (see series_names) at the event time
+ * t, whose object is t_obj. With buffers NULL that is the float of
+ * sampler(series_names[k], t_obj); otherwise the sample nearest t, by
+ * UniformSeries.index_near's rule: round((t - t0) * rate), half to even,
+ * clamped to [0, n - 1] while still a double, so any t, +-inf and NaN too,
+ * gives an index inside the series. Returns 0, or -1 with a Python error
+ * set: the sampler raised or returned no number, or the series is empty. */
+static int sample(PyObject *sampler, const sampled_series *buffers, int k, PyObject *t_obj,
+                  double t, double *out)
+{
+    if (buffers == NULL) {
+        PyObject *args[2] = {series_names[k], t_obj};
+        PyObject *r = PyObject_Vectorcall(sampler, args, 2, NULL);
+        if (r == NULL)
+            return -1;
+        *out = PyFloat_AsDouble(r);
+        Py_DECREF(r);
+        return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+    }
+    const sampled_series *s = &buffers[k];
+    if (s->n == 0) {
+        PyErr_Format(PyExc_IndexError, "segment samples %U, which is empty", series_names[k]);
+        return -1;
+    }
+    double r = nearbyint((t - s->t0) * s->rate);
+    *out = s->values[r > 0.0 ? (r < (double)(s->n - 1) ? (Py_ssize_t)r : s->n - 1) : 0];
+    return 0;
+}
+
+/* Appends the tuple Py_BuildValue makes of format and the arguments to
+ * list; returns 0, or -1 with a Python error set. */
+static int append_built(PyObject *list, const char *format, ...)
+{
+    va_list va;
+    va_start(va, format);
+    PyObject *item = Py_VaBuildValue(format, va);
+    va_end(va);
+    if (item == NULL)
+        return -1;
+    int failed = PyList_Append(list, item);
+    Py_DECREF(item);
+    return failed;
+}
+
+/* Runs one minimum event (series, index, t, value) through the segmenter:
+ * StepSegmenter's rule, line for line the Python loop's. A completed step
+ * appends (count, front side, alpha_f, beta_f, alpha_b, beta_b, t_front,
+ * t_back) to rows, and a discarded or ignored event a diagnostic tuple of
+ * its code and the values its message prints to diags. The sampler is read
+ * for a knee event and for a hip event that completes a step, nowhere
+ * else. Returns 0, or -1 with a Python error set: an event that is not a
+ * tuple of four fields with a str series and numbers for t and value, a
+ * sampler that fails, or an append that fails. */
+static int segment_event(segment_state *st, PyObject *ev, PyObject *sampler,
+                         const sampled_series *buffers, double timeout, PyObject *timeout_obj,
+                         PyObject *rows, PyObject *diags)
+{
+    if (!PyTuple_Check(ev)) {
+        PyErr_Format(PyExc_TypeError, "segment needs (series, index, t, value) tuples, got %s",
+                     Py_TYPE(ev)->tp_name);
+        return -1;
+    }
+    if (PyTuple_GET_SIZE(ev) != 4) {
+        PyErr_Format(PyExc_ValueError, "segment needs events of 4 fields, got %zd",
+                     PyTuple_GET_SIZE(ev));
+        return -1;
+    }
+    PyObject *series = PyTuple_GET_ITEM(ev, 0), *t_obj = PyTuple_GET_ITEM(ev, 2);
+    if (!PyUnicode_Check(series)) {
+        PyErr_Format(PyExc_TypeError, "segment needs a str series, got %s",
+                     Py_TYPE(series)->tp_name);
+        return -1;
+    }
+    double t = PyFloat_AsDouble(t_obj);
+    if (t == -1.0 && PyErr_Occurred())
+        return -1;
+    double value = PyFloat_AsDouble(PyTuple_GET_ITEM(ev, 3));
+    if (value == -1.0 && PyErr_Occurred())
+        return -1;
+    /* series.endswith("L") and series.startswith("knee") */
+    Py_ssize_t left = PyUnicode_Tailmatch(series, side_names[0], 0, PY_SSIZE_T_MAX, 1);
+    Py_ssize_t knee = PyUnicode_Tailmatch(series, knee_prefix, 0, PY_SSIZE_T_MAX, -1);
+    if (left < 0 || knee < 0)
+        return -1;
+    int side = left ? 0 : 1;
+
+    if (st->pending && t - st->t > timeout) {
+        if (append_built(diags, "(iOdO)", DIAG_TIMEOUT, side_names[st->side], st->t,
+                         timeout_obj) < 0)
+            return -1;
+        st->pending = 0;
+    }
+    if (knee) {
+        if (st->pending && append_built(diags, "(iOdO)", DIAG_KNEE_FIRST, side_names[st->side],
+                                        st->t, side_names[side]) < 0)
+            return -1;
+        double alpha_f;
+        if (sample(sampler, buffers, 2 * side, t_obj, t, &alpha_f) < 0)
+            return -1;
+        st->pending = 1;
+        st->side = side;
+        st->t = t;
+        st->beta_f = value;
+        st->alpha_f = alpha_f;
+        return 0;
+    }
+    if (!st->pending)
+        return 0;
+    if (side == st->side)
+        return append_built(diags, "(iOd)", DIAG_SAME_SIDE, side_names[side], t);
+    if (t <= st->t)
+        return append_built(diags, "(iOd)", DIAG_NOT_AFTER, side_names[side], t);
+    if (st->side == st->last_front) {
+        st->pending = 0;
+        st->last_front = -1; /* the next step resyncs the stream */
+        return append_built(diags, "(iOd)", DIAG_NOT_ALTERNATE, side_names[st->side], st->t);
+    }
+    double beta_b;
+    if (sample(sampler, buffers, 2 * side + 1, t_obj, t, &beta_b) < 0
+        || append_built(rows, "(nOdddddd)", st->count, side_names[st->side], st->alpha_f,
+                        st->beta_f, value, beta_b, st->t, t) < 0)
+        return -1;
+    st->count++;
+    st->last_front = st->side;
+    st->pending = 0;
+    return 0;
+}
+
+/* segment(events, sampler, state, timeout)
+ *
+ * events is a list of minimum events in MinimumEvent.sort_key order. The
+ * sampler is a callable sampler(series_id, t) -> float, or a tuple of four
+ * (values, t0, rate) series in series_names' order, each values a read-only
+ * C-contiguous buffer of doubles; the caller guarantees the double format,
+ * this function checks the lengths. state is (pending, side, t, beta_f,
+ * alpha_f, last_front, count) as in segment_state, and timeout the
+ * back-event timeout in seconds. Returns (state, rows, diags): the state
+ * after the events, one row per completed step and one tuple per
+ * diagnostic (see segment_event). A callable sampler may change the events
+ * list: each event is held while it runs, and the loop reads the list's
+ * length anew each time.
+ */
+static PyObject *segment(PyObject *self, PyObject *args)
+{
+    PyObject *events, *sampler, *timeout_obj, *rows = NULL, *diags = NULL, *result = NULL;
+    segment_state st;
+    Py_buffer views[4];
+    sampled_series series[4], *buffers = NULL;
+    (void)self;
+
+    if (!PyArg_ParseTuple(args, "O!O(pidddin)O:segment", &PyList_Type, &events, &sampler,
+                          &st.pending, &st.side, &st.t, &st.beta_f, &st.alpha_f,
+                          &st.last_front, &st.count, &timeout_obj))
+        return NULL;
+    double timeout = PyFloat_AsDouble(timeout_obj);
+    if (timeout == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (st.side < 0 || st.side > 1 || st.last_front < -1 || st.last_front > 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "segment needs sides 0 or 1 (last front -1 too), got %d and %d", st.side,
+                     st.last_front);
+        return NULL;
+    }
+    if (!PyCallable_Check(sampler)) {
+        if (!PyTuple_Check(sampler)) {
+            PyErr_Format(PyExc_TypeError,
+                         "segment needs a callable sampler or four (values, t0, rate) "
+                         "series, got %s", Py_TYPE(sampler)->tp_name);
+            return NULL;
+        }
+        if (!PyArg_ParseTuple(sampler, "(y*dd)(y*dd)(y*dd)(y*dd):segment", &views[0],
+                              &series[0].t0, &series[0].rate, &views[1], &series[1].t0,
+                              &series[1].rate, &views[2], &series[2].t0, &series[2].rate,
+                              &views[3], &series[3].t0, &series[3].rate))
+            return NULL;
+        buffers = series;
+        for (int k = 0; k < 4; k++) {
+            series[k].values = views[k].buf;
+            series[k].n = views[k].len / (Py_ssize_t)sizeof(double);
+            if (views[k].len % sizeof(double) != 0) {
+                PyErr_Format(PyExc_ValueError, "segment needs whole doubles, got %zd bytes",
+                             views[k].len);
+                goto done;
+            }
+        }
+    }
+    rows = PyList_New(0);
+    diags = PyList_New(0);
+    if (rows == NULL || diags == NULL)
+        goto done;
+    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(events); k++) {
+        PyObject *ev = Py_NewRef(PyList_GET_ITEM(events, k));
+        int failed = segment_event(&st, ev, sampler, buffers, timeout, timeout_obj, rows, diags);
+        Py_DECREF(ev);
+        if (failed)
+            goto done;
+    }
+    result = Py_BuildValue("((Oidddin)OO)", st.pending ? Py_True : Py_False, st.side, st.t,
+                           st.beta_f, st.alpha_f, st.last_front, st.count, rows, diags);
+done:
+    Py_XDECREF(rows);
+    Py_XDECREF(diags);
+    if (buffers != NULL)
+        for (int k = 0; k < 4; k++)
+            PyBuffer_Release(&views[k]);
+    return result;
+}
+
 /* numpy's sum of n contiguous doubles (pairwise_sum in its umath loops):
  * fewer than 8 terms in order; up to 128 in eight accumulators, combined
  * pairwise, then the rest in order; more split at a multiple of 8 near the
@@ -423,6 +670,127 @@ static PyObject *boxcar(PyObject *self, PyObject *args)
         result = Py_NewRef(Py_None);
     }
     PyBuffer_Release(&values);
+    PyBuffer_Release(&out);
+    return result;
+}
+
+/* Whether values holds rows of off's shape (values.shape[1:] == off.shape)
+ * and out has values' shape, all of 8-byte items. */
+static int offset_shapes_fit(const Py_buffer *values, const Py_buffer *off, const Py_buffer *out)
+{
+    if (values->itemsize != 8 || off->itemsize != 8 || out->itemsize != 8 || values->ndim < 1
+        || off->ndim != values->ndim - 1 || out->ndim != values->ndim)
+        return 0;
+    for (int k = 0; k < off->ndim; k++)
+        if (off->shape[k] != values->shape[k + 1])
+            return 0;
+    for (int k = 0; k < values->ndim; k++)
+        if (out->shape[k] != values->shape[k])
+            return 0;
+    return 1;
+}
+
+/* offset(values, offset, out)
+ *
+ * values, offset and out are C-contiguous buffers with shapes: values of
+ * at least one dimension, offset of values.shape[1:] (a row) and out of
+ * values' shape; the caller guarantees the double format, this function
+ * checks the shapes and the item size. A float offset is a row of shape
+ * (), for 1-D values. Writes out = values - offset, row by row, numpy's
+ * broadcast: one exactly rounded subtraction per element, the same bits in
+ * any order. Returns None.
+ */
+static PyObject *offset(PyObject *self, PyObject *args)
+{
+    PyObject *values_obj, *off_obj, *out_obj, *result = NULL;
+    Py_buffer values, off, out;
+    double scalar;
+    (void)self;
+
+    if (!PyArg_ParseTuple(args, "OOO:offset", &values_obj, &off_obj, &out_obj)
+        || PyObject_GetBuffer(values_obj, &values, PyBUF_ND) < 0)
+        return NULL;
+    if (PyFloat_Check(off_obj)) {
+        /* A view with no object, which PyBuffer_Release leaves alone. */
+        scalar = PyFloat_AS_DOUBLE(off_obj);
+        off = (Py_buffer){.buf = &scalar, .len = sizeof scalar, .itemsize = sizeof scalar};
+    }
+    else if (PyObject_GetBuffer(off_obj, &off, PyBUF_ND) < 0)
+        goto release_values;
+    if (PyObject_GetBuffer(out_obj, &out, PyBUF_ND | PyBUF_WRITABLE) < 0)
+        goto release_off;
+    if (!offset_shapes_fit(&values, &off, &out))
+        PyErr_SetString(PyExc_ValueError,
+                        "offset needs doubles: an offset of one row's shape and an out of "
+                        "the values' shape");
+    else {
+        const double *v = values.buf, *o = off.buf;
+        double *r = out.buf;
+        Py_ssize_t n = values.len / 8, c = off.len / 8;
+        /* Column by column, so the column's offset stays in a register. */
+        for (Py_ssize_t j = 0; j < c; j++) {
+            double oj = o[j];
+            for (Py_ssize_t i = j; i < n; i += c)
+                r[i] = v[i] - oj;
+        }
+        result = Py_NewRef(Py_None);
+    }
+    PyBuffer_Release(&out);
+release_off:
+    PyBuffer_Release(&off);
+release_values:
+    PyBuffer_Release(&values);
+    return result;
+}
+
+/* rotate(values, matrix, out)
+ *
+ * values and out are C-contiguous buffers of the same n rows of 3 doubles,
+ * and matrix is a C-contiguous (3, 3) buffer M; the caller guarantees the
+ * double format, this function checks the lengths. Writes row i of
+ * `values @ M`, out[i, j] = ((0.0 + x M[0, j]) + y M[1, j]) + z M[2, j] for
+ * the row (x, y, z): a sum that starts from +0.0 as numpy's product does,
+ * so for the mounts' signed permutations an all -0.0 row gives +0.0 and an
+ * inf gives NaN where it meets a zero, bit for bit numpy's. Only a row
+ * whose sum meets two NaNs (a NaN and an inf, say) may differ, in which of
+ * the two it keeps: that follows the order of the additions, which numpy's
+ * BLAS does not fix, and the filter reads every NaN alike. Returns None.
+ */
+static PyObject *rotate(PyObject *self, PyObject *args)
+{
+    Py_buffer values, matrix, out;
+    PyObject *result = NULL;
+    (void)self;
+
+    if (!PyArg_ParseTuple(args, "y*y*w*:rotate", &values, &matrix, &out))
+        return NULL;
+    if (values.len % (3 * sizeof(double)) != 0 || matrix.len != 9 * sizeof(double)
+        || out.len != values.len)
+        PyErr_Format(PyExc_ValueError,
+                     "rotate needs rows of 3 doubles in values and out alike and 9 doubles of "
+                     "matrix, got %zd, %zd and %zd bytes", values.len, matrix.len, out.len);
+    else {
+        const double *v = values.buf, *m = matrix.buf;
+        double *r = out.buf;
+        Py_ssize_t n = values.len / (Py_ssize_t)(3 * sizeof(double));
+        /* The matrix in locals, which the stores to out cannot change, so
+         * it is loaded once rather than once per row. */
+        double m00 = m[0], m01 = m[1], m02 = m[2];
+        double m10 = m[3], m11 = m[4], m12 = m[5];
+        double m20 = m[6], m21 = m[7], m22 = m[8];
+        for (Py_ssize_t i = 0; i < n; i++) {
+            double x = v[3 * i], y = v[3 * i + 1], z = v[3 * i + 2];
+            double out0 = ((0.0 + x * m00) + y * m10) + z * m20;
+            double out1 = ((0.0 + x * m01) + y * m11) + z * m21;
+            double out2 = ((0.0 + x * m02) + y * m12) + z * m22;
+            r[3 * i] = out0;
+            r[3 * i + 1] = out1;
+            r[3 * i + 2] = out2;
+        }
+        result = Py_NewRef(Py_None);
+    }
+    PyBuffer_Release(&values);
+    PyBuffer_Release(&matrix);
     PyBuffer_Release(&out);
     return result;
 }
@@ -541,7 +909,10 @@ static PyObject *pooled(PyObject *self, PyObject *args)
 static PyMethodDef methods[] = {
     {"loop", loop, METH_VARARGS, "Run the Madgwick filter loop over n samples."},
     {"minima", minima, METH_VARARGS, "Run the minima detector loop over derivatives."},
+    {"segment", segment, METH_VARARGS, "Run the step segmenter over a list of minimum events."},
     {"boxcar", boxcar, METH_VARARGS, "Write the decimating boxcar's means for n outputs."},
+    {"offset", offset, METH_VARARGS, "Write each row minus the offset row."},
+    {"rotate", rotate, METH_VARARGS, "Write each 3-vector row times a 3x3 matrix."},
     {"block", block, METH_VARARGS, "Return a writable buffer of nbytes from the free list."},
     {"pooled", pooled, METH_NOARGS, "Return the free list's block count and total bytes."},
     {NULL, NULL, 0, NULL},
@@ -551,9 +922,26 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernel_c", NULL, -1, methods, NULL, NULL, NULL, NULL,
 };
 
+/* Interns the names segment reads and writes, once per process. */
+static int intern_names(void)
+{
+    static const char *series[4] = {"hip_L", "knee_L", "hip_R", "knee_R"};
+    for (int k = 0; k < 4; k++)
+        if (series_names[k] == NULL
+            && (series_names[k] = PyUnicode_InternFromString(series[k])) == NULL)
+            return -1;
+    if (side_names[0] == NULL && (side_names[0] = PyUnicode_InternFromString("L")) == NULL)
+        return -1;
+    if (side_names[1] == NULL && (side_names[1] = PyUnicode_InternFromString("R")) == NULL)
+        return -1;
+    if (knee_prefix == NULL && (knee_prefix = PyUnicode_InternFromString("knee")) == NULL)
+        return -1;
+    return 0;
+}
+
 PyMODINIT_FUNC PyInit__kernel_c(void)
 {
-    if (PyType_Ready(&block_type) < 0)
+    if (PyType_Ready(&block_type) < 0 || intern_names() < 0)
         return NULL;
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && (PyModule_AddIntConstant(m, "BLOCK_POOL_COUNT", BLOCK_POOL_COUNT) < 0

@@ -1,18 +1,22 @@
-"""The chain's three compiled loops, their Python twins, the loader that picks
-one, and the recycler that whole-recording outputs take their memory from.
+"""The chain's compiled loops, their Python twins, the loader that picks one,
+and the recycler that whole-recording outputs take their memory from.
 
-Three loops of the chain run once per sample, so they run in C wherever a C
-compiler is found: the Madgwick filter of `orientation.madgwick_batch`
-(`loop`), the minima detector of `events.MinimaDetector.feed_derivative`
-(`minima`) and the decimating boxcar of `signal.smoothed_block` (`boxcar`).
-Their source, `_kernel.c`, is one CPython extension module with those three
-entry points. Each has a Python twin here, `_madgwick_loop`, `_minima_loop`
-and `_boxcar_loop`, that takes the same arguments and returns the same
-values: the kernel's oracle, and its fallback wherever the kernel cannot be
-built or loaded (no compiler or no headers, a read-only package directory).
+The loops of the chain that run once per sample or once per event run in C
+wherever a C compiler is found: the Madgwick filter of
+`orientation.madgwick_batch` (`loop`), the minima detector of
+`events.MinimaDetector.feed_derivative` (`minima`), the step segmenter of
+`events.StepSegmenter` (`segment`), the decimating boxcar of
+`signal.smoothed_block` (`boxcar`), and the row loops of
+`signal.apply_offsets` (`offset`) and `orientation.remap_mounting`
+(`rotate`). Their source, `_kernel.c`, is one CPython extension module
+with those entry points. Each has a Python twin here, `_madgwick_loop`,
+`_minima_loop`, `_segment_loop`, `_boxcar_loop`, `_offset_loop` and
+`_rotate_loop`, that takes the same arguments and returns the same values:
+the kernel's oracle, and its fallback wherever the kernel cannot be built
+or loaded (no compiler or no headers, a read-only package directory).
 `loops()` returns the C module where it loads and otherwise `PYTHON`, the
 twins under the C names, so each stage makes the same call,
-`loops().loop(...)`, `.minima(...)` or `.boxcar(...)`, either way.
+`loops().loop(...)`, `.minima(...)`, `.segment(...)` and so on, either way.
 
 The first `loops()` call in a process loads the module from the package's
 `__pycache__/`. It is named by a hash of the source, the compiler flags and
@@ -49,9 +53,15 @@ The filter takes accel in g and gyro in deg/s and writes the hip angles in
 degrees: each loop multiplies per sample by `DEG` and by `_DEG_PER_RAD`, the
 multiplies numpy's `gyro * DEG` and `np.degrees` would do, so
 `madgwick_batch` allocates nothing but its output. The detector's state is
-five plain numbers in both languages. The kernel's boxcar sums each window
-in the order of numpy's contiguous add reduction, so its means are
-`np.add.reduce`'s bits.
+five plain numbers in both languages, and the segmenter's seven. The
+segmenter reads each paired angle through a callable, where the live chain
+calls it, or from four `(values, t0, rate)` buffers at
+`UniformSeries.index_near`'s sample, rounded half to even and clamped as a
+float. The kernel's boxcar sums each window in the order of numpy's
+contiguous add reduction, so its means are `np.add.reduce`'s bits. `offset`
+subtracts once per element, as numpy does, and `rotate` sums each output
+as ((0.0 + x m0j) + y m1j) + z m2j, which for the mounts' signed
+permutations gives numpy's `@` bits.
 
 A whole recording's stage outputs, from `signal.apply_offsets`,
 `orientation.remap_mounting` and `orientation.madgwick_batch`, are arrays of
@@ -199,6 +209,103 @@ def _minima_loop(
     return nxt, d_prev, pending, run_max, last_accept_t, found, False
 
 
+# The quad's series in the order a buffer sampler lists them, index
+# 2 * side + (1 for a knee), which is also `MinimumEvent.sort_key`'s order
+# for events at one time; and the sides' names by that side index, which
+# the segmenter's state holds as 0 or 1.
+SEGMENT_SERIES = ("hip_L", "knee_L", "hip_R", "knee_R")
+SEGMENT_SIDES = ("L", "R")
+
+
+def _segment_loop(events, sampler, state, timeout):
+    """The step segmenter in Python: the fallback and the oracle of the kernel's `segment`.
+
+    Takes the minimum events in `sort_key` order, the sampler, the
+    segmenter's state (pending, side, t, beta_f, alpha_f, last_front,
+    count) and the back-event timeout. The sampler is a callable
+    `sampler(series_id, t)`, called for each knee event and for each hip
+    event that completes a step, or four `(values, t0, rate)` series in
+    SEGMENT_SERIES order, read at `UniformSeries.index_near`'s sample:
+    round((t - t0) * rate) half to even, clamped to the series while still
+    a float. Returns the state after the events, one row (count, front
+    side, alpha_f, beta_f, alpha_b, beta_b, t_front, t_back) per completed
+    step and one tuple per diagnostic: its code, the index of its message
+    in `events._DIAGNOSTICS`, and the values the message prints.
+    """
+    pending, p_side, p_t, beta_f, alpha_f, last_front, count = state
+    sides = SEGMENT_SIDES
+    if callable(sampler):
+        def sample(k, t):
+            return sampler(SEGMENT_SERIES[k], t)
+    else:
+        buffers = [(values, t0, rate, len(values) - 1) for values, t0, rate in sampler]
+
+        def sample(k, t):
+            values, t0, rate, last = buffers[k]
+            r = round((t - t0) * rate, 0)  # a float, so +-inf and NaN are clamped too
+            return float(values[(int(r) if r < last else last) if r > 0.0 else 0])
+
+    rows, diags = [], []
+    for series, _, t, value in events:
+        side = 0 if series.endswith("L") else 1
+        if pending and t - p_t > timeout:
+            diags.append((0, sides[p_side], p_t, timeout))
+            pending = False
+        if series.startswith("knee"):
+            if pending:
+                diags.append((1, sides[p_side], p_t, sides[side]))
+            alpha_f = sample(2 * side, t)
+            pending, p_side, p_t, beta_f = True, side, t, value
+            continue
+        # a hip minimum
+        if not pending:
+            continue
+        if side == p_side:
+            diags.append((2, sides[side], t))
+            continue
+        if t <= p_t:
+            diags.append((3, sides[side], t))
+            continue
+        if p_side == last_front:
+            diags.append((4, sides[p_side], p_t))
+            pending = False
+            last_front = -1  # the next step resyncs the stream
+            continue
+        beta_b = sample(2 * side + 1, t)
+        rows.append((count, sides[p_side], alpha_f, beta_f, value, beta_b, p_t, t))
+        count += 1
+        last_front = p_side
+        pending = False
+    return (pending, p_side, p_t, beta_f, alpha_f, last_front, count), rows, diags
+
+
+def _offset_loop(values, offset, out):
+    """values - offset in numpy: the fallback and the oracle of the kernel's `offset`.
+
+    Takes what the kernel takes, float64 arrays: values of at least one
+    dimension, an offset of one row's shape (a float for 1-D values) and an
+    out of the values' shape; other shapes raise ValueError, as the kernel
+    does, rather than broadcast.
+    """
+    if values.ndim < 1 or np.shape(offset) != values.shape[1:] or out.shape != values.shape:
+        raise ValueError(
+            f"offset needs an offset of shape {values.shape[1:]} and an out of shape "
+            f"{values.shape}, got {np.shape(offset)} and {out.shape}"
+        )
+    np.subtract(values, offset, out=out)
+
+
+def _rotate_loop(values, matrix, out):
+    """values @ matrix in numpy: the fallback and the oracle of the kernel's `rotate`.
+
+    An inf meets a zero of the mounts' matrices in the product, which gives
+    NaN as the kernel does, without numpy's warning. The bits are the
+    kernel's, but for which NaN a row that meets two of them ends in.
+    """
+    with np.errstate(invalid="ignore"):
+        np.matmul(values, matrix, out=out)
+
+
 def _boxcar_loop(values, out, m, k_start):
     """The boxcar in numpy: the fallback and the oracle of the kernel's `boxcar`.
 
@@ -218,7 +325,13 @@ def _boxcar_loop(values, out, m, k_start):
 # The twins under the kernel's entry-point names; a bytearray is a block
 # whose memory goes back to the allocator.
 PYTHON = SimpleNamespace(
-    loop=_madgwick_loop, minima=_minima_loop, boxcar=_boxcar_loop, block=bytearray
+    loop=_madgwick_loop,
+    minima=_minima_loop,
+    segment=_segment_loop,
+    boxcar=_boxcar_loop,
+    offset=_offset_loop,
+    rotate=_rotate_loop,
+    block=bytearray,
 )
 
 # From this many bytes on, `empty` takes its memory from `block`. On the
@@ -238,7 +351,9 @@ def empty(shape) -> np.ndarray:
     of the block, which it holds until the array and every view of it have
     gone. A smaller array is `np.empty(shape)`.
     """
-    nbytes = 8 * (shape if isinstance(shape, int) else math.prod(shape))
+    # A class test rather than isinstance: this runs for every stage output,
+    # a dozen times per live chunk.
+    nbytes = 8 * (shape if shape.__class__ is int else math.prod(shape))
     if nbytes < BLOCK_MIN_BYTES:
         return np.empty(shape)
     return np.frombuffer(loops().block(nbytes), np.float64).reshape(shape)
@@ -283,10 +398,11 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
     is compiled into a temporary file that is then renamed into place, so
     processes building at once never load a partial file. A build removes
     the older builds with the same suffix (`_remove_stale_builds`); a load
-    that compiles nothing removes nothing. Returns the
-    module, whose `loop`, `minima` and `boxcar` run the filter, the minima
-    detector and the decimating boxcar, or `PYTHON` when the build or the
-    load fails, with the reason in `_kernel_error`.
+    that compiles nothing removes nothing. Returns the module, whose
+    `loop`, `minima`, `segment`, `boxcar`, `offset` and `rotate` run the
+    filter, the minima detector, the step segmenter, the decimating boxcar
+    and the offset and mount-rotation row loops, or `PYTHON` when the build
+    or the load fails, with the reason in `_kernel_error`.
     """
     global _kernel_error
     # Only where a kernel is loaded, to keep the import cheap.

@@ -14,8 +14,14 @@ few samples beyond the derivative stencil's two-sample look-ahead.
 
 The detector and segmenter are incremental; the batch operations feed them
 a whole series at once and produce identical results. Every feed, live or
-batch, runs the detector loop `minima` of `gaitlab._kernel`, in C where the
-kernel loads and in Python where it does not.
+batch, runs the detector loop `minima` of `gaitlab._kernel`, and every
+segmenter call its loop `segment`, in C where the kernel loads and in
+Python where it does not. Live, the segmenter takes one event at a time and
+reads the paired angles through a callable; `segment_steps` hands it all
+the sorted events of a quad in one call, with the quad's four series as
+buffers that the loop reads in place. The loop reports each discarded or
+ignored event as a code and the values its message prints, and the
+segmenter formats every diagnostic through one table, `_DIAGNOSTICS`.
 
 A `MinimumEvent` is a NamedTuple rather than a frozen dataclass: a
 one-minute walk yields a few hundred of them, each built, sorted and read
@@ -78,8 +84,9 @@ class MinimumEvent(NamedTuple):
 
 # The four series in `sort_key`'s tie order. `segment_steps` concatenates
 # their events in this order and sorts stably by `t` alone, which gives the
-# `sort_key` order without a Python key call per event.
-_TIE_ORDER = ("hip_L", "knee_L", "hip_R", "knee_R")
+# `sort_key` order without a Python key call per event; it is also the
+# order in which the segmenter takes the series as buffers.
+_TIE_ORDER = _kernel.SEGMENT_SERIES
 _event_t = operator.itemgetter(2)
 
 # MinimumEvent's own __new__ ends in tuple.__new__(cls, fields); calling it
@@ -321,12 +328,32 @@ class AngleQuad:
         }[name]
 
 
-@dataclass
-class _PendingFront:
-    side: Side
-    t: float
-    beta_f: float
-    alpha_f: float
+# The diagnostics' messages, indexed by the code of the diagnostic tuples
+# that the kernel's `segment` returns (its DIAG_* codes, in this order), and
+# filled with the values each tuple holds after its code; the last is
+# `StepSegmenter.finalize`'s own.
+_DIAGNOSTICS = (
+    "discarded front event ({} at {:.3f} s): no back-limb hip minimum within {} s",
+    "discarded front event ({} at {:.3f} s): front knee minimum on {} arrived first",
+    "ignored same-side hip minimum ({} at {:.3f} s) while awaiting the back limb",
+    "ignored hip minimum ({} at {:.3f} s) not after the front event",
+    "discarded front event ({} at {:.3f} s): front side did not alternate",
+    "discarded front event ({} at {:.3f} s): stream ended before the back-limb hip minimum",
+)
+_STREAM_ENDED = 5
+
+# The state of a segmenter that has seen no event: nothing pending, no
+# front side yet, no step.
+_SEGMENTER_START = (False, 0, 0.0, 0.0, 0.0, -1, 0)
+
+
+def _steps(rows) -> list[StepMeasurement]:
+    """The steps, lengths unset, of the kernel's `segment` rows."""
+    # Positional arguments: a frozen dataclass matches keywords slowly.
+    return [
+        StepMeasurement(k, side, EventAngles(alpha_f, beta_f, alpha_b, beta_b), t_front, t_back)
+        for k, side, alpha_f, beta_f, alpha_b, beta_b, t_front, t_back in rows
+    ]
 
 
 class StepSegmenter:
@@ -334,94 +361,66 @@ class StepSegmenter:
 
     Phase alternates between awaiting a front knee minimum and awaiting the
     other leg's hip minimum. The paired angle of each event is read through
-    `sampler(series_id, t)`. Steps whose back event does not arrive within
-    the timeout are discarded with a diagnostic, as are repeated same-side
-    detections.
+    the sampler: a callable `sampler(series_id, t)`, or the four series as
+    `(values, t0, rate)` buffers in `_kernel.SEGMENT_SERIES` order. Steps
+    whose back event does not arrive within the timeout are discarded with
+    a diagnostic, as are repeated same-side detections.
+
+    The rule is the kernel's `segment` loop (`_kernel.loops().segment`, in C
+    or in Python), which takes the state as plain numbers and gives each
+    diagnostic as a code; the segmenter holds that state and formats the
+    diagnostics through `_DIAGNOSTICS` into `diagnostics`.
     """
 
     def __init__(
         self,
         config: EventConfig,
-        sampler: Callable[[str, float], float],
+        sampler: Callable[[str, float], float] | tuple,
         diagnostics: list[str] | None = None,
     ):
         self.config = config
         self.sampler = sampler
         self.diagnostics = diagnostics if diagnostics is not None else []
-        self.pending: _PendingFront | None = None
-        self.last_front_side: Side | None = None
-        self.count = 0
+        self._state = _SEGMENTER_START
 
-    def _discard(self, reason: str) -> None:
-        p = self.pending
-        self.diagnostics.append(
-            f"discarded front event ({p.side} at {p.t:.3f} s): {reason}"
+    @property
+    def pending(self) -> tuple[Side, float, float, float] | None:
+        """The front event awaiting its back event, as (side, t, beta_f, alpha_f), or None."""
+        pending, side, t, beta_f, alpha_f, _, _ = self._state
+        return (_kernel.SEGMENT_SIDES[side], t, beta_f, alpha_f) if pending else None
+
+    @property
+    def last_front_side(self) -> Side | None:
+        last_front = self._state[5]
+        return _kernel.SEGMENT_SIDES[last_front] if last_front >= 0 else None
+
+    @property
+    def count(self) -> int:
+        return self._state[6]
+
+    def run(self, events: list[MinimumEvent]) -> list[tuple]:
+        """Process events in `sort_key` order; returns the rows of the steps they complete.
+
+        One call of the kernel's `segment` over the list. Its diagnostics
+        are appended to `diagnostics`; `_steps` builds the rows' steps.
+        """
+        self._state, rows, diags = _kernel.loops().segment(
+            events, self.sampler, self._state, self.config.back_event_timeout_s
         )
-        self.pending = None
+        if diags:
+            self.diagnostics.extend(_DIAGNOSTICS[code].format(*values) for code, *values in diags)
+        return rows
 
     def process(self, ev: MinimumEvent) -> StepMeasurement | None:
-        # The event's fields, its side and the pending front event are read
-        # into locals once: this runs for every minimum of the recording.
-        series, _, t, value = ev
-        side: Side = "L" if series.endswith("L") else "R"  # ev.side
-        pending = self.pending
-        timeout = self.config.back_event_timeout_s
-        if pending is not None and t - pending.t > timeout:
-            self._discard(f"no back-limb hip minimum within {timeout} s")
-            pending = None
-        if series.startswith("knee"):  # ev.kind == "knee"
-            if pending is not None:
-                self._discard(f"front knee minimum on {side} arrived first")
-            self.pending = _PendingFront(side, t, value, self.sampler(f"hip_{side}", t))
-            return None
-        # hip minimum
-        if pending is None:
-            return None
-        if side == pending.side:
-            self.diagnostics.append(
-                f"ignored same-side hip minimum ({side} at {t:.3f} s) "
-                f"while awaiting the back limb"
-            )
-            return None
-        if t <= pending.t:
-            self.diagnostics.append(
-                f"ignored hip minimum ({side} at {t:.3f} s) not after "
-                f"the front event"
-            )
-            return None
-        if self.last_front_side is not None and pending.side == self.last_front_side:
-            self._discard("front side did not alternate")
-            self.last_front_side = None  # allow the stream to resync
-            return None
-        beta_b = self.sampler(f"knee_{side}", t)
-        # Positional arguments: a frozen dataclass matches keywords slowly.
-        angles = EventAngles(pending.alpha_f, pending.beta_f, value, beta_b)
-        step = StepMeasurement(self.count, pending.side, angles, pending.t, t)
-        self.count += 1
-        self.last_front_side = pending.side
-        self.pending = None
-        return step
+        rows = self.run([ev])
+        return _steps(rows)[0] if rows else None
 
     def finalize(self) -> None:
-        if self.pending is not None:
-            self._discard("stream ended before the back-limb hip minimum")
-
-
-def _quad_sampler(quad: AngleQuad) -> Callable[[str, float], float]:
-    """`StepSegmenter`'s sampler over a whole quad.
-
-    `sampler(name, t)` is `float(s.values[s.index_near(t)])` for the series
-    `s` named `name`, looked up once per quad rather than once per call:
-    the nearest-sample rule is `UniformSeries.index_near`'s alone, the one
-    the sampler of `gaitlab.pipeline.StreamingAnalyzer` reads too.
-    """
-    by_name = {name: quad.series(name) for name in _TIE_ORDER}
-
-    def sampler(series_id: str, t: float) -> float:
-        s = by_name[series_id]
-        return float(s.values[s.index_near(t)])
-
-    return sampler
+        pending, side, t, *rest = self._state
+        if pending:
+            side_name = _kernel.SEGMENT_SIDES[side]
+            self.diagnostics.append(_DIAGNOSTICS[_STREAM_ENDED].format(side_name, t))
+            self._state = (False, side, t, *rest)
 
 
 def segment_steps(
@@ -433,6 +432,8 @@ def segment_steps(
 
     One `config` (the defaults when None) sets the detector's refractory
     and prominence on every series and the segmenter's back-event timeout.
+    The sorted events go to the segmenter in one `run`, which reads the
+    paired angles from the quad's four series in place.
     """
     config = config or EventConfig()
     events: list[MinimumEvent] = []
@@ -440,8 +441,11 @@ def segment_steps(
         events.extend(detect_minima(quad.series(name), name, config))
     events.sort(key=_event_t)
 
-    segmenter = StepSegmenter(config, _quad_sampler(quad), diagnostics)
-    steps = [out for ev in events if (out := segmenter.process(ev)) is not None]
+    buffers = tuple(
+        (np.asarray(s.values, dtype=np.float64, order="C"), float(s.t0), float(s.rate_hz))
+        for s in map(quad.series, _TIE_ORDER)
+    )
+    segmenter = StepSegmenter(config, buffers, diagnostics)
+    steps = _steps(segmenter.run(events))
     segmenter.finalize()
     return steps
-

@@ -8,8 +8,9 @@ bias in steady state. Its state is one tuple, `OrientationFilterState(w, x,
 y, z, accel_rejected)`, and a recording fed in chunks of any size, the
 state passed along, gives the one-call output bit for bit.
 
-`madgwick_batch` runs the filter loop `loop` of `gaitlab._kernel`: the
-C kernel's where it loads, its Python twin where it does not.
+`madgwick_batch` runs the filter loop `loop` of `gaitlab._kernel`, and
+`remap_mounting` its row loop `rotate`: the C kernel's where it loads,
+their Python twins where it does not.
 
 Frame convention (after mounting remap): x forward, y left, z up along the
 thigh. A positive hip angle (thigh in front of the torso) tilts the sensor
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import _kernel
 from .errors import GaitInputError
-from .signal import _COLUMNWISE_MIN_ROWS
 
 # Below this error-gradient norm the correction becomes proportional instead
 # of unit-length, so the filter settles exactly instead of chattering by
@@ -110,10 +110,10 @@ _MOUNT_MATRICES = {
     "x": np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
     "-x": np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
 }
-# Their transposes, C-contiguous: `v @ M.T` through the F-ordered view `M.T`
-# takes numpy's slower path. Each matrix is a signed permutation, so every
-# output is one exact product plus exact zeros, whose sum has the same bits
-# in any order.
+# Their transposes, C-contiguous, as the kernel's `rotate` reads them:
+# `v @ M.T` is `rotate(v, M_T)`. Each matrix is a signed permutation, so
+# every output is one exact product plus exact zeros, whose sum has the
+# same bits in any order that starts from +0.0.
 _MOUNT_MATRICES_T = {axis: np.ascontiguousarray(m.T) for axis, m in _MOUNT_MATRICES.items()}
 
 
@@ -123,22 +123,22 @@ def remap_mounting(vectors: np.ndarray, mounting_axis: str) -> np.ndarray:
     mounting_axis names the sensor axis that points to the wearer's left;
     the sensor z-axis is assumed up along the thigh in all supported mounts.
 
-    A float64 input of at least `signal._COLUMNWISE_MIN_ROWS` rows (a whole
-    recording) is multiplied into `_kernel.empty`, which from
-    `_kernel.BLOCK_MIN_BYTES` on is memory an earlier output released: the
-    result does not own it but is writable, C-contiguous and pickles as any
-    other. `np.matmul` with `out=` runs the same loop as `@`, so the bits
-    are the same; a shorter input, such as a live chunk, keeps `v @ M`.
+    The vectors are converted once to a C-contiguous float64 array, and the
+    kernel's row loop `rotate` writes `v @ M` into `_kernel.empty`, with
+    numpy's bits and without its warning where an inf meets a zero of M
+    (the row comes out with NaN, as from numpy). From
+    `_kernel.BLOCK_MIN_BYTES` on (a whole recording) the output is memory
+    an earlier output released: it does not own it but is writable,
+    C-contiguous and pickles as any other.
     """
     if mounting_axis not in _MOUNT_MATRICES_T:
         raise GaitInputError(
             f"unsupported mounting axis {mounting_axis!r}; expected one of "
             f"{MOUNTING_AXES}"
         )
-    v = np.asarray(vectors)
+    v = np.asarray(vectors, dtype=np.float64, order="C")
     if v.ndim != 2 or v.shape[1] != 3:
         raise GaitInputError(f"vectors must be (N, 3), got {v.shape}")
-    m = _MOUNT_MATRICES_T[mounting_axis]
-    if v.dtype == np.float64 and len(v) >= _COLUMNWISE_MIN_ROWS:
-        return np.matmul(v, m, out=_kernel.empty(v.shape))
-    return v @ m
+    out = _kernel.empty(v.shape)
+    _kernel.loops().rotate(v, _MOUNT_MATRICES_T[mounting_axis], out)
+    return out

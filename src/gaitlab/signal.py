@@ -16,7 +16,8 @@ last incomplete windows are dropped rather than padded. With the native
 rates used here (IMU 250 Hz with M=10, bend sensor 100 Hz with M=4) both
 streams come out at 25 Hz, comfortably above the <10 Hz content of gait.
 `smoothed_block` sums the windows with the boxcar loop `boxcar` of
-`gaitlab._kernel`, in C where the kernel loads and in numpy where it does not.
+`gaitlab._kernel`, and `apply_offsets` subtracts with its row loop `offset`,
+in C where the kernel loads and in numpy where it does not.
 
 Offsets are per-channel medians over a standing-still window; for the
 accelerometer the median is taken relative to the 1 g gravity vector so
@@ -227,26 +228,21 @@ def compute_offsets(imu: ImuStream, bend: BendStream) -> OffsetSet:
     return OffsetSet(_median_rows(accel_rows - GRAVITY_G[:, None]), gyro, float(bend_deg))
 
 
-# From this many rows on, apply_offsets subtracts column by column.
-_COLUMNWISE_MIN_ROWS = 64
+def _minus_offset(loop, values: ArrayLike, offset: ArrayLike) -> np.ndarray:
+    """values - offset through the row loop `loop`, for (N, C) values and a
+    (C,) offset, or 1-D values and a scalar.
 
-
-def _minus_columns(values: ArrayLike, offset: ArrayLike) -> np.ndarray:
-    """values - offset, one column at a time for (N, C) values and a (C,) offset.
-
-    Each column is one strided subtraction of a one-element array, so numpy
-    runs its inner loop N long, where the (N, C) - (C,) broadcast runs it C
-    long N times. The same operation on the same dtypes: the same bits.
-    Other shapes take the broadcast. A float64 result takes its memory from
-    `_kernel.empty`.
+    Both are converted once to C-contiguous float64 arrays (no copy for the
+    arrays the chain passes; a float offset, the bend's, is passed as it
+    is), and the loop writes the differences into `_kernel.empty`: the bits
+    of numpy's broadcast, one subtraction per element. An offset of another
+    shape raises the loop's ValueError.
     """
-    values, offset = np.asarray(values), np.asarray(offset)
-    if values.ndim != 2 or offset.shape != values.shape[1:]:
-        return values - offset
-    dtype = np.result_type(values, offset)
-    out = _kernel.empty(values.shape) if dtype == np.float64 else np.empty(values.shape, dtype)
-    for c in range(values.shape[1]):
-        np.subtract(values[:, c], offset[c : c + 1], out=out[:, c])
+    v = np.asarray(values, dtype=np.float64, order="C")
+    if not isinstance(offset, float):
+        offset = np.asarray(offset, dtype=np.float64, order="C")
+    out = _kernel.empty(v.shape)
+    loop(v, offset, out)
     return out
 
 
@@ -255,31 +251,20 @@ def apply_offsets(
 ) -> tuple[ImuStream, BendStream]:
     """Subtract one leg's calibration offsets from both of its sensors.
 
-    Returns corrected copies of the IMU and bend streams. The IMU takes one
-    of two paths by row count, with the same bits. From
-    _COLUMNWISE_MIN_ROWS rows on (a whole recording), accel and gyro are
-    subtracted column by column, several times faster than the broadcast.
-    A shorter input (a live chunk holds about ten rows) keeps the one
-    broadcast `accel - offset`, whose fixed cost is the lower.
-
-    On the column path, float64 outputs from `_kernel.BLOCK_MIN_BYTES` on
-    (a whole recording's accel, gyro and, if long enough, bend) take
-    memory an earlier output released (`_kernel.empty`): such an array does
-    not own its memory, its `.base` chain ending at a recycled block, but it
-    is writable, C-contiguous and pickles as any other. Every element is
-    written before it is returned, so its bits are those of a new array.
+    Returns corrected float64 copies of the IMU and bend streams, live
+    chunk and whole recording alike, each from one call of the kernel's row
+    loop `offset` (`_minus_offset`), which checks the offsets' shapes. The
+    outputs are `_kernel.empty`'s: from `_kernel.BLOCK_MIN_BYTES` on (a
+    whole recording's accel, gyro and, if long enough, bend), memory an
+    earlier output released, so such an array does not own its memory, its
+    `.base` chain ending at a recycled block, but it is writable,
+    C-contiguous and pickles as any other. Every element is written before
+    it is returned, so its bits are those of a new array.
     """
-    angle = bend.angle_deg
-    if len(imu.accel) < _COLUMNWISE_MIN_ROWS:
-        accel, gyro = imu.accel - offsets.accel_g, imu.gyro - offsets.gyro_dps
-        angle = angle - offsets.bend_deg
-    else:
-        accel = _minus_columns(imu.accel, offsets.accel_g)
-        gyro = _minus_columns(imu.gyro, offsets.gyro_dps)
-        if angle.dtype == np.float64:
-            angle = np.subtract(angle, offsets.bend_deg, out=_kernel.empty(angle.shape))
-        else:
-            angle = angle - offsets.bend_deg
+    loop = _kernel.loops().offset
+    accel = _minus_offset(loop, imu.accel, offsets.accel_g)
+    gyro = _minus_offset(loop, imu.gyro, offsets.gyro_dps)
+    angle = _minus_offset(loop, bend.angle_deg, offsets.bend_deg)
     return ImuStream(imu.t, accel, gyro), BendStream(bend.t, angle)
 
 

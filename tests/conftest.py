@@ -11,7 +11,7 @@ from gaitlab import _kernel
 
 @pytest.fixture(scope="session")
 def compiled_kernel():
-    """The loaded C kernel module, whose `loop`, `minima` and `boxcar` the parity tests call.
+    """The loaded C kernel module, whose entry points the parity tests call.
 
     Skipped only where the kernel cannot be built: no C compiler (`cc`) on
     PATH or no `Python.h` for this interpreter. Where both exist the kernel

@@ -3,15 +3,15 @@ import math
 import tracemalloc
 from array import array
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitlab import events as events_module
 from gaitlab import _kernel
-from gaitlab._kernel import _minima_loop
+from gaitlab._kernel import SEGMENT_SERIES, _minima_loop, _segment_loop
 from gaitlab.errors import GaitInputError
 from gaitlab.events import (
     AngleQuad,
@@ -20,8 +20,9 @@ from gaitlab.events import (
     MinimaDetector,
     MinimumEvent,
     StepSegmenter,
+    _DIAGNOSTICS,
+    _SEGMENTER_START,
     _SMALL_FEED,
-    _quad_sampler,
     detect_minima,
     five_point_derivative,
     segment_steps,
@@ -669,13 +670,14 @@ class TestTieBreaks:
         values = 20.0 - 20.0 * np.cos(2 * np.pi * np.arange(0, 6, 1 / RATE))
         quad = AngleQuad(*(series(values) for _ in range(4)))
         fed = []
+        loops = _kernel.loops()
 
-        class Recording(StepSegmenter):
-            def process(self, ev):
-                fed.append(ev)
-                return super().process(ev)
+        def segment(events, *rest):
+            fed.extend(events)
+            return loops.segment(events, *rest)
 
-        monkeypatch.setattr(events_module, "StepSegmenter", Recording)
+        recording = SimpleNamespace(minima=loops.minima, segment=segment)
+        monkeypatch.setattr(_kernel, "loops", lambda: recording)
         segment_steps(quad)
         found = [ev for name in ("knee_L", "knee_R", "hip_L", "hip_R")
                  for ev in detect_minima(quad.series(name), series_id=name)]
@@ -683,18 +685,63 @@ class TestTieBreaks:
         assert fed == sorted(found, key=MinimumEvent.sort_key)
 
 
+@pytest.fixture(scope="module", params=["kernel", "python_loops"])
+def segment_loops(request):
+    """The C kernel (skipped where it cannot be built), then the Python loops.
+
+    Module-scoped, unlike conftest's `loops`, so that hypothesis tests can
+    take it; a test patches `_kernel.loops` with it where it needs to.
+    """
+    if request.param == "kernel":
+        return request.getfixturevalue("compiled_kernel")
+    return _kernel.PYTHON
+
+
+def both_loops():
+    """The Python loops, then the C kernel where it loads: for the tests
+    that run on both in one body."""
+    kernel = _kernel.loops()
+    return [_kernel.PYTHON] + ([kernel] if kernel is not _kernel.PYTHON else [])
+
+
+def quad_buffers(quad):
+    """The quad's four series as the segment loop's buffer sampler takes them."""
+    return tuple((quad.series(name).values, quad.series(name).t0, quad.series(name).rate_hz)
+                 for name in SEGMENT_SERIES)
+
+
+def loop_sample(segment, buffers, name, t):
+    """The value the segment loop reads from series `name` at time t.
+
+    A knee event reads its own side's hip series at its time, into the
+    pending front event's alpha_f; a hip event that completes a step reads
+    its own side's knee series, into the row's beta_b.
+    """
+    side = name[-1]
+    if name.startswith("hip"):
+        state, _, _ = segment([MinimumEvent(f"knee_{side}", 0, t, 0.0)], buffers,
+                              _SEGMENTER_START, 1.0)
+        return state[4]
+    # A front event of the other side pending before t, and no timeout.
+    state = (True, 1 if side == "L" else 0, t - 1.0 if math.isfinite(t) else 0.0, 0.0, 0.0, -1, 0)
+    _, rows, _ = segment([MinimumEvent(f"hip_{side}", 0, t, 0.0)], buffers, state, math.inf)
+    return rows[0][5]
+
+
 class TestQuadSampler:
-    """segment_steps' sampler reads `float(s.values[s.index_near(t)])`."""
+    """The segment loop's buffer sampling reads `float(s.values[s.index_near(t)])`."""
 
     @staticmethod
     def check(quad, times):
-        sample = _quad_sampler(quad)
-        for name in ("knee_L", "knee_R", "hip_L", "hip_R"):
-            s = quad.series(name)
-            for t in times:
-                got, want = sample(name, t), float(s.values[s.index_near(t)])
-                assert type(got) is float
-                assert got.hex() == want.hex(), (name, t)
+        buffers = quad_buffers(quad)
+        for loops in both_loops():
+            for name in SEGMENT_SERIES:
+                s = quad.series(name)
+                for t in times:
+                    got = loop_sample(loops.segment, buffers, name, t)
+                    want = float(s.values[s.index_near(t)])
+                    assert type(got) is float
+                    assert got.hex() == want.hex(), (loops, name, t)
 
     def test_exact_half_sample_ties(self):
         # At 4 Hz from t0 = 0.25 the times below sit exactly halfway between
@@ -714,6 +761,30 @@ class TestQuadSampler:
         rng = np.random.default_rng(1)
         quad = AngleQuad(*(series(rng.normal(0, 20, 300), t0=0.36) for _ in range(4)))
         self.check(quad, rng.uniform(-1.0, 14.0, 500).tolist())
+
+    def test_infinite_and_nan_times_read_the_ends(self, segment_loops):
+        # index_near raises on these; the loop clamps them as floats: -inf
+        # and NaN read the first sample, +inf the last.
+        # (No step completes at t = -inf, so only a hip series is read there.)
+        quad = cosine_quad()
+        buffers = quad_buffers(quad)
+        for name in SEGMENT_SERIES:
+            values = quad.series(name).values
+            for t, want in ((-math.inf, values[0]), (math.nan, values[0]), (math.inf, values[-1])):
+                if name.startswith("hip") or t != -math.inf:
+                    assert loop_sample(segment_loops.segment, buffers, name, t) == want, (name, t)
+
+    def test_an_empty_series_raises_only_when_sampled(self, segment_loops):
+        quad = quad_buffers(cosine_quad())
+        empty = (np.empty(0), 0.0, RATE)
+        buffers = (empty, *quad[1:])  # hip_L
+        # A knee_R event samples hip_R, which is there.
+        state, _, _ = segment_loops.segment(
+            [MinimumEvent("knee_R", 0, 0.5, 0.0)], buffers, _SEGMENTER_START, 1.0)
+        assert state[0] is True
+        with pytest.raises(IndexError):
+            segment_loops.segment([MinimumEvent("knee_L", 0, 0.5, 0.0)], buffers,
+                                  _SEGMENTER_START, 1.0)
 
 
 class SegmenterOracle:
@@ -763,6 +834,10 @@ class SegmenterOracle:
         self.pending = None
         return step
 
+    def finalize(self):
+        if self.pending is not None:
+            self._discard("stream ended before the back-limb hip minimum")
+
 
 @st.composite
 def event_stream(draw):
@@ -774,25 +849,209 @@ def event_stream(draw):
     return sorted(events, key=MinimumEvent.sort_key)
 
 
+def index_near_sampler(quad):
+    """The reference sampler over a quad: `float(s.values[s.index_near(t)])`."""
+    return lambda name, t: float(quad.series(name).values[quad.series(name).index_near(t)])
+
+
+def offset_quad(rng, n=100):
+    """Four series of random values at 8 Hz, each with its own start time.
+
+    The event grid of `event_stream` is k / 8, so the 0.0625 start puts
+    every event time on a half-sample tie, and events run past the end.
+    """
+    t0s = (0.0, 0.0625, 0.01, 0.03)
+    return AngleQuad(*(series(rng.normal(0, 20, n), t0=t0, rate=8.0) for t0 in t0s))
+
+
+def as_oracle_state(state):
+    """The loop's state as the oracle holds it: pending (side, t, beta_f,
+    alpha_f) or None, the last front side and the count."""
+    pending, side, t, beta_f, alpha_f, last_front, count = state
+    sides = ("L", "R")
+    return ((sides[side], t, beta_f, alpha_f) if pending else None,
+            sides[last_front] if last_front >= 0 else None, count)
+
+
+def oracle_pending(oracle):
+    p = oracle.pending
+    return None if p is None else (p["side"], p["t"], p["beta_f"], p["alpha_f"])
+
+
+def bits(x):
+    """Nested tuples and lists with each float as its hex bits."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return type(x)(bits(v) for v in x)
+    return x
+
+
+def hip_sampler(name, t):
+    return float(len(name)) + t / 3.0 if name.startswith("hip") else 5.0 - t / 7.0
+
+
 class TestStepSegmenter:
     @PROPERTY
     @given(event_stream(), st.sampled_from([0.125, 0.5, 2.0]))
     def test_equals_the_oracle(self, events, timeout):
-        def sampler(name, t):
-            return float(len(name)) + t / 3.0 if name.startswith("hip") else 5.0 - t / 7.0
+        for loops in both_loops():
+            self.check_against_the_oracle(loops, events, timeout)
 
+    @staticmethod
+    def check_against_the_oracle(loops, events, timeout):
         config = EventConfig(back_event_timeout_s=timeout)
-        seg = StepSegmenter(config, sampler)
-        oracle = SegmenterOracle(config, sampler)
-        for ev in events:
-            got, want = seg.process(ev), oracle.process(ev)
-            if want is None:
-                assert got is None
-            else:
-                a = got.angles
-                assert (got.index, got.front_side, a.alpha_f, a.beta_f, a.alpha_b, a.beta_b,
-                        got.t_front_event, got.t_back_event) == want
-                assert math.isnan(got.length_cm)
-            assert seg.diagnostics == oracle.diagnostics
-            assert (seg.count, seg.last_front_side) == (oracle.count, oracle.last_front_side)
-            assert (seg.pending is None) == (oracle.pending is None)
+        seg = StepSegmenter(config, hip_sampler)
+        oracle = SegmenterOracle(config, hip_sampler)
+        with mock.patch.object(_kernel, "loops", lambda: loops):
+            for ev in events:
+                got, want = seg.process(ev), oracle.process(ev)
+                if want is None:
+                    assert got is None
+                else:
+                    a = got.angles
+                    assert (got.index, got.front_side, a.alpha_f, a.beta_f, a.alpha_b, a.beta_b,
+                            got.t_front_event, got.t_back_event) == want
+                    assert math.isnan(got.length_cm)
+                assert seg.diagnostics == oracle.diagnostics
+                assert (seg.count, seg.last_front_side) == (oracle.count, oracle.last_front_side)
+                assert seg.pending == oracle_pending(oracle)
+            seg.finalize()
+        oracle.finalize()
+        assert seg.diagnostics == oracle.diagnostics and seg.pending is None
+
+    @pytest.mark.parametrize("kind", ["knee_R", "hip_L"])
+    def test_finalize_with_a_step_pending(self, segment_loops, kind, monkeypatch):
+        monkeypatch.setattr(_kernel, "loops", lambda: segment_loops)
+        diags = ["earlier"]
+        seg = StepSegmenter(EventConfig(), hip_sampler, diags)
+        seg.process(MinimumEvent("knee_L", 3, 0.125, 12.5))
+        assert seg.process(MinimumEvent(kind, 4, 0.25, -2.0)) is None
+        seg.finalize()
+        side = "R" if kind == "knee_R" else "L"
+        t = "0.250" if kind == "knee_R" else "0.125"
+        assert diags[-1] == (
+            f"discarded front event ({side} at {t} s): stream ended before the back-limb hip minimum"
+        )
+        assert seg.diagnostics is diags and seg.pending is None
+        seg.finalize()  # nothing left to discard
+        assert len(diags) == 3  # "earlier", the second event's and the finalize's
+
+    def test_a_raising_sampler_propagates_and_changes_nothing(self, segment_loops, monkeypatch):
+        monkeypatch.setattr(_kernel, "loops", lambda: segment_loops)
+
+        def sampler(name, t):
+            raise KeyError(name)
+
+        seg = StepSegmenter(EventConfig(), sampler)
+        before = seg._state
+        with pytest.raises(KeyError, match="hip_L"):
+            seg.process(MinimumEvent("knee_L", 3, 0.125, 12.5))
+        assert seg._state == before and seg.diagnostics == []
+
+
+class TestSegmentKernel:
+    """The kernel's `segment`, `_segment_loop` and `SegmenterOracle` agree."""
+
+    @PROPERTY
+    @given(event_stream(), st.sampled_from([0.125, 0.5, 2.0]), st.booleans(),
+           st.integers(0, 2**32 - 1), st.lists(st.integers(0, 60), max_size=5))
+    def test_kernel_twin_and_oracle_agree(self, segment_loops, events, timeout, buffered,
+                                          seed, cuts):
+        """Over any cut of the events into calls, the state passed along."""
+        quad = offset_quad(np.random.default_rng(seed))
+        sampler = quad_buffers(quad) if buffered else hip_sampler
+        oracle = SegmenterOracle(EventConfig(back_event_timeout_s=timeout),
+                                 index_near_sampler(quad) if buffered else hip_sampler)
+        want_rows = [r for ev in events if (r := oracle.process(ev)) is not None]
+        state, rows, diags = _SEGMENTER_START, [], []
+        bounds = sorted({0, len(events), *(c for c in cuts if c < len(events))})
+        for start, stop in zip(bounds, bounds[1:]):
+            args = (events[start:stop], sampler, state, timeout)
+            got, want = segment_loops.segment(*args), _segment_loop(*args)
+            assert bits(got) == bits(want)
+            state = want[0]
+            rows += want[1]
+            diags += want[2]
+        assert rows == want_rows
+        assert [_DIAGNOSTICS[code].format(*values) for code, *values in diags] == oracle.diagnostics
+        assert as_oracle_state(state) == (
+            oracle_pending(oracle), oracle.last_front_side, oracle.count
+        )
+
+    def test_empty_list_returns_the_state(self, segment_loops):
+        state = (True, 1, 0.5, 10.0, -4.0, 0, 7)
+        for sampler in (hip_sampler, quad_buffers(cosine_quad())):
+            assert segment_loops.segment([], sampler, state, 2.0) == (state, [], [])
+
+    def test_every_diagnostic_code(self, segment_loops):
+        events = [
+            MinimumEvent("knee_L", 0, 0.0, 1.0),
+            MinimumEvent("knee_R", 0, 0.5, 1.0),  # 1: L discarded, R pending
+            MinimumEvent("hip_R", 0, 0.75, 1.0),  # 2: same side
+            MinimumEvent("knee_L", 0, 3.0, 1.0),  # 0: R timed out; L pending
+            MinimumEvent("hip_R", 0, 3.25, 1.0),  # step 0 (front L)
+            MinimumEvent("hip_L", 0, 3.5, 1.0),  # nothing pending: ignored silently
+            MinimumEvent("knee_L", 0, 4.0, 1.0),
+            MinimumEvent("hip_R", 0, 4.0, 1.0),  # 3: not after the front event
+            MinimumEvent("hip_R", 0, 4.25, 1.0),  # 4: front side did not alternate
+            MinimumEvent("knee_L", 0, 5.0, 1.0),
+            MinimumEvent("hip_R", 0, 5.25, 1.0),  # step 1 (front L again, after the resync)
+        ]
+        want = _segment_loop(events, hip_sampler, _SEGMENTER_START, 2.0)
+        assert segment_loops.segment(events, hip_sampler, _SEGMENTER_START, 2.0) == want
+        state, rows, diags = want
+        assert [d[0] for d in diags] == [1, 2, 0, 3, 4]
+        assert [(r[0], r[1], r[6], r[7]) for r in rows] == [(0, "L", 3.0, 3.25), (1, "L", 5.0, 5.25)]
+        assert state == (False, 0, 5.0, 1.0, hip_sampler("hip_L", 5.0), 0, 2)
+
+    def test_diagnostic_strings_print_the_timeout_as_given(self, segment_loops, monkeypatch):
+        monkeypatch.setattr(_kernel, "loops", lambda: segment_loops)
+        for timeout, text in ((2, "2"), (0.5, "0.5")):
+            seg = StepSegmenter(EventConfig(back_event_timeout_s=timeout), hip_sampler)
+            seg.process(MinimumEvent("knee_L", 0, 0.0, 1.0))
+            seg.process(MinimumEvent("hip_R", 0, 9.0, 1.0))
+            assert seg.diagnostics == [
+                f"discarded front event (L at 0.000 s): no back-limb hip minimum within {text} s"
+            ]
+
+    def test_a_sampler_may_empty_the_list(self, segment_loops):
+        events = [MinimumEvent("knee_L", 0, 0.0, 1.0), MinimumEvent("knee_R", 0, 0.5, 1.0)]
+
+        def sampler(name, t):
+            events.clear()
+            return 1.5
+
+        state, rows, diags = segment_loops.segment(events, sampler, _SEGMENTER_START, 2.0)
+        assert state == (True, 0, 0.0, 1.0, 1.5, -1, 0) and rows == [] and diags == []
+
+    @pytest.mark.parametrize("event, error", [
+        (("knee_L", 0, 0.5), ValueError),
+        (("knee_L", 0, 0.5, 1.0, 2.0), ValueError),
+        (["knee_L", 0, 0.5, 1.0], TypeError),
+        ((b"knee_L", 0, 0.5, 1.0), TypeError),
+        (("knee_L", 0, "0.5", 1.0), TypeError),
+        (("knee_L", 0, 0.5, None), TypeError),
+    ])
+    def test_malformed_events_raise(self, compiled_kernel, event, error):
+        with pytest.raises(error):
+            compiled_kernel.segment([event], hip_sampler, _SEGMENTER_START, 2.0)
+
+    @pytest.mark.parametrize("sampler, state, error", [
+        (None, _SEGMENTER_START, TypeError),
+        ((), _SEGMENTER_START, TypeError),
+        (((b"12345678", 0.0, 25.0),) * 3, _SEGMENTER_START, TypeError),
+        (((b"123456789", 0.0, 25.0),) * 4, _SEGMENTER_START, ValueError),
+        (((np.zeros(4)[::2], 0.0, 25.0),) * 4, _SEGMENTER_START, ValueError),  # not contiguous
+        (hip_sampler, (False, 2, 0.0, 0.0, 0.0, -1, 0), ValueError),
+        (hip_sampler, (False, 0, 0.0, 0.0, 0.0, -2, 0), ValueError),
+        (hip_sampler, (False, 0, 0.0, 0.0, 0.0, -1), TypeError),
+    ])
+    def test_bad_samplers_and_states_raise(self, compiled_kernel, sampler, state, error):
+        with pytest.raises(error):
+            compiled_kernel.segment([MinimumEvent("knee_L", 0, 0.5, 1.0)], sampler, state, 2.0)
+
+    def test_events_must_be_a_list(self, compiled_kernel):
+        with pytest.raises(TypeError):
+            compiled_kernel.segment((MinimumEvent("knee_L", 0, 0.5, 1.0),), hip_sampler,
+                                    _SEGMENTER_START, 2.0)

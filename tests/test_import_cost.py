@@ -4,11 +4,11 @@ Every fresh process pays for what the import loads (the benchmark's
 `setup_s`). gaitlab needs no scipy at all: both calibration fits run on
 the package's own bounded-variable least squares, so not even a whole
 user's calibration loads it. The C kernel is built and loaded by
-the first call that runs one of its loops (`madgwick_batch`,
-`smoothed_block` or `MinimaDetector.feed_derivative`, which
+the first call that runs one of its loops (`apply_offsets`,
+`remap_mounting`, `madgwick_batch`, `smoothed_block`,
+`MinimaDetector.feed_derivative` or `StepSegmenter.process`, which
 `gaitlab.pipeline`'s `analyze` and `StreamingAnalyzer` call) or takes a
-recycled output block (`_kernel.empty` from `BLOCK_MIN_BYTES` on, so also a
-whole-recording `apply_offsets` or `remap_mounting`), never by the import,
+recycled output block (`_kernel.empty` from `BLOCK_MIN_BYTES` on), never by the import,
 and so are `hashlib` and `subprocess`, which only its loader uses.
 `import gaitlab` alone loads none of the modules.
 """

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitlab import _kernel, orientation
-from gaitlab._kernel import _madgwick_loop
+from gaitlab._kernel import _madgwick_loop, _rotate_loop
 from gaitlab.errors import GaitInputError
 from gaitlab.orientation import (
     BETA,
@@ -223,7 +223,7 @@ def run_python(body):
 import os
 import numpy as np
 from gaitlab import _kernel, orientation
-from gaitlab._kernel import _madgwick_loop
+from gaitlab._kernel import _madgwick_loop, _rotate_loop
 
 kernel = _kernel.loops()
 assert kernel is not _kernel.PYTHON, _kernel._kernel_error
@@ -624,3 +624,47 @@ class TestMounting:
             angles, end = madgwick_batch(a, g, DT, state)
             outputs.append((angles.tobytes(), end))
         assert outputs[:3] == outputs[3:]
+
+
+def nan_blind_bits(a):
+    """a's bytes with every NaN made the one NaN: which NaN a row holding
+    two (inf x 0 is -NaN on x86) ends in follows the order of the sum."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+class TestRotateLoop:
+    """The kernel's `rotate` writes `_rotate_loop`'s (numpy's `@`) bits for every mount."""
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 15000])
+    @pytest.mark.parametrize("axis", MOUNTING_AXES)
+    def test_kernel_equals_numpy(self, compiled_kernel, n, axis):
+        rng = np.random.default_rng(n)
+        v = rng.normal(0.0, 2.0, (n, 3))
+        # Whole rows of +-0.0, and one NaN or +-inf in some other rows: the
+        # bits are numpy's.
+        v[: n // 4] = rng.choice([0.0, -0.0], (n // 4, 3))
+        rows = rng.choice(np.arange(n // 4, n), size=min(n - n // 4, 60), replace=False)
+        v[rows, rng.integers(0, 3, len(rows))] = rng.choice([np.nan, np.inf, -np.inf], len(rows))
+        m = orientation._MOUNT_MATRICES_T[axis]
+        got, want = np.full((n, 3), 7.0), np.full((n, 3), 7.0)
+        compiled_kernel.rotate(v, m, got)
+        _rotate_loop(v, m, want)
+        assert got.tobytes() == want.tobytes()
+        # Several NaN or inf in a row: NaN at the same places.
+        v.flat[rng.choice(v.size, size=min(v.size, 3 * len(rows)), replace=False)] = np.nan
+        v[rows, rng.integers(0, 3, len(rows))] = -np.inf
+        compiled_kernel.rotate(v, m, got)
+        _rotate_loop(v, m, want)
+        assert nan_blind_bits(got) == nan_blind_bits(want)
+
+    @pytest.mark.parametrize("values, matrix, out", [(24, 72, 48), (24, 64, 24), (16, 72, 16)])
+    def test_lengths_checked(self, compiled_kernel, values, matrix, out):
+        with pytest.raises(ValueError, match="rotate needs"):
+            compiled_kernel.rotate(bytes(values), bytes(matrix), bytearray(out))
+
+    def test_an_inf_row_does_not_warn(self, loops):
+        # inf x 0 is NaN in the product, which numpy's `@` warns of.
+        v = np.array([[np.inf, 0.0, 1.0], [0.0, -np.inf, np.nan], [1.0, 2.0, 3.0]])
+        for axis in MOUNTING_AXES:
+            out = remap_mounting(v, axis)
+            assert np.isnan(out[:2]).any(axis=1).all() and np.isfinite(out[2]).all()

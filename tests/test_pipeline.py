@@ -7,12 +7,16 @@ included, on short synthetic walks of two seeds, fed in chunks of 10, 40,
 outputs are compared by the sha256 of their pickles, and the calls by the
 span names, in order, and the counts that a `gaitbench.tracing.Tracer`
 records. After `finish`, the analyzer refuses more input and leaves its
-state as it was.
+state as it was. An inf and NaN rows in the raw IMU streams go through
+both compositions without a warning.
 """
 
+import dataclasses
 import hashlib
+import math
 import pickle
 
+import numpy as np
 import pytest
 
 from gaitbench import synth
@@ -132,3 +136,36 @@ def test_second_finish_raises_and_changes_nothing(walk):
         a.finish(last.end_t)
     assert state(a) == before
     assert result == analyze(walk.legs, walk.params)
+
+
+def with_fault_rows(walk):
+    """The walk with an inf in one accel row of the left leg and a NaN in
+    one gyro row of each leg, well inside the walking streams."""
+    legs = {}
+    for side, leg in walk.legs.items():
+        accel, gyro = leg.imu.accel.copy(), leg.imu.gyro.copy()
+        if side == "L":
+            accel[1000, 0] = np.inf
+        gyro[1500 if side == "L" else 1700, 1] = np.nan
+        legs[side] = dataclasses.replace(leg, imu=ImuStream(leg.imu.t, accel, gyro))
+    return dataclasses.replace(walk, legs=legs)
+
+
+def test_fault_rows_go_through_the_whole_chain(walk, loops):
+    """An inf accel row and NaN gyro rows pass offsets, remap and filter with
+    no RuntimeWarning (an error in this suite), in batch and in 40 ms chunks
+    alike, and the filter holds them: the same steps as the clean walk, each
+    with a finite length."""
+    faulty = with_fault_rows(walk)
+    got = analyze(faulty.legs, faulty.params)
+    clean = analyze(walk.legs, walk.params)
+    assert len(got.steps) == len(clean.steps) >= 10
+    assert all(math.isfinite(s.length_cm) for s in got.steps)
+    assert [(s.front_side, s.t_front_event, s.t_back_event) for s in got.steps] == [
+        (s.front_side, s.t_front_event, s.t_back_event) for s in clean.steps
+    ]
+    chunks = W.make_chunks(faulty, 40)
+    a = StreamingAnalyzer(faulty.legs, faulty.params)
+    for chunk in chunks:
+        a.feed(chunk.legs, chunk.end_t)
+    assert a.finish(chunks[-1].end_t) == got

@@ -7,7 +7,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gaitlab import _kernel
-from gaitlab._kernel import _boxcar_loop
+from gaitlab._kernel import _boxcar_loop, _offset_loop
 from gaitlab.errors import CalibrationError, GaitInputError
 from gaitlab.signal import (
     BendStream,
@@ -585,7 +585,7 @@ def offset_inputs(rng, n, layout):
 
 
 class TestApplyOffsetsPaths:
-    """Both of apply_offsets' paths give the bits of the `a - o` broadcast."""
+    """apply_offsets gives the bits of the `a - o` broadcast at every size and layout."""
 
     @pytest.mark.parametrize("n", [1, 10, 63, 64, 65, 1000])
     @pytest.mark.parametrize("layout", ["contiguous", "fortran", "strided"])
@@ -614,6 +614,56 @@ class TestApplyOffsetsPaths:
         )
         for got, want in zip((accel, gyro, angle), before):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def rows_with_specials(rng, n, c):
+    """(n, c) normal values, with NaN, +-inf and -0.0 spread through them."""
+    v = rng.normal(0.0, 2.0, (n, c))
+    k = min(v.size, 40)
+    v.flat[rng.choice(v.size, size=k, replace=False)] = rng.choice([np.nan, np.inf, -np.inf, -0.0], k)
+    return v
+
+
+class TestOffsetLoop:
+    """The kernel's `offset` writes `_offset_loop`'s (numpy's) bits."""
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 15000])
+    @pytest.mark.parametrize("shape", ["rows", "series"])
+    def test_kernel_equals_numpy(self, compiled_kernel, n, shape):
+        rng = np.random.default_rng(n)
+        if shape == "rows":
+            values, offset = rows_with_specials(rng, n, 3), np.array([0.01, -0.0, -2.25])
+        else:
+            values, offset = rows_with_specials(rng, n, 1)[:, 0], np.array(-0.0)
+        got, want = np.full(values.shape, 7.0), np.full(values.shape, 7.0)
+        with np.errstate(invalid="raise"):
+            compiled_kernel.offset(values, offset, got)
+            _offset_loop(values, offset, want)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values, offset, out", [
+        ((4, 3), (2,), (4, 3)),  # 12 doubles are rows of 2 too, but not of this shape
+        ((4, 3), (3,), (3, 4)),  # out of another shape
+        ((4, 3), (1,), (4, 3)),  # numpy would broadcast this offset
+        ((6,), (3,), (6,)),
+        ((), (), ()),  # no row
+    ])
+    def test_shapes_checked(self, loops, values, offset, out):
+        loop = _kernel.loops().offset
+        with pytest.raises(ValueError, match="offset needs"):
+            loop(np.zeros(values), np.zeros(offset), np.zeros(out))
+
+    def test_buffers_of_other_items_rejected(self, compiled_kernel):
+        with pytest.raises(ValueError, match="offset needs"):
+            compiled_kernel.offset(bytes(24), bytes(8), bytearray(24))
+
+    def test_offset_of_another_shape_rejected(self, loops):
+        imu = ImuStream(np.arange(4) / 250.0, np.zeros((4, 3)), np.zeros((4, 3)))
+        bend = BendStream(np.arange(4) / 100.0, np.zeros(4))
+        with pytest.raises(ValueError, match="offset needs"):
+            apply_offsets(imu, bend, OffsetSet(np.zeros(2), np.zeros(3), 0.0))
+        with pytest.raises(ValueError, match="offset needs"):
+            apply_offsets(imu, bend, OffsetSet(np.zeros(3), np.zeros(3), np.zeros(1)))
 
 
 class TestMedianLayouts:

@@ -16,8 +16,8 @@
  *
  * `segment` takes the segmenter's state as plain numbers and its events as
  * the tuples they are, and reads each event's paired angle through a
- * callable (live, one event a call) or from the four angle series' buffers
- * in place (a whole recording in one call). It allocates nothing but the
+ * callable or from the four angle series' buffers in place, live one event
+ * a call or a whole recording in one call. It allocates nothing but the
  * lists and tuples it returns, and an error a callable sampler raises
  * leaves it with every buffer released.
  *
@@ -826,11 +826,12 @@ static int block_getbuffer(PyObject *self, Py_buffer *view, int flags)
 }
 
 /* Runs once no array, view or memoryview of the block is left, so memory
- * it puts back on the list is no longer read or written by anyone. */
+ * it puts back on the list is no longer read or written by anyone. An
+ * empty block is freed: no request could take it back. */
 static void block_dealloc(PyObject *self)
 {
     block_object *b = (block_object *)self;
-    if (pool_count < BLOCK_POOL_COUNT && b->cap <= BLOCK_POOL_BYTES - pool_bytes) {
+    if (b->cap > 0 && pool_count < BLOCK_POOL_COUNT && b->cap <= BLOCK_POOL_BYTES - pool_bytes) {
         pool[pool_count].buf = b->buf;
         pool[pool_count].cap = b->cap;
         pool_count++;

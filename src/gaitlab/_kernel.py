@@ -54,14 +54,13 @@ degrees: each loop multiplies per sample by `DEG` and by `_DEG_PER_RAD`, the
 multiplies numpy's `gyro * DEG` and `np.degrees` would do, so
 `madgwick_batch` allocates nothing but its output. The detector's state is
 five plain numbers in both languages, and the segmenter's seven. The
-segmenter reads each paired angle through a callable, where the live chain
-calls it, or from four `(values, t0, rate)` buffers at
-`UniformSeries.index_near`'s sample, rounded half to even and clamped as a
-float. The kernel's boxcar sums each window in the order of numpy's
-contiguous add reduction, so its means are `np.add.reduce`'s bits. `offset`
-subtracts once per element, as numpy does, and `rotate` sums each output
-as ((0.0 + x m0j) + y m1j) + z m2j, which for the mounts' signed
-permutations gives numpy's `@` bits.
+segmenter reads each paired angle through a callable or from four
+`(values, t0, rate)` buffers at `UniformSeries.index_near`'s sample,
+rounded half to even and clamped as a float. The kernel's boxcar sums each
+window in the order of numpy's contiguous add reduction, so its means are
+`np.add.reduce`'s bits. `offset` subtracts once per element, as numpy
+does, and `rotate` sums each output as ((0.0 + x m0j) + y m1j) + z m2j,
+which for the mounts' signed permutations gives numpy's `@` bits.
 
 A whole recording's stage outputs, from `signal.apply_offsets`,
 `orientation.remap_mounting` and `orientation.madgwick_batch`, are arrays of

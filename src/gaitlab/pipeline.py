@@ -11,9 +11,11 @@ windows (`signal.compute_offsets`), then `signal.apply_offsets`,
 - `analyze` runs each stage once over the whole recording and segments the
   four series with `events.segment_steps`.
 - `StreamingAnalyzer` takes the same recording in chunks through the
-  incremental APIs: a growing buffer per series that `signal.smoothed_block`
-  decimates, a `DerivativeStream` and a `MinimaDetector` per series, and one
-  `StepSegmenter`. Minimum events are released to the segmenter in
+  incremental APIs. Per series it holds the raw samples from the next
+  25 Hz window's start on, fewer than 2M once a chunk is decimated by
+  `signal.smoothed_block`, a `DerivativeStream` and a `MinimaDetector`.
+  One `StepSegmenter` reads the paired angles from the detectors' series
+  in place. Minimum events are released to the segmenter in
   `MinimumEvent.sort_key` order, and only once they are earlier than every
   detector's frontier, so no event still to come can sort before them.
   Steps, strides and asymmetry are emitted as soon as they are confirmed; a
@@ -42,6 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._kernel import SEGMENT_SERIES
 from .core import attach_lengths, gait_asymmetry, stride_metrics
 from .errors import GaitInputError
 from .events import (
@@ -54,7 +57,6 @@ from .events import (
 )
 from .orientation import filter_init, madgwick_batch, remap_mounting
 from .signal import (
-    UniformSeries,
     apply_offsets,
     compute_offsets,
     downsample_smooth,
@@ -132,26 +134,6 @@ def analyze(legs, params, probe=NULL_PROBE) -> Analysis:
     return Analysis(steps, strides, asymmetry, diagnostics, quad)
 
 
-class _Growable:
-    """Append-only float buffer with amortised growth."""
-
-    def __init__(self):
-        self.data = np.empty(1024)
-        self.n = 0
-
-    def extend(self, values: np.ndarray) -> None:
-        need = self.n + len(values)
-        if need > len(self.data):
-            grown = np.empty(max(need, 2 * len(self.data)))
-            grown[: self.n] = self.data[: self.n]
-            self.data = grown
-        self.data[self.n : need] = values
-        self.n = need
-
-    def view(self) -> np.ndarray:
-        return self.data[: self.n]
-
-
 @dataclass
 class _LiveLeg:
     offsets: object
@@ -161,9 +143,8 @@ class _LiveLeg:
 
 @dataclass
 class _LiveSeries:
-    raw: _Growable  # unsmoothed samples at the native rate
+    raw: np.ndarray  # the native-rate samples from the next window's start on
     m: int
-    done: int  # smoothed outputs produced so far
     derivative: DerivativeStream
     detector: MinimaDetector
 
@@ -199,20 +180,16 @@ class StreamingAnalyzer:
             ):
                 name = f"{kind}_{side}"
                 self.series[name] = _LiveSeries(
-                    _Growable(), m, 0, DerivativeStream(SERIES_HZ),
+                    np.empty(0), m, DerivativeStream(SERIES_HZ),
                     MinimaDetector(name, smoothed_t0(t0, m, rate), SERIES_HZ, self.config),
                 )
         self.diagnostics: list[str] = []
-        # The sampler closes over the series only, not the analyzer, so a
-        # finished analyzer is freed at once rather than by the cycle collector.
-        series = self.series
-
-        def sample(series_id: str, t: float) -> float:
-            det = series[series_id].detector
-            grid = UniformSeries(det.t0, det.rate_hz, det.values)
-            return float(det.values[grid.index_near(t)])
-
-        self.segmenter = StepSegmenter(self.config, sample, self.diagnostics)
+        # The detectors' series in place, as `segment_steps` passes the quad's.
+        buffers = tuple(
+            (det.values, det.t0, det.rate_hz)
+            for det in (self.series[name].detector for name in SEGMENT_SERIES)
+        )
+        self.segmenter = StepSegmenter(self.config, buffers, self.diagnostics)
         self._heap: list = []
         self._seq = 0
         self.steps: list = []
@@ -230,16 +207,23 @@ class StreamingAnalyzer:
             heapq.heappush(self._heap, (ev.sort_key(), self._seq, ev))
             self._seq += 1
 
-    def _smooth(self, name: str) -> None:
+    def _smooth(self, name: str, samples: np.ndarray) -> None:
+        """Append samples to the series' raw tail and decimate every window it completes.
+
+        Output k of the series averages raw samples [k M, k M + 2M). The tail
+        starts at the next output's window, so the windows are the ones
+        `downsample_smooth` sums over the whole recording, in the same order.
+        """
         probe = self.probe
         s = self.series[name]
-        n = s.raw.n
-        k_stop = (n - 2 * s.m) // s.m + 1 if n >= 2 * s.m else 0
-        if k_stop <= s.done:
+        m = s.m
+        raw = s.raw = np.concatenate((s.raw, samples))
+        if len(raw) < 2 * m:
             return
-        out = probe.call("signal.smoothed_block", smoothed_block, s.raw.view(), s.m, s.done, k_stop)
+        k_stop = (len(raw) - 2 * m) // m + 1
+        out = probe.call("signal.smoothed_block", smoothed_block, raw, m, 0, k_stop)
         probe.count("signal.samples_out", len(out))
-        s.done = k_stop
+        s.raw = raw[m * k_stop :]
         det = s.detector
         probe.call("events.MinimaDetector.extend_series", det.extend_series, out)
         d = probe.call("events.DerivativeStream.feed", s.derivative.feed, out)
@@ -259,10 +243,8 @@ class StreamingAnalyzer:
             )
             probe.count("orientation.imu_samples", len(accel))
             probe.count("signal.samples_in", len(hip) + len(bend))
-            self.series[f"hip_{side}"].raw.extend(hip)
-            self.series[f"knee_{side}"].raw.extend(bend.angle_deg)
-            self._smooth(f"hip_{side}")
-            self._smooth(f"knee_{side}")
+            self._smooth(f"hip_{side}", hip)
+            self._smooth(f"knee_{side}", bend.angle_deg)
         self._release(min(s.detector.frontier_t for s in self.series.values()), end_t)
 
     def finish(self, end_t: float) -> Analysis:

@@ -526,16 +526,33 @@ class TestMinimaKernel:
             minima(bytes(values_bytes), array("d", [1.0, -1.0]), i, d_prev, pending,
                    -math.inf, -math.inf, 1.0, 0.3, 0.0, RATE)
 
-    @pytest.mark.parametrize("i, pending", [(0, -1), (3, -1), (3, 4)])
+    @pytest.mark.parametrize("i, pending", [(0, -1), (3, -1), (3, 4), (4, 4)])
     def test_state_inside_the_series_accepted(self, minima, i, pending):
         # The edges of the accepted range: i = 0 (d_prev unread) and
-        # pending from -1 (no trough) to the last sample.
+        # pending from -1 (no trough) to the last sample; from i = 4 the
+        # second derivative outruns the 5-sample series.
         got = minima(bytes(40), array("d", [1.0, -1.0]), i, 0.5, pending,
                      -math.inf, -math.inf, 1.0, 0.3, 0.0, RATE)
         # A zero series: no event, and run_max rises to 0 only while no
         # trough is pending.
         run_max = 0.0 if pending == -1 else -math.inf
-        assert got == (i + 2, -1.0, pending, run_max, -math.inf, [], False)
+        assert got == (i + 2, -1.0, pending, run_max, -math.inf, [], i + 2 > 5)
+
+    def test_one_derivative_feeds_through_the_outrun(self, minima):
+        # As live chunks feed the detector: an empty feed, then one
+        # derivative per call up to two past the series' end, then an empty
+        # feed again.
+        rng = np.random.default_rng(6)
+        s = 20.0 * np.sin(2 * np.pi * np.arange(200) / RATE) + rng.normal(0, 0.5, 200)
+        d = np.append(five_point_derivative(series(s)).values, [1.0, -1.0])
+        values = array("d", s.tobytes())
+        state, found, outruns = (0, 0.0, -1, -math.inf, -math.inf), 0, 0
+        for feed in [d[:0], *(d[k : k + 1] for k in range(len(d))), d[:0]]:
+            args = (values, feed, *state, 1.0, 0.3, 0.0, RATE)
+            got, want = minima(*args), _minima_loop(*args)
+            assert result_bits(got) == result_bits(want)
+            state, found, outruns = want[:5], found + len(want[5]), outruns + want[6]
+        assert found == 8 and outruns == 2
 
 
 def cosine_quad(n_cycles=6, T=1.0, delta=0.1, rate=RATE):
@@ -1004,6 +1021,11 @@ class TestSegmentKernel:
         assert [d[0] for d in diags] == [1, 2, 0, 3, 4]
         assert [(r[0], r[1], r[6], r[7]) for r in rows] == [(0, "L", 3.0, 3.25), (1, "L", 5.0, 5.25)]
         assert state == (False, 0, 5.0, 1.0, hip_sampler("hip_L", 5.0), 0, 2)
+        # The same codes with the paired angles read from four buffers.
+        buffers = quad_buffers(cosine_quad())
+        want = _segment_loop(events, buffers, _SEGMENTER_START, 2.0)
+        assert segment_loops.segment(events, buffers, _SEGMENTER_START, 2.0) == want
+        assert [d[0] for d in want[2]] == [1, 2, 0, 3, 4]
 
     def test_diagnostic_strings_print_the_timeout_as_given(self, segment_loops, monkeypatch):
         monkeypatch.setattr(_kernel, "loops", lambda: segment_loops)

@@ -8,7 +8,8 @@ outputs are compared by the sha256 of their pickles, and the calls by the
 span names, in order, and the counts that a `gaitbench.tracing.Tracer`
 records. After `finish`, the analyzer refuses more input and leaves its
 state as it was. An inf and NaN rows in the raw IMU streams go through
-both compositions without a warning.
+both compositions without a warning. Fed a ten-minute walk, the analyzer
+holds fewer than one 25 Hz window of raw samples per series.
 """
 
 import dataclasses
@@ -92,6 +93,19 @@ def test_streaming_analyzer_equals_live_session(walk, loops, chunk_ms):
     assert spans == want_spans
     assert counts == want_counts
     assert got == analyze(walk.legs, walk.params)
+
+
+def test_raw_buffers_stay_bounded_on_a_long_walk():
+    """Ten minutes in 40 ms chunks: after every chunk each series holds fewer
+    raw samples than one 25 Hz window (2M), and the result is still the
+    batch chain's."""
+    walk = synth.make_walks(4242, 1, 600.0)[0]
+    chunks = W.make_chunks(walk, 40)
+    a = StreamingAnalyzer(walk.legs, walk.params)
+    for chunk in chunks:
+        a.feed(chunk.legs, chunk.end_t)
+        assert all(len(s.raw) < 2 * s.m for s in a.series.values())
+    assert a.finish(chunks[-1].end_t) == analyze(walk.legs, walk.params)
 
 
 def finished_analyzer(walk):

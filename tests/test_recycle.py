@@ -52,11 +52,17 @@ def on_new_arrays(monkeypatch, fn, *args):
 def drain(kernel):
     """Take every block off the kernel's free list; returns them, to hold.
 
-    A request of 2**k bytes takes any listed block of 2**k to 2**(k+1) bytes.
+    A request of 2**k bytes takes any listed block of 2**k to 2**(k+1) bytes,
+    so a round of requests takes one block of each such range that holds
+    any, and a list still not empty after BLOCK_POOL_COUNT rounds holds a
+    block that no request can take.
     """
     held = []
-    while kernel.pooled()[0]:
+    for _ in range(kernel.BLOCK_POOL_COUNT):
+        if not kernel.pooled()[0]:
+            break
         held += [kernel.block(1 << k) for k in range(28)]
+    assert kernel.pooled() == (0, 0)
     return held
 
 
@@ -151,6 +157,12 @@ class TestLifetime:
             make(-1)
         with pytest.raises(TypeError):
             make(2.5)
+
+    def test_an_empty_block_is_not_listed(self, compiled_kernel):
+        # No request could take it back, so it would hold a slot for good.
+        held = drain(compiled_kernel)  # noqa: F841 (kept off the list until the test ends)
+        compiled_kernel.block(0)
+        assert compiled_kernel.pooled() == (0, 0)
 
     def test_free_list_stays_under_its_caps(self, compiled_kernel):
         count_cap, bytes_cap = compiled_kernel.BLOCK_POOL_COUNT, compiled_kernel.BLOCK_POOL_BYTES

@@ -647,6 +647,7 @@ class TestOffsetLoop:
         ((4, 3), (1,), (4, 3)),  # numpy would broadcast this offset
         ((6,), (3,), (6,)),
         ((), (), ()),  # no row
+        ((4, 3), (1, 3), (4, 3)),  # one row, but as a 2-D array
     ])
     def test_shapes_checked(self, loops, values, offset, out):
         loop = _kernel.loops().offset
@@ -664,6 +665,8 @@ class TestOffsetLoop:
             apply_offsets(imu, bend, OffsetSet(np.zeros(2), np.zeros(3), 0.0))
         with pytest.raises(ValueError, match="offset needs"):
             apply_offsets(imu, bend, OffsetSet(np.zeros(3), np.zeros(3), np.zeros(1)))
+        with pytest.raises(ValueError, match="offset needs"):
+            apply_offsets(imu, bend, OffsetSet(0.5, np.zeros(3), 0.0))  # a float for rows
 
 
 class TestMedianLayouts:

@@ -6,13 +6,22 @@
  * `segment_event` the rule of gaitlab.events.StepSegmenter, run over a list
  * of events by `segment`, and `boxcar_loop` the decimating boxcar of
  * gaitlab.signal.smoothed_block; `offset` and `rotate` are the row loops of
- * gaitlab.signal.apply_offsets and gaitlab.orientation.remap_mounting. Each
- * entry point, `loop`, `minima`, `segment`, `boxcar`, `offset` and
- * `rotate`, takes the same arguments and returns the same values as its
- * Python twin in gaitlab/_kernel.py, which builds and loads this module;
- * its docstring says how the two give the same bits. The entry points pass
- * the loops the buffers without copying them; building the module needs
- * the interpreter's headers (Python.h).
+ * gaitlab.signal.apply_offsets and gaitlab.orientation.remap_mounting, and
+ * `medians` the standing-window selection of gaitlab.signal.compute_offsets.
+ * Each entry point, `loop`, `minima`, `segment`, `boxcar`, `offset`,
+ * `rotate` and `medians`, takes the same arguments and returns the same
+ * values as its Python twin in gaitlab/_kernel.py, which builds and loads
+ * this module, named by a digest of this source, the flags, the
+ * interpreter and the compiler; its docstring says how the two give the
+ * same bits. The entry points pass the loops the buffers without copying
+ * them; building the module needs the interpreter's headers (Python.h).
+ *
+ * `medians` reads a standing window of n samples by c channels in place
+ * and, per channel, checks every sample finite, selects the two middle
+ * order statistics with a quickselect (Hoare's FIND) on a scratch copy,
+ * and selects the middle pair of the absolute deviations from their
+ * median: the median and the MAD-based spread of the stillness check, in
+ * one call per sensor where numpy partitioned twice per channel.
  *
  * `segment` takes the segmenter's state as plain numbers and its events as
  * the tuples they are, and reads each event's paired angle through a
@@ -48,6 +57,7 @@
 #include <stdarg.h>
 #include <stdatomic.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Samples per atan2 pass: in the serial pass den[] is 2 KiB of stack, and
  * out[] is still in cache when the pass reads it back. */
@@ -795,6 +805,157 @@ static PyObject *rotate(PyObject *self, PyObject *args)
     return result;
 }
 
+/* The median of three values. */
+static double median3(double x, double y, double z)
+{
+    double lo = x < y ? x : y, hi = x < y ? y : x;
+    double m = hi < z ? hi : z;
+    return lo < m ? m : lo;
+}
+
+/* Moves the values of a[i..end) below `bound` (strict) or not above it
+ * (not strict) to the front of the range and returns where the others
+ * start. Lomuto's scheme with an unconditional swap: no branch depends on
+ * a comparison, so a window's unpredictable order costs no mispredictions. */
+static inline Py_ssize_t split(double *a, Py_ssize_t i, Py_ssize_t end, double bound, int strict)
+{
+    Py_ssize_t front = i;
+    for (; i < end; i++) {
+        double v = a[i];
+        a[i] = a[front];
+        a[front] = v;
+        front += strict ? v < bound : v <= bound;
+    }
+    return front;
+}
+
+/* The k-th smallest of a[0..n), 0 <= k < n, moved to a[k] with no larger
+ * value before it: quickselect (Hoare's FIND, CACM 4(7), 1961), bounding
+ * each round by the median of the range's first, middle and last values
+ * and keeping the side of the split that holds k. The bound is one of the
+ * range's values, so a split leaves both sides non-empty unless the bound
+ * is the range's least value; then a second split takes the run of values
+ * equal to it off the front, which ends the search on a run of ties. No
+ * NaN: every comparison is an order. An order built against the
+ * median-of-three bound makes it quadratic in n; a standing window holds
+ * a few hundred samples. */
+static double select_rank(double *a, Py_ssize_t n, Py_ssize_t k)
+{
+    Py_ssize_t lo = 0, end = n;
+    while (end - lo > 1) {
+        double bound = median3(a[lo], a[lo + (end - lo) / 2], a[end - 1]);
+        Py_ssize_t below = split(a, lo, end, bound, 1);
+        if (k < below)
+            end = below;
+        else if (below > lo)
+            lo = below;
+        else if (k < (below = split(a, lo, end, bound, 0)))
+            break;
+        else
+            lo = below;
+    }
+    return a[k];
+}
+
+/* The two middle values of a[0..n), n >= 1, the middle value twice for an
+ * odd n, reordering a: the upper is selected, and the lower is the largest
+ * value the selection left below it. Each is stored plus +0.0, which turns
+ * -0.0 into +0.0: which of two equal samples lands in place is the
+ * algorithm's choice, so the sign of a zero tie is not fixed. */
+static void middle_pair(double *a, Py_ssize_t n, double *lo, double *hi)
+{
+    Py_ssize_t h = n / 2;
+    double upper = select_rank(a, n, h), lower = upper;
+    if (n % 2 == 0) {
+        lower = a[0];
+        for (Py_ssize_t i = 1; i < h; i++)
+            if (a[i] > lower)
+                lower = a[i];
+    }
+    *lo = 0.0 + lower;
+    *hi = 0.0 + upper;
+}
+
+/* np.median's value from the middle pair of n values: the mean of the one
+ * or two middle values, a sum that starts from +0.0, so a -0.0 median
+ * comes out +0.0. */
+static double pair_median(double lo, double hi, Py_ssize_t n)
+{
+    return n % 2 ? 0.0 + lo : (0.0 + lo + hi) / 2;
+}
+
+/* medians(window) -> (lo, hi, mad) or None
+ *
+ * window is an (n,) or (n, c) buffer of doubles, n >= 1, read in place in
+ * any layout, one channel when 1-D; the caller guarantees the double
+ * format, this function checks the shape and the item size. Returns None
+ * if a sample is NaN or inf. Otherwise returns three lists of c floats:
+ * each channel's lower and upper middle values and the median of its
+ * absolute deviations from its median. Each channel is copied once into
+ * scratch memory, which the selections reorder, so the window is left
+ * unchanged. The middle values are the order statistics numpy's partition
+ * finds, with -0.0 read as +0.0, so the results are `_medians_loop`'s bits.
+ */
+static PyObject *medians(PyObject *self, PyObject *arg)
+{
+    Py_buffer window;
+    PyObject *result = NULL, *lists[3] = {NULL, NULL, NULL};
+    double *a = NULL;
+    (void)self;
+
+    if (PyObject_GetBuffer(arg, &window, PyBUF_STRIDES) < 0)
+        return NULL;
+    Py_ssize_t n = window.ndim >= 1 ? window.shape[0] : 0;
+    Py_ssize_t c = window.ndim == 2 ? window.shape[1] : 1;
+    if (window.itemsize != 8 || window.ndim < 1 || window.ndim > 2 || n < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "medians needs an (n,) or (n, c) window of n >= 1 doubles");
+        goto done;
+    }
+    if ((a = PyMem_New(double, n)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (int k = 0; k < 3; k++)
+        if ((lists[k] = PyList_New(c)) == NULL)
+            goto done;
+    for (Py_ssize_t j = 0; j < c; j++) {
+        const char *column = window.buf;
+        if (window.ndim == 2)
+            column += j * window.strides[1];
+        int finite = 1;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            /* memcpy, as a strided view may be unaligned */
+            memcpy(&a[i], column + i * window.strides[0], sizeof *a);
+            finite &= isfinite(a[i]) != 0;
+        }
+        if (!finite) {
+            result = Py_NewRef(Py_None);
+            goto done;
+        }
+        double stats[3], lo, hi;
+        middle_pair(a, n, &stats[0], &stats[1]);
+        double median = pair_median(stats[0], stats[1], n);
+        for (Py_ssize_t i = 0; i < n; i++)
+            a[i] = fabs(a[i] - median);
+        middle_pair(a, n, &lo, &hi);
+        stats[2] = pair_median(lo, hi, n);
+        for (int k = 0; k < 3; k++) {
+            PyObject *f = PyFloat_FromDouble(stats[k]);
+            if (f == NULL)
+                goto done;
+            PyList_SET_ITEM(lists[k], j, f);
+        }
+    }
+    result = PyTuple_Pack(3, lists[0], lists[1], lists[2]);
+done:
+    for (int k = 0; k < 3; k++)
+        Py_XDECREF(lists[k]);
+    PyMem_Free(a);
+    PyBuffer_Release(&window);
+    return result;
+}
+
 /* The free list holds at most BLOCK_POOL_COUNT blocks of at most
  * BLOCK_POOL_BYTES together. A 60 s two-leg recording takes ten blocks,
  * eight (15000, 3) arrays and two hip angles, but a stage's output is
@@ -914,6 +1075,8 @@ static PyMethodDef methods[] = {
     {"boxcar", boxcar, METH_VARARGS, "Write the decimating boxcar's means for n outputs."},
     {"offset", offset, METH_VARARGS, "Write each row minus the offset row."},
     {"rotate", rotate, METH_VARARGS, "Write each 3-vector row times a 3x3 matrix."},
+    {"medians", medians, METH_O,
+     "Return each channel's middle pair and median absolute deviation; None on a NaN or inf."},
     {"block", block, METH_VARARGS, "Return a writable buffer of nbytes from the free list."},
     {"pooled", pooled, METH_NOARGS, "Return the free list's block count and total bytes."},
     {NULL, NULL, 0, NULL},

@@ -6,25 +6,30 @@ wherever a C compiler is found: the Madgwick filter of
 `orientation.madgwick_batch` (`loop`), the minima detector of
 `events.MinimaDetector.feed_derivative` (`minima`), the step segmenter of
 `events.StepSegmenter` (`segment`), the decimating boxcar of
-`signal.smoothed_block` (`boxcar`), and the row loops of
+`signal.smoothed_block` (`boxcar`), the row loops of
 `signal.apply_offsets` (`offset`) and `orientation.remap_mounting`
-(`rotate`). Their source, `_kernel.c`, is one CPython extension module
+(`rotate`), and the standing-window selection of `signal.compute_offsets`
+(`medians`). Their source, `_kernel.c`, is one CPython extension module
 with those entry points. Each has a Python twin here, `_madgwick_loop`,
-`_minima_loop`, `_segment_loop`, `_boxcar_loop`, `_offset_loop` and
-`_rotate_loop`, that takes the same arguments and returns the same values:
-the kernel's oracle, and its fallback wherever the kernel cannot be built
-or loaded (no compiler or no headers, a read-only package directory).
-`loops()` returns the C module where it loads and otherwise `PYTHON`, the
-twins under the C names, so each stage makes the same call,
-`loops().loop(...)`, `.minima(...)`, `.segment(...)` and so on, either way.
+`_minima_loop`, `_segment_loop`, `_boxcar_loop`, `_offset_loop`,
+`_rotate_loop` and `_medians_loop`, that takes the same arguments and
+returns the same values: the kernel's oracle, and its fallback wherever the
+kernel cannot be built or loaded (no compiler or no headers, a read-only
+package directory). `loops()` returns the C module where it loads and
+otherwise `PYTHON`, the twins under the C names, so each stage makes the
+same call, `loops().loop(...)`, `.minima(...)`, `.segment(...)` and so on,
+either way.
 
 The first `loops()` call in a process loads the module from the package's
-`__pycache__/`. It is named by a hash of the source, the compiler flags and
-the interpreter's include directory, and is first compiled there with the
-system C compiler (`cc`) and the interpreter's headers (`Python.h`) if it
-is not there yet. Importing this module builds and loads nothing. The entry
-points take the arrays as buffers, without copying, so a 10-sample live
-chunk pays about as much to call the kernel as to run it.
+`__pycache__/`. It is named by a digest of the source, the compiler flags
+and the interpreter, and by one of the compiler (`_load_kernel`), and is
+first compiled there with the system C compiler (`cc`) and the
+interpreter's headers (`Python.h`) if it is not there yet. Importing this
+module builds and loads nothing, and a load that finds the module built
+imports nothing but the builtin SHA-256 (`subprocess` and `sysconfig` only
+for a build): about 1.5 ms on a 2-vCPU x86-64 VM. The entry points take
+the arrays as buffers, without copying, so a 10-sample live chunk pays
+about as much to call the kernel as to run it.
 
 Each C loop does its twin's operations on the same operands in the same
 order, and the kernel is built without floating-point contraction or
@@ -61,6 +66,11 @@ window in the order of numpy's contiguous add reduction, so its means are
 `np.add.reduce`'s bits. `offset` subtracts once per element, as numpy
 does, and `rotate` sums each output as ((0.0 + x m0j) + y m1j) + z m2j,
 which for the mounts' signed permutations gives numpy's `@` bits.
+`medians` selects each channel's two middle order statistics and then the
+middle pair of its absolute deviations from the median, the values numpy's
+partition puts in place, with -0.0 read as +0.0 on both sides because
+which of two equal samples a selection puts in place is its own choice;
+`pair_median` turns a middle pair into np.median's value.
 
 A whole recording's stage outputs, from `signal.apply_offsets`,
 `orientation.remap_mounting` and `orientation.madgwick_batch`, are arrays of
@@ -87,6 +97,8 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import shutil
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -321,6 +333,59 @@ def _boxcar_loop(values, out, m, k_start):
     np.divide(np.add.reduce(window, axis=-1), 2 * m, out=out)
 
 
+def pair_median(lo, hi, n: int):
+    """np.median's value from the middle pair `lo`, `hi` of n values.
+
+    The mean of the one or two middle values, a sum that starts from +0.0
+    divided by the count, as np.mean takes it, so a median of -0.0 comes
+    out +0.0. Takes floats or arrays of them.
+    """
+    return 0.0 + lo if n % 2 else (0.0 + lo + hi) / 2
+
+
+def _middle_pair(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two middle values of each row (the middle one twice for an odd
+    length), partitioning `rows` in place.
+
+    One partition along the last axis puts them in place. Each is returned
+    plus +0.0, which turns -0.0 into +0.0: which of two equal samples the
+    partition puts in place is its own choice, so the sign of a zero tie is
+    not fixed.
+    """
+    h = rows.shape[-1] // 2
+    if rows.shape[-1] % 2:
+        rows.partition(h)
+        return 0.0 + rows[..., h], 0.0 + rows[..., h]
+    rows.partition((h - 1, h))
+    return 0.0 + rows[..., h - 1], 0.0 + rows[..., h]
+
+
+def _medians_loop(window):
+    """The medians in numpy: the fallback and the oracle of the kernel's `medians`.
+
+    Takes what the kernel takes, an (N,) or (N, C) float64 window, N >= 1,
+    one channel when 1-D; other shapes raise ValueError. Returns None if a
+    sample is NaN or inf. Otherwise returns three lists of C floats: each
+    channel's lower and upper middle values, -0.0 read as +0.0, and the
+    median of its absolute deviations from its median, np.median's bits.
+    The window is left unchanged.
+    """
+    c = window.shape[1] if window.ndim == 2 else 1
+    if window.ndim not in (1, 2) or len(window) == 0:
+        raise ValueError(
+            f"medians needs an (n,) or (n, c) window of n >= 1 doubles, got {window.shape}"
+        )
+    rows = window.reshape(len(window), c).T.copy()
+    if not np.isfinite(rows).all():
+        return None
+    n = rows.shape[1]
+    lo, hi = _middle_pair(rows)
+    # The deviations of the partitioned rows: the same values in another
+    # order, so the same median.
+    deviations = np.abs(rows - pair_median(lo, hi, n)[:, None])
+    return lo.tolist(), hi.tolist(), pair_median(*_middle_pair(deviations), n).tolist()
+
+
 # The twins under the kernel's entry-point names; a bytearray is a block
 # whose memory goes back to the allocator.
 PYTHON = SimpleNamespace(
@@ -330,6 +395,7 @@ PYTHON = SimpleNamespace(
     boxcar=_boxcar_loop,
     offset=_offset_loop,
     rotate=_rotate_loop,
+    medians=_medians_loop,
     block=bytearray,
 )
 
@@ -372,13 +438,13 @@ _kernel_error: str | None = None
 def _remove_stale_builds(path: Path, suffix: str) -> None:
     """Unlink every `_kernel_c.*<suffix>` in `path`'s directory but `path`.
 
-    Called right after `path` is built, so the builds of older sources or
-    flags do not pile up. Temporary files (perhaps another process's build
-    in progress) and other ABIs' builds end otherwise, so they stay. Two
-    interpreters with one suffix but different include directories evict
-    each other's build, and each rebuilds on its next first load. An unlink
-    that fails (another process removed the file first, or the platform
-    keeps a loaded file) is skipped.
+    Called right after `path` is built, so the builds of older sources,
+    flags or compilers do not pile up. Temporary files (perhaps another
+    process's build in progress) and other ABIs' builds end otherwise, so
+    they stay. Two interpreters with one suffix but different installations,
+    or two compilers, evict each other's build, and each rebuilds on its
+    next first load. An unlink that fails (another process removed the file
+    first, or the platform keeps a loaded file) is skipped.
     """
     for old in path.parent.glob(f"_kernel_c.*{suffix}"):
         if old != path:
@@ -388,57 +454,97 @@ def _remove_stale_builds(path: Path, suffix: str) -> None:
                 pass
 
 
-def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
-    """Load the C kernel from cache_dir, compiling `_kernel.c` there if needed.
+def _sha256(data: bytes) -> str:
+    """The SHA-256 of `data` in hex.
 
-    The extension module is named by a hash of the source, the flags and
-    the interpreter's include directory, and ends in the interpreter's
-    extension suffix, so an interpreter with another ABI never loads it. It
-    is compiled into a temporary file that is then renamed into place, so
-    processes building at once never load a partial file. A build removes
-    the older builds with the same suffix (`_remove_stale_builds`); a load
-    that compiles nothing removes nothing. Returns the module, whose
-    `loop`, `minima`, `segment`, `boxcar`, `offset` and `rotate` run the
-    filter, the minima detector, the step segmenter, the decimating boxcar
-    and the offset and mount-rotation row loops, or `PYTHON` when the build
-    or the load fails, with the reason in `_kernel_error`.
+    From the interpreter's builtin module (`_sha2` from Python 3.12 on,
+    `_sha256` before), which imports in microseconds where `hashlib` takes
+    about 6 ms; from `hashlib` where neither is built in.
     """
-    global _kernel_error
-    # Only where a kernel is loaded, to keep the import cheap.
-    import hashlib
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def _build(path: Path, compiler: str) -> str | None:
+    """Compile `_kernel.c` into `path` with `compiler`; the compiler's
+    complaint if it fails, else None.
+
+    It compiles into a temporary file that is then renamed into place, so
+    processes building at once never load a partial file.
+    """
+    # Only for a build: together they take 7-10 ms to import.
     import subprocess
     import sysconfig
 
+    include = sysconfig.get_paths()["include"]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix="_kernel_c.", suffix=".tmp", dir=path.parent)
+    os.close(fd)
     try:
-        flags = (*_KERNEL_FLAGS, f"-I{sysconfig.get_paths()['include']}")
-        key = hashlib.sha256(
-            _KERNEL_SOURCE.read_bytes() + " ".join(flags).encode()
-        ).hexdigest()[:16]
-        suffix = sysconfig.get_config_var("EXT_SUFFIX")
-        path = cache_dir / f"_kernel_c.{key}{suffix}"
-        if not path.exists():
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix="_kernel_c.", suffix=".tmp", dir=cache_dir)
-            os.close(fd)
-            try:
-                subprocess.run(
-                    [compiler, *flags, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
-                    check=True,
-                    capture_output=True,
-                )
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-            _remove_stale_builds(path, suffix)
+        done = subprocess.run(
+            [compiler, *_KERNEL_FLAGS, f"-I{include}", "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+            capture_output=True,
+        )
+        if done.returncode:
+            return f"{compiler} failed: {done.stderr.decode(errors='replace')}"
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return None
+
+
+def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
+    """Load the C kernel from cache_dir, compiling `_kernel.c` there if needed.
+
+    The extension module is named `_kernel_c.<key>.<cc><suffix>`. The key
+    is a digest of the source, the flags and the interpreter (its version
+    string and installation prefix, which fix the headers it builds
+    against); <cc> is one of the compiler `shutil.which` finds, by its
+    resolved path, size and mtime, so builds by two compilers (a sanitizing
+    wrapper and a plain `cc`, say) never share a name; and the suffix is
+    the interpreter's extension suffix, so an interpreter with another ABI
+    never loads it. Where the compiler is not found, a build of the key by
+    any compiler is loaded. A build (`_build`) is followed by the removal of
+    the older builds with the same suffix (`_remove_stale_builds`); a load
+    that compiles nothing removes nothing, and imports neither
+    `subprocess`, `sysconfig` nor `hashlib`. Returns the
+    module, whose `loop`, `minima`, `segment`, `boxcar`, `offset`, `rotate`
+    and `medians` run the filter, the minima detector, the step segmenter,
+    the decimating boxcar, the offset and mount-rotation row loops and the
+    standing-window medians, or `PYTHON` when the build or the load fails,
+    with the reason in `_kernel_error`.
+    """
+    global _kernel_error
+    try:
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        interpreter = "\0".join((*_KERNEL_FLAGS, sys.version, sys.base_prefix, suffix))
+        key = _sha256(_KERNEL_SOURCE.read_bytes() + interpreter.encode())[:16]
+        found = shutil.which(compiler)
+        if found is None:
+            path = min(cache_dir.glob(f"_kernel_c.{key}.*{suffix}"), default=None)
+            if path is None:
+                raise FileNotFoundError(f"no C compiler {compiler!r} found, and no kernel built")
+        else:
+            cc = os.stat(found)
+            cc_id = f"{os.path.realpath(found)}\0{cc.st_size}\0{cc.st_mtime_ns}"
+            path = cache_dir / f"_kernel_c.{key}.{_sha256(cc_id.encode())[:8]}{suffix}"
+            if not path.exists():
+                if error := _build(path, found):
+                    _kernel_error = error
+                    return PYTHON
+                _remove_stale_builds(path, suffix)
         loader = importlib.machinery.ExtensionFileLoader("gaitlab._kernel_c", str(path))
         module = importlib.util.module_from_spec(
             importlib.util.spec_from_loader(loader.name, loader)
         )
         loader.exec_module(module)
-    except subprocess.CalledProcessError as exc:
-        _kernel_error = f"{compiler} failed: {exc.stderr.decode(errors='replace')}"
-        return PYTHON
     except (OSError, ImportError) as exc:
         _kernel_error = f"{type(exc).__name__}: {exc}"
         return PYTHON

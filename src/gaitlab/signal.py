@@ -21,7 +21,11 @@ in C where the kernel loads and in numpy where it does not.
 
 Offsets are per-channel medians over a standing-still window; for the
 accelerometer the median is taken relative to the 1 g gravity vector so
-that a calibrated, standing sensor reads exactly (0, 0, 1) g.
+that a calibrated, standing sensor reads exactly (0, 0, 1) g. Each window
+is converted once to float64, and one call of the kernel's selection
+`medians` per sensor gives every channel's middle pair and MAD-based
+spread, in C where the kernel loads and in numpy where it does not, with
+np.median's bits either way.
 """
 
 from __future__ import annotations
@@ -55,22 +59,6 @@ def _check_rate(rate_hz: float) -> None:
     if not (math.isfinite(rate_hz) and rate_hz > 0):
         raise GaitInputError(f"rate must be finite and > 0, got {rate_hz}")
 
-
-def _median_rows(rows: np.ndarray) -> np.ndarray:
-    """np.median(rows, axis=-1), partitioning `rows` in place: the same bits.
-
-    One partition along the last axis puts the middle value, or the two
-    middle values of an even-length row, in place. np.median then takes
-    their np.mean, a sum that starts from +0.0 divided by the count, so the
-    sum here starts from +0.0 too: a median of -0.0 comes out +0.0. No NaN
-    handling: the windows are checked finite first.
-    """
-    h = rows.shape[-1] // 2
-    if rows.shape[-1] % 2:
-        rows.partition(h)
-        return 0.0 + rows[..., h]
-    rows.partition((h - 1, h))
-    return (0.0 + rows[..., h - 1] + rows[..., h]) / 2
 
 MIN_CALIB_SAMPLES = 25
 JITTER_TOLERANCE = 0.2  # fraction of the nominal sample period
@@ -173,15 +161,22 @@ def check_stream_timing(t: np.ndarray, nominal_rate_hz: float, label: str = "str
 
 
 def _check_still(
-    label: str, values: np.ndarray, columns: tuple[int, ...], limit: float, unit: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raise CalibrationError unless one channel's standing window can give offsets.
+    label: str, values: ArrayLike, columns: tuple[int, ...], limit: float, unit: str
+) -> tuple[list, list, int]:
+    """Raise CalibrationError unless one sensor's standing window can give offsets.
 
-    The window is (N, *columns): GaitInputError otherwise. Returns the
-    window's median, the centre of its MAD-based spread, and the window
-    transposed (a channel per row) in some order within each row.
+    The window is converted once to float64 and must be (N, *columns):
+    GaitInputError otherwise. One call of the kernel's `medians` checks it
+    finite and gives each channel's middle pair and MAD-based spread.
+    Returns the lists of the channels' lower and upper middle values and N,
+    from which `_kernel.pair_median` takes the median of a channel, or of
+    the channel minus a constant.
     """
-    shape = np.shape(values)
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise GaitInputError(f"{label} window must be an array of numbers: {exc}") from None
+    shape = values.shape
     if not shape or shape[1:] != columns:
         want = f"(N, {columns[0]})" if columns else "(N,)"
         raise GaitInputError(f"{label} window must be {want}, got shape {shape}")
@@ -190,42 +185,43 @@ def _check_still(
             f"standing window too short: {len(values)} {label} samples "
             f"(need >= {MIN_CALIB_SAMPLES})"
         )
-    rows = values.T.copy()
-    if not np.isfinite(rows).all():
+    stats = _kernel.loops().medians(values)
+    if stats is None:
         raise CalibrationError(f"{label}: standing window holds a NaN or inf sample")
-    median = _median_rows(rows)
-    # The deviations of the partitioned rows: the same values in another
-    # order, so the same median.
-    std = _MAD_TO_SIGMA * _median_rows(np.abs(rows - median[..., None]))
-    if (std > limit).any():
+    lo, hi, mad = stats
+    if any(_MAD_TO_SIGMA * m > limit for m in mad):
+        std = _MAD_TO_SIGMA * np.array(mad if columns else mad[0])
         raise CalibrationError(
             f"{label} not still: std {std} {unit} exceeds {limit} {unit}"
         )
-    return median, rows
+    return lo, hi, len(values)
 
 
 def compute_offsets(imu: ImuStream, bend: BendStream) -> OffsetSet:
     """Derive one leg's per-channel offsets from its standing-still windows.
 
-    Takes both sensors of the leg: the IMU's and the bend sensor's windows.
-    Medians reject occasional outlier samples. Accelerometer offsets are
-    medians of the deviation from the (0, 0, 1) g gravity vector, so
-    subtracting them preserves gravity on the vertical axis. Raises
-    GaitInputError, naming the sensor, unless the accelerometer and
-    gyroscope windows are (N, 3) and the bend sensor's is (N,). Raises
-    CalibrationError, naming the channel (accelerometer, gyroscope or bend
-    sensor), if its window
+    Takes both sensors of the leg: the IMU's and the bend sensor's windows,
+    each converted once to float64, so a list or a float32 or integer
+    window gives its float64 copy's offsets. Medians reject occasional
+    outlier samples. Accelerometer offsets are medians of the deviation
+    from the (0, 0, 1) g gravity vector, so subtracting them preserves
+    gravity on the vertical axis. Raises GaitInputError, naming the sensor,
+    unless the accelerometer and gyroscope windows are (N, 3) and the bend
+    sensor's is (N,) arrays of numbers. Raises CalibrationError, naming the
+    channel (accelerometer, gyroscope or bend sensor), if its window
     - holds fewer than MIN_CALIB_SAMPLES samples,
     - holds a NaN or inf sample, which would make its offset, and so every
       corrected sample of the channel, NaN, or
     - spreads more than the channel's STILL_STD_* bound: the subject moved.
     """
-    _, accel_rows = _check_still("accelerometer", imu.accel, (3,), STILL_STD_ACCEL_G, "g")
-    gyro, _ = _check_still("gyroscope", imu.gyro, (3,), STILL_STD_GYRO_DPS, "deg/s")
-    bend_deg, _ = _check_still("bend sensor", bend.angle_deg, (), STILL_STD_BEND_DEG, "deg")
-    # The median of accel - g, which for an even-length window differs in
-    # the last bit from the accel median minus g.
-    return OffsetSet(_median_rows(accel_rows - GRAVITY_G[:, None]), gyro, float(bend_deg))
+    lo, hi, n = _check_still("accelerometer", imu.accel, (3,), STILL_STD_ACCEL_G, "g")
+    # x - g rounds monotonically in x, so the middle pair of accel - g is
+    # the accel's middle pair minus g, and this is np.median(accel - g).
+    accel = [_kernel.pair_median(a - g, b - g, n) for a, b, g in zip(lo, hi, GRAVITY_G.tolist())]
+    lo, hi, n = _check_still("gyroscope", imu.gyro, (3,), STILL_STD_GYRO_DPS, "deg/s")
+    gyro = [_kernel.pair_median(a, b, n) for a, b in zip(lo, hi)]
+    lo, hi, n = _check_still("bend sensor", bend.angle_deg, (), STILL_STD_BEND_DEG, "deg")
+    return OffsetSet(np.array(accel), np.array(gyro), _kernel.pair_median(lo[0], hi[0], n))
 
 
 def _minus_offset(loop, values: ArrayLike, offset: ArrayLike) -> np.ndarray:

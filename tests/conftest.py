@@ -9,6 +9,15 @@ import pytest
 from gaitlab import _kernel
 
 
+def kernel_unbuildable():
+    """Why the kernel cannot be built here, or None where it can."""
+    if shutil.which("cc") is None:
+        return "no C compiler (cc) on PATH, so only the Python loops can run"
+    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
+        return "no Python.h for this interpreter, so only the Python loops can run"
+    return None
+
+
 @pytest.fixture(scope="session")
 def compiled_kernel():
     """The loaded C kernel module, whose entry points the parity tests call.
@@ -17,10 +26,8 @@ def compiled_kernel():
     PATH or no `Python.h` for this interpreter. Where both exist the kernel
     must load, so a broken build fails the tests instead of skipping them.
     """
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler (cc) on PATH, so only the Python loops can run")
-    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
-        pytest.skip("no Python.h for this interpreter, so only the Python loops can run")
+    if (reason := kernel_unbuildable()) is not None:
+        pytest.skip(reason)
     module = _kernel.loops()
     assert module is not _kernel.PYTHON, _kernel._kernel_error
     return module
@@ -44,3 +51,19 @@ def loops(request):
         request.getfixturevalue("compiled_kernel")
     else:
         request.getfixturevalue("python_loops")()
+
+
+@pytest.fixture
+def each_path(request, python_loops):
+    """Call it for the paths to run a test's body on, in turn, under the
+    test's one id: the C kernel (not where it cannot be built), then the
+    Python loops, which stay patched in until the test ends."""
+
+    def paths():
+        if kernel_unbuildable() is None:
+            request.getfixturevalue("compiled_kernel")
+            yield "kernel"
+        python_loops()
+        yield "python_loops"
+
+    return paths

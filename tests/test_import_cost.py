@@ -4,12 +4,13 @@ Every fresh process pays for what the import loads (the benchmark's
 `setup_s`). gaitlab needs no scipy at all: both calibration fits run on
 the package's own bounded-variable least squares, so not even a whole
 user's calibration loads it. The C kernel is built and loaded by
-the first call that runs one of its loops (`apply_offsets`,
-`remap_mounting`, `madgwick_batch`, `smoothed_block`,
+the first call that runs one of its loops (`compute_offsets`,
+`apply_offsets`, `remap_mounting`, `madgwick_batch`, `smoothed_block`,
 `MinimaDetector.feed_derivative` or `StepSegmenter.process`, which
 `gaitlab.pipeline`'s `analyze` and `StreamingAnalyzer` call) or takes a
-recycled output block (`_kernel.empty` from `BLOCK_MIN_BYTES` on), never by the import,
-and so are `hashlib` and `subprocess`, which only its loader uses.
+recycled output block (`_kernel.empty` from `BLOCK_MIN_BYTES` on), never by the import.
+Only a build imports `subprocess` and `sysconfig`, and no load imports
+`hashlib`, so a process that loads a cached kernel pays for neither.
 `import gaitlab` alone loads none of the modules.
 """
 
@@ -97,3 +98,15 @@ def test_calibration_loads_no_scipy():
     )
     assert "gaitlab.calibrate" in loaded
     assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_cached_kernel_loads_without_the_build_modules(compiled_kernel):
+    # compiled_kernel has left this package's kernel built in __pycache__.
+    loaded_c, *loaded = run_fresh(
+        "from gaitlab import _kernel",
+        "import sys",
+        "print(_kernel.loops() is not _kernel.PYTHON)",
+        "print(*sys.modules, sep='\\n')",
+    )
+    assert loaded_c == "True" and "gaitlab._kernel_c" in loaded
+    assert not {"subprocess", "sysconfig", "hashlib"} & set(loaded)

@@ -517,6 +517,22 @@ for m in range({THREADED}, n, 2):
         assert _kernel._load_kernel(tmp_path) is not _kernel.PYTHON, _kernel._kernel_error
         assert set(tmp_path.iterdir()) == {built, stale, in_progress, other_abi}
 
+    def test_builds_by_two_compilers_do_not_share_a_name(self, kernel, tmp_path, monkeypatch):
+        # A wrapper that adds flags (a sanitizer's, say) builds a kernel that
+        # a plain process must not load: the name sees the compiler.
+        monkeypatch.setattr(_kernel, "_kernel_error", None)
+        wrapper = tmp_path / "wrapped-cc"
+        wrapper.write_text('#!/bin/sh\nexec cc "$@"\n')
+        wrapper.chmod(0o755)
+        cache = tmp_path / "cache"
+        wrapped = _kernel._load_kernel(cache, str(wrapper))
+        assert wrapped is not _kernel.PYTHON, _kernel._kernel_error
+        plain = _kernel._load_kernel(cache, "cc")
+        assert plain is not _kernel.PYTHON, _kernel._kernel_error
+        assert Path(wrapped.__file__).name != Path(plain.__file__).name
+        # The plain build evicts the wrapper's, as a build of a newer source would.
+        assert [p.name for p in cache.iterdir()] == [Path(plain.__file__).name]
+
 
 @st.composite
 def chunked_recording(draw):

@@ -4,12 +4,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from gaitbench import synth
 from gaitlab import _kernel
 from gaitlab._kernel import _boxcar_loop, _offset_loop
 from gaitlab.errors import CalibrationError, GaitInputError
 from gaitlab.signal import (
+    MIN_CALIB_SAMPLES,
+    STILL_STD_ACCEL_G,
+    STILL_STD_BEND_DEG,
+    STILL_STD_GYRO_DPS,
     BendStream,
     ImuStream,
     OffsetSet,
@@ -17,15 +24,16 @@ from gaitlab.signal import (
     apply_offsets,
     check_stream_timing,
     compute_offsets,
-    _median_rows,
     downsample_smooth,
     smoothed_block,
 )
 
 
 def _median(values):
-    """np.median(values, axis=0) through `_median_rows`, one channel per row."""
-    return _median_rows(values.T.copy())
+    """np.median(values, axis=0) from the middle pairs of `_kernel.loops().medians`."""
+    lo, hi, _ = _kernel.loops().medians(values)
+    median = _kernel.pair_median(np.array(lo), np.array(hi), len(values))
+    return median if values.ndim == 2 else median[0]
 
 
 def still_imu(n=100, accel=(0.0, 0.0, 1.0), gyro=(0.0, 0.0, 0.0), rate=250.0):
@@ -38,74 +46,94 @@ def still_bend(n=100, angle=0.0, rate=100.0):
 
 
 class TestComputeOffsets:
-    def test_constant_bend_offset(self):
-        off = compute_offsets(still_imu(), still_bend(angle=3.0))
-        assert off.bend_deg == 3.0
-        _, corrected = apply_offsets(still_imu(), still_bend(angle=3.0), off)
-        assert np.all(corrected.angle_deg == 0.0)
+    def test_constant_bend_offset(self, each_path):
+        for _ in each_path():
+            off = compute_offsets(still_imu(), still_bend(angle=3.0))
+            assert off.bend_deg == 3.0
+            _, corrected = apply_offsets(still_imu(), still_bend(angle=3.0), off)
+            assert np.all(corrected.angle_deg == 0.0)
 
-    def test_median_rejects_outlier(self):
-        angles = np.array([2.9, 3.0, 3.1] * 8 + [100.0])
-        off = compute_offsets(still_imu(), BendStream(np.arange(25) / 100.0, angles))
-        assert off.bend_deg == pytest.approx(3.0)
+    def test_median_rejects_outlier(self, each_path):
+        for _ in each_path():
+            angles = np.array([2.9, 3.0, 3.1] * 8 + [100.0])
+            off = compute_offsets(still_imu(), BendStream(np.arange(25) / 100.0, angles))
+            assert off.bend_deg == pytest.approx(3.0)
 
-    def test_gravity_axis_preserved(self):
-        off = compute_offsets(still_imu(accel=(0.0, 0.0, 1.02)), still_bend())
-        assert off.accel_g[2] == pytest.approx(0.02)
-        corrected, _ = apply_offsets(still_imu(accel=(0.0, 0.0, 1.02)), still_bend(), off)
-        assert corrected.accel[0, 2] == pytest.approx(1.0)
+    def test_gravity_axis_preserved(self, each_path):
+        for _ in each_path():
+            off = compute_offsets(still_imu(accel=(0.0, 0.0, 1.02)), still_bend())
+            assert off.accel_g[2] == pytest.approx(0.02)
+            corrected, _ = apply_offsets(still_imu(accel=(0.0, 0.0, 1.02)), still_bend(), off)
+            assert corrected.accel[0, 2] == pytest.approx(1.0)
 
-    def test_nongravity_axes_zeroed(self):
-        off = compute_offsets(still_imu(accel=(0.015, -0.02, 1.0)), still_bend())
-        assert off.accel_g[0] == pytest.approx(0.015)
-        assert off.accel_g[1] == pytest.approx(-0.02)
+    def test_nongravity_axes_zeroed(self, each_path):
+        for _ in each_path():
+            off = compute_offsets(still_imu(accel=(0.015, -0.02, 1.0)), still_bend())
+            assert off.accel_g[0] == pytest.approx(0.015)
+            assert off.accel_g[1] == pytest.approx(-0.02)
 
-    def test_gyro_offsets(self):
-        off = compute_offsets(still_imu(gyro=(0.5, -0.8, 0.1)), still_bend())
-        assert off.gyro_dps == pytest.approx([0.5, -0.8, 0.1])
+    def test_gyro_offsets(self, each_path):
+        for _ in each_path():
+            off = compute_offsets(still_imu(gyro=(0.5, -0.8, 0.1)), still_bend())
+            assert off.gyro_dps == pytest.approx([0.5, -0.8, 0.1])
 
-    def test_idempotent_on_corrected_window(self):
-        raw = still_imu(accel=(0.01, 0.0, 1.03), gyro=(1.0, 0.0, -0.5))
-        off = compute_offsets(raw, still_bend(angle=-4.5))
-        corrected, corrected_bend = apply_offsets(raw, still_bend(angle=-4.5), off)
-        off2 = compute_offsets(corrected, corrected_bend)
-        assert np.all(np.abs(off2.accel_g) < 1e-9)
-        assert np.all(np.abs(off2.gyro_dps) < 1e-9)
-        assert off2.bend_deg == 0.0
+    def test_idempotent_on_corrected_window(self, each_path):
+        for _ in each_path():
+            raw = still_imu(accel=(0.01, 0.0, 1.03), gyro=(1.0, 0.0, -0.5))
+            off = compute_offsets(raw, still_bend(angle=-4.5))
+            corrected, corrected_bend = apply_offsets(raw, still_bend(angle=-4.5), off)
+            off2 = compute_offsets(corrected, corrected_bend)
+            assert np.all(np.abs(off2.accel_g) < 1e-9)
+            assert np.all(np.abs(off2.gyro_dps) < 1e-9)
+            assert off2.bend_deg == 0.0
 
-    def test_window_too_short(self):
-        with pytest.raises(CalibrationError, match="accelerometer"):
-            compute_offsets(still_imu(n=10), still_bend())
-        with pytest.raises(CalibrationError, match="bend sensor"):
-            compute_offsets(still_imu(), still_bend(n=24))
+    def test_window_too_short(self, each_path):
+        for _ in each_path():
+            with pytest.raises(CalibrationError, match=(
+                r"^standing window too short: 10 accelerometer samples \(need >= 25\)$"
+            )):
+                compute_offsets(still_imu(n=10), still_bend())
+            imu = still_imu()
+            imu.gyro = imu.gyro[:24]
+            with pytest.raises(CalibrationError, match=(
+                r"^standing window too short: 24 gyroscope samples \(need >= 25\)$"
+            )):
+                compute_offsets(imu, still_bend())
+            with pytest.raises(CalibrationError, match=(
+                r"^standing window too short: 24 bend sensor samples \(need >= 25\)$"
+            )):
+                compute_offsets(still_imu(), still_bend(n=24))
 
-    def test_moving_subject_rejected(self):
-        rng = np.random.default_rng(0)
-        t = np.arange(200) / 100.0
-        swinging = BendStream(t, 20.0 * np.sin(2 * np.pi * t) + rng.normal(0, 0.1, 200))
-        with pytest.raises(CalibrationError, match="bend sensor"):
-            compute_offsets(still_imu(), swinging)
+    def test_moving_subject_rejected(self, each_path):
+        for _ in each_path():
+            rng = np.random.default_rng(0)
+            t = np.arange(200) / 100.0
+            swinging = BendStream(t, 20.0 * np.sin(2 * np.pi * t) + rng.normal(0, 0.1, 200))
+            with pytest.raises(CalibrationError, match="bend sensor"):
+                compute_offsets(still_imu(), swinging)
 
-    def test_moving_gyro_rejected(self):
-        imu = still_imu(n=200)
-        imu.gyro[:, 1] = 30.0 * np.sin(np.arange(200) / 10.0)
-        with pytest.raises(CalibrationError, match="gyroscope"):
-            compute_offsets(imu, still_bend())
+    def test_moving_gyro_rejected(self, each_path):
+        for _ in each_path():
+            imu = still_imu(n=200)
+            imu.gyro[:, 1] = 30.0 * np.sin(np.arange(200) / 10.0)
+            with pytest.raises(CalibrationError, match="gyroscope"):
+                compute_offsets(imu, still_bend())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("channel", ["accelerometer", "gyroscope", "bend sensor"])
-    def test_non_finite_sample_rejected(self, channel, bad):
+    def test_non_finite_sample_rejected(self, channel, bad, each_path):
         # A NaN spread compares False against the stillness bound, and a
         # lone inf leaves the median spread at 0, so neither trips it.
-        imu, bend = still_imu(), still_bend()
-        if channel == "accelerometer":
-            imu.accel[40, 0] = bad
-        elif channel == "gyroscope":
-            imu.gyro[40, 1] = bad
-        else:
-            bend.angle_deg[40] = bad
-        with pytest.raises(CalibrationError, match=channel):
-            compute_offsets(imu, bend)
+        for _ in each_path():
+            imu, bend = still_imu(), still_bend()
+            if channel == "accelerometer":
+                imu.accel[40, 0] = bad
+            elif channel == "gyroscope":
+                imu.gyro[40, 1] = bad
+            else:
+                bend.angle_deg[40] = bad
+            with pytest.raises(CalibrationError, match=channel):
+                compute_offsets(imu, bend)
 
     @pytest.mark.parametrize(
         "sensor, shape",
@@ -115,21 +143,24 @@ class TestComputeOffsets:
         ids=["accel_30", "accel_30x2", "accel_30x3x1", "gyro_30", "gyro_30x4", "bend_30x2",
              "bend_30x1", "bend_scalar"],
     )
-    def test_window_of_the_wrong_shape_rejected(self, sensor, shape):
+    def test_window_of_the_wrong_shape_rejected(self, sensor, shape, each_path):
         # A 1-D accelerometer window of ones used to give (3,) offsets
         # [1, 1, 0] without an error; a (30, 2) one failed with a bare
         # ValueError from broadcasting, a (30, 2) bend window with a bare
         # TypeError from float().
-        imu, bend = still_imu(n=30), still_bend(n=30)
-        window = np.ones(shape)
-        if sensor == "accelerometer":
-            imu.accel = window
-        elif sensor == "gyroscope":
-            imu.gyro = window
-        else:
-            bend.angle_deg = window
-        with pytest.raises(GaitInputError, match=rf"{sensor} window must be \(N,"):
-            compute_offsets(imu, bend)
+        for _ in each_path():
+            imu, bend = still_imu(n=30), still_bend(n=30)
+            window = np.ones(shape)
+            if sensor == "accelerometer":
+                imu.accel = window
+            elif sensor == "gyroscope":
+                imu.gyro = window
+            else:
+                bend.angle_deg = window
+            want = "(N,)" if sensor == "bend sensor" else "(N, 3)"
+            with pytest.raises(GaitInputError) as info:
+                compute_offsets(imu, bend)
+            assert str(info.value) == f"{sensor} window must be {want}, got shape {shape}"
 
 
 def median_window(rng, n, channels):
@@ -144,37 +175,40 @@ def median_window(rng, n, channels):
 class TestMedian:
     @pytest.mark.parametrize("n", [1, 2, 3, 24, 25, 200, 501])
     @pytest.mark.parametrize("channels", [None, 1, 3])
-    def test_median_gives_np_median_bits(self, n, channels):
-        rng = np.random.default_rng(n * 10 + (channels or 0))
-        for _ in range(50):
-            values = median_window(rng, n, channels)
-            got, want = _median(values), np.median(values, axis=0)
-            assert np.shape(got) == np.shape(want)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    def test_median_gives_np_median_bits(self, n, channels, each_path):
+        for _ in each_path():
+            rng = np.random.default_rng(n * 10 + (channels or 0))
+            for _case in range(50):
+                values = median_window(rng, n, channels)
+                got, want = _median(values), np.median(values, axis=0)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    def test_even_window_needs_both_middle_values(self):
+    def test_even_window_needs_both_middle_values(self, each_path):
         # A shuffle of 0..399 for which numpy's introselect, partitioning at
         # index 200 alone, leaves a value below 199 at index 199; random
         # windows almost never do. Only the partition at (199, 200) puts
         # both middle values in place for the median 199.5.
-        values = np.random.default_rng(4).permutation(400).astype(float)
-        assert _median(values) == 199.5
-        assert _median(np.stack([values, values[::-1]], axis=1)).tolist() == [199.5, 199.5]
+        for _ in each_path():
+            values = np.random.default_rng(4).permutation(400).astype(float)
+            assert _median(values) == 199.5
+            assert _median(np.stack([values, values[::-1]], axis=1)).tolist() == [199.5, 199.5]
 
     @pytest.mark.parametrize("n", [100, 101])
-    def test_offsets_are_the_np_median_offsets(self, n):
-        rng = np.random.default_rng(n)
-        imu = still_imu(n=n)
-        imu.accel += median_window(rng, n, 3) * 0.01
-        imu.gyro += median_window(rng, n, 3)
-        bend = still_bend(n=n)
-        bend.angle_deg += median_window(rng, n, None)
-        off = compute_offsets(imu, bend)
-        want_accel = np.median(imu.accel - np.array([0.0, 0.0, 1.0]), axis=0)
-        assert off.accel_g.tobytes() == want_accel.tobytes()
-        assert off.gyro_dps.tobytes() == np.median(imu.gyro, axis=0).tobytes()
-        assert type(off.bend_deg) is float
-        assert np.float64(off.bend_deg).tobytes() == np.median(bend.angle_deg).tobytes()
+    def test_offsets_are_the_np_median_offsets(self, n, each_path):
+        for _ in each_path():
+            rng = np.random.default_rng(n)
+            imu = still_imu(n=n)
+            imu.accel += median_window(rng, n, 3) * 0.01
+            imu.gyro += median_window(rng, n, 3)
+            bend = still_bend(n=n)
+            bend.angle_deg += median_window(rng, n, None)
+            off = compute_offsets(imu, bend)
+            want_accel = np.median(imu.accel - np.array([0.0, 0.0, 1.0]), axis=0)
+            assert off.accel_g.tobytes() == want_accel.tobytes()
+            assert off.gyro_dps.tobytes() == np.median(imu.gyro, axis=0).tobytes()
+            assert type(off.bend_deg) is float
+            assert np.float64(off.bend_deg).tobytes() == np.median(bend.angle_deg).tobytes()
 
 
 class TestDownsampleSmooth:
@@ -672,28 +706,232 @@ class TestOffsetLoop:
 class TestMedianLayouts:
     @pytest.mark.parametrize("n", [24, 25, 500, 501])
     @pytest.mark.parametrize("layout", ["fortran", "strided", "strided_1d"])
-    def test_any_layout_gives_np_median_bits(self, n, layout):
-        rng = np.random.default_rng(n)
-        for _ in range(20):
-            values = median_window(rng, 2 * n, 3)
-            if layout == "fortran":
-                values = np.asfortranarray(values[:n])
-            elif layout == "strided":
-                values = values[::2]
-            else:
-                values = values[::2, 1]
-            got, want = _median(values), np.median(values, axis=0)
-            assert got.tobytes() == want.tobytes()
+    def test_any_layout_gives_np_median_bits(self, n, layout, each_path):
+        for _ in each_path():
+            rng = np.random.default_rng(n)
+            for _case in range(20):
+                values = median_window(rng, 2 * n, 3)
+                if layout == "fortran":
+                    values = np.asfortranarray(values[:n])
+                elif layout == "strided":
+                    values = values[::2]
+                else:
+                    values = values[::2, 1]
+                got, want = _median(values), np.median(values, axis=0)
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [100, 101])
-    def test_compute_offsets_leaves_the_window_unchanged(self, n):
-        rng = np.random.default_rng(n)
-        imu = still_imu(n=n)
-        imu.accel += median_window(rng, n, 3) * 0.01
-        imu.gyro += median_window(rng, n, 3)
-        bend = still_bend(n=n)
-        bend.angle_deg += median_window(rng, n, None)
-        before = [a.copy() for a in (imu.accel, imu.gyro, bend.angle_deg)]
-        compute_offsets(imu, bend)
-        for got, want in zip((imu.accel, imu.gyro, bend.angle_deg), before):
-            assert got.tobytes() == want.tobytes()
+    def test_compute_offsets_leaves_the_window_unchanged(self, n, each_path):
+        for _ in each_path():
+            rng = np.random.default_rng(n)
+            imu = still_imu(n=n)
+            imu.accel += median_window(rng, n, 3) * 0.01
+            imu.gyro += median_window(rng, n, 3)
+            bend = still_bend(n=n)
+            bend.angle_deg += median_window(rng, n, None)
+            before = [a.copy() for a in (imu.accel, imu.gyro, bend.angle_deg)]
+            compute_offsets(imu, bend)
+            for got, want in zip((imu.accel, imu.gyro, bend.angle_deg), before):
+                assert got.tobytes() == want.tobytes()
+
+
+def oracle_offsets(imu, bend):
+    """compute_offsets' float64 offsets by np.median, as hex strings."""
+    accel = np.median(np.asarray(imu.accel, np.float64) - np.array([0.0, 0.0, 1.0]), axis=0)
+    gyro = np.median(np.asarray(imu.gyro, np.float64), axis=0)
+    bend_deg = np.median(np.asarray(bend.angle_deg, np.float64))
+    return [float(x).hex() for x in (*accel, *gyro, bend_deg)]
+
+
+def hex_offsets(off):
+    return [float(x).hex() for x in (*off.accel_g, *off.gyro_dps, off.bend_deg)]
+
+
+def noisy_still_leg(rng, n_imu=300, n_bend=120):
+    """A standing leg's windows with offsets, noise, ties and an outlier."""
+    accel = np.array([0.01, -0.02, 1.03]) + rng.normal(0.0, 0.004, (n_imu, 3))
+    gyro = np.array([0.5, -0.8, 0.1]) + rng.normal(0.0, 0.3, (n_imu, 3))
+    angle = 3.0 + np.round(rng.normal(0.0, 0.2, n_bend), 1)
+    accel[7] = 5.0
+    t_imu, t_bend = np.arange(n_imu) / 250.0, np.arange(n_bend) / 100.0
+    return ImuStream(t_imu, accel, gyro), BendStream(t_bend, angle)
+
+
+def leg_with(sensor, window):
+    imu, bend = noisy_still_leg(np.random.default_rng(5))
+    if sensor == "accelerometer":
+        imu.accel = window
+    elif sensor == "gyroscope":
+        imu.gyro = window
+    else:
+        bend.angle_deg = window
+    return imu, bend
+
+
+def sensor_window(sensor):
+    imu, bend = noisy_still_leg(np.random.default_rng(5))
+    windows = {"accelerometer": imu.accel, "gyroscope": imu.gyro, "bend sensor": bend.angle_deg}
+    return windows[sensor]
+
+
+class TestWindowConversion:
+    """Each window is converted once to float64, whatever it arrives as."""
+
+    @pytest.mark.parametrize("kind", ["list", "float32", "int"])
+    def test_any_window_gives_its_float64_copys_offsets(self, loops, kind):
+        rng = np.random.default_rng(12)
+        imu, bend = noisy_still_leg(rng)
+        if kind == "int":
+            imu.accel = np.tile([0, 0, 1], (300, 1)) + (rng.random((300, 3)) < 0.1)
+            imu.gyro = rng.integers(-1, 2, (300, 3)) * (rng.random((300, 3)) < 0.2)
+            bend.angle_deg = rng.integers(3, 5, 120)
+        windows = (imu.accel, imu.gyro, bend.angle_deg)
+        if kind == "float32":
+            windows = tuple(w.astype(np.float32) for w in windows)
+        imu64 = ImuStream(imu.t, *(np.asarray(w, dtype=np.float64) for w in windows[:2]))
+        bend64 = BendStream(bend.t, np.asarray(windows[2], dtype=np.float64))
+        if kind == "list":
+            windows = tuple(w.tolist() for w in windows)
+        got = compute_offsets(ImuStream(imu.t, *windows[:2]), BendStream(bend.t, windows[2]))
+        assert hex_offsets(got) == hex_offsets(compute_offsets(imu64, bend64))
+        assert hex_offsets(got) == oracle_offsets(imu64, bend64)
+        assert type(got.bend_deg) is float
+        assert got.accel_g.dtype == got.gyro_dps.dtype == np.float64
+
+    def test_float32_bend_window_is_medianed_in_float64(self, loops):
+        # Two middle values whose float32 mean rounds differently from their float64 mean.
+        angle = np.full(30, np.float32(0.009477), dtype=np.float32)
+        angle[15:] = np.nextafter(np.float32(0.009477), np.float32(1.0))
+        off = compute_offsets(still_imu(), BendStream(np.arange(30) / 100.0, angle))
+        assert off.bend_deg == (float(angle[14]) + float(angle[15])) / 2
+        assert off.bend_deg != float(np.median(angle))
+
+    @pytest.mark.parametrize("sensor", ["accelerometer", "gyroscope", "bend sensor"])
+    def test_ragged_window_rejected_naming_the_sensor(self, loops, sensor):
+        rows = sensor_window(sensor).tolist()
+        ragged = rows[:-1] + [[0.0, 1.0] if sensor != "bend sensor" else [0.0]]
+        with pytest.raises(GaitInputError, match=f"^{sensor} window must be an array of numbers"):
+            compute_offsets(*leg_with(sensor, ragged))
+
+
+def expected_error(label, window, limit, unit):
+    """The parent's message for a channel that moved, by np.median."""
+    std = 1.4826 * np.median(np.abs(window - np.median(window, axis=0)), axis=0)
+    return f"{label} not still: std {std} {unit} exceeds {limit} {unit}"
+
+
+# Each sensor's stillness bound and unit, as its messages print them.
+SENSORS = {
+    "accelerometer": (STILL_STD_ACCEL_G, "g"),
+    "gyroscope": (STILL_STD_GYRO_DPS, "deg/s"),
+    "bend sensor": (STILL_STD_BEND_DEG, "deg"),
+}
+
+
+class TestOffsetErrors:
+    """Each error keeps its type and its message, on the kernel and on the Python
+    loops, in every channel (TestComputeOffsets checks the rest of them)."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sensor, channel", [
+        ("accelerometer", 0), ("accelerometer", 1), ("accelerometer", 2), ("gyroscope", 0),
+        ("gyroscope", 1), ("gyroscope", 2), ("bend sensor", None),
+    ])
+    def test_non_finite_sample_in_any_channel(self, loops, sensor, channel, bad):
+        window = sensor_window(sensor)
+        window[-1 if channel is None else (-1, channel)] = bad
+        before = window.copy()
+        with pytest.raises(CalibrationError) as info:
+            compute_offsets(*leg_with(sensor, window))
+        assert str(info.value) == f"{sensor}: standing window holds a NaN or inf sample"
+        assert window.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("sensor, channel", [
+        ("accelerometer", 0), ("accelerometer", 1), ("accelerometer", 2), ("gyroscope", 0),
+        ("gyroscope", 1), ("gyroscope", 2), ("bend sensor", None),
+    ])
+    def test_a_channel_that_moved(self, loops, sensor, channel):
+        window = sensor_window(sensor)
+        swing = 40.0 * np.sin(np.arange(len(window)) / 7.0)
+        if channel is None:
+            window += swing
+        else:
+            window[:, channel] += swing
+        with pytest.raises(CalibrationError) as info:
+            compute_offsets(*leg_with(sensor, window))
+        assert str(info.value) == expected_error(sensor, window, *SENSORS[sensor])
+
+
+@pytest.mark.parametrize("seed", [2, 11, 404])
+def test_synth_standing_windows_give_the_np_median_offsets(loops, seed):
+    for leg in synth.make_walks(seed, 1, 5.0)[0].legs.values():
+        got = compute_offsets(leg.standing_imu, leg.standing_bend)
+        assert hex_offsets(got) == oracle_offsets(leg.standing_imu, leg.standing_bend)
+
+
+@pytest.fixture(scope="module", params=["kernel", "python_loops"])
+def medians_loops(request):
+    """The C kernel (skipped where it cannot be built), then the Python loops:
+    module-scoped, unlike conftest's `loops`, so hypothesis tests can take it."""
+    if request.param == "kernel":
+        return request.getfixturevalue("compiled_kernel")
+    return _kernel.PYTHON
+
+
+@st.composite
+def standing_window(draw):
+    """A window of MIN_CALIB_SAMPLES to 2000 samples of one or three channels,
+    in some memory layout: noise, heavy ties with signed zeros, channels of
+    very different scales, or the permutation numpy's introselect misplaces."""
+    kind = draw(st.sampled_from(["noise", "ties", "scales", "adversarial"]))
+    n = draw(st.integers(MIN_CALIB_SAMPLES, 2000))
+    channels = draw(st.sampled_from([None, 1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2 * n,) if channels is None else (2 * n, channels)
+    if kind == "noise":
+        values = rng.normal(0.0, 1.0, shape)
+    elif kind == "ties":
+        values = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324]), size=shape)
+    elif kind == "scales":
+        scales = 10.0 ** rng.uniform(-300.0, 300.0, shape[1:])
+        values = (rng.normal(0.0, 1.0, shape) + rng.normal(0.0, 3.0, shape[1:])) * scales
+    else:
+        values = np.random.default_rng(4).permutation(400).astype(float)
+        values = np.concatenate([values, values])
+        values = values if channels is None else np.tile(values[:, None], channels)
+        n = 400
+    layout = draw(st.sampled_from(["c", "fortran", "strided"]))
+    if layout == "strided":
+        return values[::2]
+    values = values[:n]
+    return np.asfortranarray(values) if layout == "fortran" else values
+
+
+class TestMediansProperties:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(standing_window())
+    @example(np.random.default_rng(4).permutation(400).astype(float))
+    def test_middle_pair_and_spread_are_np_medians(self, medians_loops, window):
+        before = window.copy()
+        lo, hi, mad = medians_loops.medians(window)
+        assert window.tobytes() == before.tobytes()
+        rows = np.sort(window.reshape(len(window), -1), axis=0)
+        n = len(window)
+        median = np.median(window.reshape(n, -1), axis=0)
+        assert [x.hex() for x in lo] == [float(x).hex() for x in 0.0 + rows[(n - 1) // 2]]
+        assert [x.hex() for x in hi] == [float(x).hex() for x in 0.0 + rows[n // 2]]
+        assert [_kernel.pair_median(a, b, n).hex() for a, b in zip(lo, hi)] == [
+            float(x).hex() for x in median
+        ]
+        spread = np.median(np.abs(window.reshape(n, -1) - median), axis=0)
+        assert [x.hex() for x in mad] == [float(x).hex() for x in spread]
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (), (4, 3, 1)])
+    def test_shapes_checked(self, medians_loops, shape):
+        with pytest.raises(ValueError, match="medians needs"):
+            medians_loops.medians(np.zeros(shape))
+
+    def test_non_finite_sample_gives_none(self, medians_loops):
+        window = np.zeros((40, 3))
+        window[39, 2] = np.nan
+        assert medians_loops.medians(window) is None

@@ -737,12 +737,11 @@ static PyObject *offset(PyObject *self, PyObject *args)
         const double *v = values.buf, *o = off.buf;
         double *r = out.buf;
         Py_ssize_t n = values.len / 8, c = off.len / 8;
-        /* Column by column, so the column's offset stays in a register. */
-        for (Py_ssize_t j = 0; j < c; j++) {
-            double oj = o[j];
-            for (Py_ssize_t i = j; i < n; i += c)
-                r[i] = v[i] - oj;
-        }
+        /* One contiguous pass, row by row: a strided pass per column
+         * cannot vectorise. c is 0 only where n is. */
+        for (Py_ssize_t i = 0; i < n; i += c)
+            for (Py_ssize_t j = 0; j < c; j++)
+                r[i + j] = v[i + j] - o[j];
         result = Py_NewRef(Py_None);
     }
     PyBuffer_Release(&out);

@@ -110,6 +110,10 @@ DEG = math.pi / 180.0
 # Radians to degrees, as np.degrees multiplies.
 _DEG_PER_RAD = 180.0 / math.pi
 
+# The dtype the stages convert their inputs to: np.asarray takes an instance
+# about 0.03 us faster than the type np.float64, some 34 times a live chunk.
+F64 = np.dtype(np.float64)
+
 
 def _madgwick_loop(accel, gyro, out, dt, w, x, y, z, accel_rejected, beta, gradient_ref):
     """The filter loop in Python: the fallback and the oracle of the kernel's `loop`.
@@ -403,8 +407,8 @@ PYTHON = SimpleNamespace(
 # batch chain (seed 101, getrusage around each stage) any threshold from 4 to
 # 256 KiB took the stages' minor faults from about 210 per recording to 0;
 # 64 KiB takes a 60 s leg's 120 KB hip angles too, while a live chunk's
-# 240-byte arrays keep np.empty, about 0.4 us a call against 1.7 us for an
-# array on a block (timeit, best of 5, loaded 2-vCPU VM).
+# 240-byte arrays keep np.empty, about 0.25 us a call against 1.7 us for an
+# array on a block (timeit, best of 7, 2-vCPU VM).
 BLOCK_MIN_BYTES = 64 * 1024
 
 
@@ -416,12 +420,17 @@ def empty(shape) -> np.ndarray:
     of the block, which it holds until the array and every view of it have
     gone. A smaller array is `np.empty(shape)`.
     """
-    # A class test rather than isinstance: this runs for every stage output,
-    # a dozen times per live chunk.
-    nbytes = 8 * (shape if shape.__class__ is int else math.prod(shape))
-    if nbytes < BLOCK_MIN_BYTES:
+    # A class test, not isinstance, and no math.prod for the stages' int, (N,)
+    # and (N, 3) shapes: 0.1 us of a live chunk's 0.3 us call, a dozen a chunk.
+    if shape.__class__ is int:
+        n = shape
+    elif len(shape) == 1:
+        n = shape[0]
+    else:
+        n = shape[0] * shape[1] if len(shape) == 2 else math.prod(shape)
+    if 8 * n < BLOCK_MIN_BYTES:
         return np.empty(shape)
-    return np.frombuffer(loops().block(nbytes), np.float64).reshape(shape)
+    return np.frombuffer(loops().block(8 * n), np.float64).reshape(shape)
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
@@ -500,6 +509,18 @@ def _build(path: Path, compiler: str) -> str | None:
     return None
 
 
+def _lacks_its_runtime(path: Path) -> bool:
+    """Whether the build at `path` calls AddressSanitizer's runtime
+    (`__asan_init`) and this process has not loaded it, as where it is not
+    preloaded: loading the build would end the process ("ASan runtime does
+    not come first")."""
+    if b"__asan_init" not in path.read_bytes():
+        return False
+    import ctypes  # only for such a build, found where no compiler is
+
+    return not hasattr(ctypes.CDLL(None), "__asan_init")
+
+
 def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
     """Load the C kernel from cache_dir, compiling `_kernel.c` there if needed.
 
@@ -511,15 +532,17 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
     wrapper and a plain `cc`, say) never share a name; and the suffix is
     the interpreter's extension suffix, so an interpreter with another ABI
     never loads it. Where the compiler is not found, a build of the key by
-    any compiler is loaded. A build (`_build`) is followed by the removal of
+    any compiler is loaded, but not one that calls ASan's runtime where
+    this process has not loaded it (`_lacks_its_runtime`), which would end
+    the process at load. A build (`_build`) is followed by the removal of
     the older builds with the same suffix (`_remove_stale_builds`); a load
     that compiles nothing removes nothing, and imports neither
-    `subprocess`, `sysconfig` nor `hashlib`. Returns the
-    module, whose `loop`, `minima`, `segment`, `boxcar`, `offset`, `rotate`
-    and `medians` run the filter, the minima detector, the step segmenter,
-    the decimating boxcar, the offset and mount-rotation row loops and the
-    standing-window medians, or `PYTHON` when the build or the load fails,
-    with the reason in `_kernel_error`.
+    `subprocess`, `sysconfig` nor `hashlib`. Returns the module, whose
+    `loop`, `minima`, `segment`, `boxcar`, `offset`, `rotate` and `medians`
+    run the filter, the minima detector, the step segmenter, the decimating
+    boxcar, the offset and mount-rotation row loops and the standing-window
+    medians, or `PYTHON` when the build or the load fails, with the reason
+    in `_kernel_error`.
     """
     global _kernel_error
     try:
@@ -528,9 +551,13 @@ def _load_kernel(cache_dir: Path = _KERNEL_CACHE, compiler: str = "cc"):
         key = _sha256(_KERNEL_SOURCE.read_bytes() + interpreter.encode())[:16]
         found = shutil.which(compiler)
         if found is None:
-            path = min(cache_dir.glob(f"_kernel_c.{key}.*{suffix}"), default=None)
+            builds = cache_dir.glob(f"_kernel_c.{key}.*{suffix}")
+            path = min((p for p in builds if not _lacks_its_runtime(p)), default=None)
             if path is None:
-                raise FileNotFoundError(f"no C compiler {compiler!r} found, and no kernel built")
+                raise FileNotFoundError(
+                    f"no C compiler {compiler!r} found, and no kernel built that loads "
+                    "without ASan's runtime"
+                )
         else:
             cc = os.stat(found)
             cc_id = f"{os.path.realpath(found)}\0{cc.st_size}\0{cc.st_mtime_ns}"

@@ -93,6 +93,7 @@ _event_t = operator.itemgetter(2)
 # MinimumEvent's own __new__ ends in tuple.__new__(cls, fields); calling it
 # directly skips a Python frame per event (see `feed_derivative`).
 _tuple_new = tuple.__new__
+_F64 = _kernel.F64
 
 
 @dataclass(frozen=True)
@@ -147,23 +148,23 @@ class DerivativeStream:
             raise GaitInputError("derivative stream fed after finalize")
         # The samples tail + new start two samples before the first interior
         # derivative still to emit, where its stencil starts.
-        new = np.asarray(new_values, dtype=np.float64)
+        new = np.asarray(new_values, dtype=_F64)
         if new.ndim != 1:
             raise GaitInputError(f"a series is one channel, got samples of shape {new.shape}")
-        head_due = self.n < 3 <= self.n + len(new)
-        self.n += len(new)
+        n = self.n
+        self.n = n + len(new)
         h = self.h
-        k = max(len(self.tail) + len(new) - 4, 0)  # interior derivatives now complete
+        k = len(self.tail) + len(new) - 4  # interior derivatives now complete, if > 0
         # Both branches evaluate ((a - 8b) + 8c) - d, then / (12 h), in IEEE
-        # doubles, so they give the same bits; the list is faster for the
-        # one or two derivatives of a live chunk, numpy for a whole series.
+        # doubles, so they give the same bits; Python floats written into
+        # one array are faster for the one or two derivatives of a live
+        # chunk, numpy for a whole series.
         if k < _SMALL_FEED:
             s = self.tail + new.tolist()
             c = 12.0 * h
-            d = np.array(
-                [(s[i] - 8.0 * s[i + 1] + 8.0 * s[i + 3] - s[i + 4]) / c for i in range(k)],
-                dtype=np.float64,
-            )
+            d = np.empty(k if k > 0 else 0)
+            for i in range(k):
+                d[i] = (s[i] - 8.0 * s[i + 1] + 8.0 * s[i + 3] - s[i + 4]) / c
         else:
             arr = np.concatenate([self.tail, new]) if self.tail else new
             d = (
@@ -176,7 +177,7 @@ class DerivativeStream:
             # three and the tail's last four (arr holds at least 14).
             s = arr[:3].tolist() + arr[-4:].tolist()
         self.tail = s[-4:]
-        if head_due:
+        if n < 3 <= self.n:  # the two head derivatives are due
             head = [(-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * h), (s[2] - s[0]) / (2.0 * h)]
             d = np.concatenate([head, d])
         return d
@@ -235,11 +236,13 @@ class MinimaDetector:
     @property
     def frontier_t(self) -> float:
         """No event earlier than this can still be emitted."""
-        index = self.pending if self.pending >= 0 else max(self._i - 1, 0)
+        index = self.pending
+        if index < 0:  # the last derivative processed, or 0 before the first
+            index = self._i - 1 if self._i > 0 else 0
         return self.t0 + index / self.rate_hz
 
     def extend_series(self, values: ArrayLike) -> None:
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values, dtype=_F64)
         if values.ndim != 1:
             raise GaitInputError(
                 f"{self.series_id}: a series is one channel, got values of shape {values.shape}"
@@ -256,7 +259,7 @@ class MinimaDetector:
         Python.
         """
         # Not np.ascontiguousarray, which reads a scalar as one derivative.
-        d = np.asarray(d_values, dtype=np.float64, order="C")
+        d = np.asarray(d_values, dtype=_F64, order="C")
         if d.ndim != 1:
             raise GaitInputError(f"{self.series_id}: derivatives are one channel, got {d.shape}")
         config = self.config

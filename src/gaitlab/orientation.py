@@ -37,6 +37,9 @@ GRADIENT_REF = 0.1
 # Step size of the gravity-alignment correction (rad/s).
 BETA = 0.15
 
+_F64 = _kernel.F64
+_tuple_new = tuple.__new__
+
 
 class OrientationFilterState(NamedTuple):
     """State of the gradient-descent orientation filter.
@@ -86,18 +89,19 @@ def madgwick_batch(
     own it but is writable, C-contiguous and pickles as any other. The loop
     writes every element, so the bits are those of a new array.
     """
-    a = np.asarray(accel, dtype=np.float64, order="C")
-    g = np.asarray(gyro, dtype=np.float64, order="C")
+    a = np.asarray(accel, dtype=_F64, order="C")
+    g = np.asarray(gyro, dtype=_F64, order="C")
     if a.ndim != 2 or a.shape[1] != 3 or g.shape != a.shape:
         raise GaitInputError(
             f"accel and gyro must both be (N, 3) with the same N, got "
             f"{a.shape} and {g.shape}"
         )
-    if not (math.isfinite(dt) and dt > 0):
+    if not 0 < dt < math.inf:  # NaN fails too
         raise GaitInputError(f"dt must be finite and > 0, got {dt}")
     out = _kernel.empty(len(a))
     state = _kernel.loops().loop(a, g, out, float(dt), *state, BETA, GRADIENT_REF)
-    return out, OrientationFilterState._make(state)
+    # OrientationFilterState._make(state) without its frame: the loop returns five fields.
+    return out, _tuple_new(OrientationFilterState, state)
 
 
 MOUNTING_AXES = ("y", "-y", "x", "-x")
@@ -131,14 +135,15 @@ def remap_mounting(vectors: np.ndarray, mounting_axis: str) -> np.ndarray:
     an earlier output released: it does not own it but is writable,
     C-contiguous and pickles as any other.
     """
-    if mounting_axis not in _MOUNT_MATRICES_T:
+    matrix = _MOUNT_MATRICES_T.get(mounting_axis)
+    if matrix is None:
         raise GaitInputError(
             f"unsupported mounting axis {mounting_axis!r}; expected one of "
             f"{MOUNTING_AXES}"
         )
-    v = np.asarray(vectors, dtype=np.float64, order="C")
+    v = np.asarray(vectors, dtype=_F64, order="C")
     if v.ndim != 2 or v.shape[1] != 3:
         raise GaitInputError(f"vectors must be (N, 3), got {v.shape}")
     out = _kernel.empty(v.shape)
-    _kernel.loops().rotate(v, _MOUNT_MATRICES_T[mounting_axis], out)
+    _kernel.loops().rotate(v, matrix, out)
     return out

@@ -17,7 +17,8 @@ rates used here (IMU 250 Hz with M=10, bend sensor 100 Hz with M=4) both
 streams come out at 25 Hz, comfortably above the <10 Hz content of gait.
 `smoothed_block` sums the windows with the boxcar loop `boxcar` of
 `gaitlab._kernel`, and `apply_offsets` subtracts with its row loop `offset`,
-in C where the kernel loads and in numpy where it does not.
+one call per sensor array, in C where the kernel loads and in numpy where it
+does not. Each input is converted once and each output allocated once.
 
 Offsets are per-channel medians over a standing-still window; for the
 accelerometer the median is taken relative to the 1 g gravity vector so
@@ -43,6 +44,7 @@ from . import _kernel
 from .errors import CalibrationError, GaitInputError
 
 GRAVITY_G = np.array([0.0, 0.0, 1.0])
+_F64 = _kernel.F64
 
 # Channel spreads above these mean the subject moved during the standing
 # window. Generous bounds for hand-held trials. Spread is a MAD-based robust
@@ -224,43 +226,39 @@ def compute_offsets(imu: ImuStream, bend: BendStream) -> OffsetSet:
     return OffsetSet(np.array(accel), np.array(gyro), _kernel.pair_median(lo[0], hi[0], n))
 
 
-def _minus_offset(loop, values: ArrayLike, offset: ArrayLike) -> np.ndarray:
-    """values - offset through the row loop `loop`, for (N, C) values and a
-    (C,) offset, or 1-D values and a scalar.
-
-    Both are converted once to C-contiguous float64 arrays (no copy for the
-    arrays the chain passes; a float offset, the bend's, is passed as it
-    is), and the loop writes the differences into `_kernel.empty`: the bits
-    of numpy's broadcast, one subtraction per element. An offset of another
-    shape raises the loop's ValueError.
-    """
-    v = np.asarray(values, dtype=np.float64, order="C")
-    if not isinstance(offset, float):
-        offset = np.asarray(offset, dtype=np.float64, order="C")
-    out = _kernel.empty(v.shape)
-    loop(v, offset, out)
-    return out
-
-
 def apply_offsets(
     imu: ImuStream, bend: BendStream, offsets: OffsetSet
 ) -> tuple[ImuStream, BendStream]:
     """Subtract one leg's calibration offsets from both of its sensors.
 
     Returns corrected float64 copies of the IMU and bend streams, live
-    chunk and whole recording alike, each from one call of the kernel's row
-    loop `offset` (`_minus_offset`), which checks the offsets' shapes. The
-    outputs are `_kernel.empty`'s: from `_kernel.BLOCK_MIN_BYTES` on (a
-    whole recording's accel, gyro and, if long enough, bend), memory an
-    earlier output released, so such an array does not own its memory, its
-    `.base` chain ending at a recycled block, but it is writable,
-    C-contiguous and pickles as any other. Every element is written before
-    it is returned, so its bits are those of a new array.
+    chunk and whole recording alike. Each sensor array and its offset are
+    converted once to C-contiguous float64 (no copy for the arrays the
+    chain passes; a float offset, the bend's, is passed as it is), and one
+    call of the kernel's row loop `offset` writes `values - offset` into
+    `_kernel.empty`: numpy's broadcast's bits, one subtraction per element.
+    An offset not of one row's shape raises the loop's ValueError. From
+    `_kernel.BLOCK_MIN_BYTES` on (a whole recording's accel, gyro and, if
+    long enough, bend), an output is memory an earlier output released: it
+    does not own it, its `.base` chain ending at a recycled block, but it
+    is writable, C-contiguous and pickles as any other, and every element
+    is written, so its bits are those of a new array.
     """
+    # One frame for all three: a live chunk's subtractions cost less than a call.
     loop = _kernel.loops().offset
-    accel = _minus_offset(loop, imu.accel, offsets.accel_g)
-    gyro = _minus_offset(loop, imu.gyro, offsets.gyro_dps)
-    angle = _minus_offset(loop, bend.angle_deg, offsets.bend_deg)
+    empty = _kernel.empty
+    values = np.asarray(imu.accel, dtype=_F64, order="C")
+    accel = empty(values.shape)
+    loop(values, np.asarray(offsets.accel_g, dtype=_F64, order="C"), accel)
+    values = np.asarray(imu.gyro, dtype=_F64, order="C")
+    gyro = empty(values.shape)
+    loop(values, np.asarray(offsets.gyro_dps, dtype=_F64, order="C"), gyro)
+    values = np.asarray(bend.angle_deg, dtype=_F64, order="C")
+    angle = empty(values.shape)
+    offset = offsets.bend_deg
+    if not isinstance(offset, float):
+        offset = np.asarray(offset, dtype=_F64, order="C")
+    loop(values, offset, angle)
     return ImuStream(imu.t, accel, gyro), BendStream(bend.t, angle)
 
 
@@ -304,17 +302,20 @@ def smoothed_block(values: np.ndarray, m: int, k_start: int, k_stop: int) -> np.
     k_stop - 1, a negative k_start, indices that are not integers and a
     factor M that is not an integer >= 1 raise GaitInputError.
     """
-    m = _check_factor(m)
+    # operator.index only for what is not an int (four calls a live chunk).
+    if m.__class__ is not int or m < 1:
+        m = _check_factor(m)
     # Not np.ascontiguousarray, which reads a scalar as a one-sample buffer.
-    values = np.asarray(values, dtype=np.float64, order="C")
+    values = np.asarray(values, dtype=_F64, order="C")
     if values.ndim != 1:
         raise GaitInputError(f"a series is one channel, got a buffer of shape {values.shape}")
-    try:
-        k_start, k_stop = operator.index(k_start), operator.index(k_stop)
-    except TypeError:
-        raise GaitInputError(
-            f"output indices must be integers, got {k_start!r} and {k_stop!r}"
-        ) from None
+    if k_start.__class__ is not int or k_stop.__class__ is not int:
+        try:
+            k_start, k_stop = operator.index(k_start), operator.index(k_stop)
+        except TypeError:
+            raise GaitInputError(
+                f"output indices must be integers, got {k_start!r} and {k_stop!r}"
+            ) from None
     if k_start < 0:
         raise GaitInputError(f"output indices start at 0, got k_start {k_start}")
     if k_stop <= k_start:

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitlab import _kernel
@@ -135,9 +135,22 @@ def feed_chunks(stream, chunks):
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
+def small_feed_examples(test):
+    """Adds, as explicit examples, feeds of 1 to 13 samples after a first
+    feed of 0 to 4: both branches of `DerivativeStream.feed` (below and
+    from `_SMALL_FEED` derivatives), from each tail length the stream holds."""
+    values = np.random.default_rng(8).normal(0.0, 10.0, 40).tolist()
+    for head in range(5):
+        for size in range(1, 14):
+            cuts = [0, *range(head, len(values), size), len(values)]
+            test = example((values, [values[a:b] for a, b in zip(cuts, cuts[1:])]))(test)
+    return test
+
+
 class TestDerivativeStreamProperties:
     @PROPERTY
     @given(chunked_series(5, 300))
+    @small_feed_examples
     def test_streaming_equals_batch_bit_for_bit(self, case):
         values, chunks = case
         stream = DerivativeStream(RATE)

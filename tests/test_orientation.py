@@ -1,3 +1,4 @@
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -499,6 +500,23 @@ for m in range({THREADED}, n, 2):
         cached = _kernel._load_kernel(tmp_path, str(tmp_path / "no-such-cc"))
         assert cached is not _kernel.PYTHON, _kernel._kernel_error
         assert list(tmp_path.iterdir()) == built
+
+    def test_no_compiler_skips_a_sanitizer_build(self, compiled_kernel, tmp_path, monkeypatch):
+        # A build that calls ASan's runtime kills a process that has not
+        # loaded it ("ASan runtime does not come first"), so with no
+        # compiler to build a plain kernel the loader takes the Python
+        # loops, unless the runtime is loaded, as under the sanitizer job's
+        # preload. A copy of this process's build that ends in the runtime's
+        # entry name stands for such a build.
+        monkeypatch.setattr(_kernel, "_kernel_error", None)
+        built = Path(compiled_kernel.__file__)
+        (tmp_path / built.name).write_bytes(built.read_bytes() + b"__asan_init")
+        loaded = _kernel._load_kernel(tmp_path, str(tmp_path / "no-such-cc"))
+        if hasattr(ctypes.CDLL(None), "__asan_init"):
+            assert loaded is not _kernel.PYTHON, _kernel._kernel_error
+        else:
+            assert loaded is _kernel.PYTHON
+            assert "no-such-cc" in _kernel._kernel_error and "ASan" in _kernel._kernel_error
 
     def test_build_removes_older_builds_of_this_abi_only(self, kernel, tmp_path, monkeypatch):
         monkeypatch.setattr(_kernel, "_kernel_error", None)

@@ -24,11 +24,11 @@
  * one call per sensor where numpy partitioned twice per channel.
  *
  * `segment` takes the segmenter's state as plain numbers and its events as
- * the tuples they are, and reads each event's paired angle through a
- * callable or from the four angle series' buffers in place, live one event
- * a call or a whole recording in one call. It allocates nothing but the
- * lists and tuples it returns, and an error a callable sampler raises
- * leaves it with every buffer released.
+ * the tuples they are, and reads each event's paired angle from the four
+ * angle series' buffers in place, live one event a call or a whole
+ * recording in one call. It allocates nothing but the lists and tuples it
+ * returns, and calls no function of its caller's: the segmenter's callable
+ * sampler runs on the Python loop alone.
  *
  * On a call of at least THREADED_MIN_SAMPLES samples in a process that may
  * run on two or more CPUs, `madgwick_loop` takes the hip angle's atan2 on a
@@ -383,9 +383,10 @@ typedef struct {
 enum { DIAG_TIMEOUT, DIAG_KNEE_FIRST, DIAG_SAME_SIDE, DIAG_NOT_AFTER, DIAG_NOT_ALTERNATE };
 
 /* The four series in the sampler's order, index 2 * side + (1 for a knee),
- * the two sides' names and the knee series' prefix, set by the module's
- * init. */
-static PyObject *series_names[4], *side_names[2], *knee_prefix;
+ * and the two sides' names and the knee series' prefix, set by the
+ * module's init. */
+static const char *const series_names[4] = {"hip_L", "knee_L", "hip_R", "knee_R"};
+static PyObject *side_names[2], *knee_prefix;
 
 /* One series of a buffer sampler: sample k is stamped t0 + k / rate. */
 typedef struct {
@@ -394,28 +395,16 @@ typedef struct {
     double t0, rate;
 } sampled_series;
 
-/* Stores in *out the value of series k (see series_names) at the event time
- * t, whose object is t_obj. With buffers NULL that is the float of
- * sampler(series_names[k], t_obj); otherwise the sample nearest t, by
- * UniformSeries.index_near's rule: round((t - t0) * rate), half to even,
- * clamped to [0, n - 1] while still a double, so any t, +-inf and NaN too,
- * gives an index inside the series. Returns 0, or -1 with a Python error
- * set: the sampler raised or returned no number, or the series is empty. */
-static int sample(PyObject *sampler, const sampled_series *buffers, int k, PyObject *t_obj,
-                  double t, double *out)
+/* Stores in *out the sample of series k (see series_names) nearest the
+ * event time t, by UniformSeries.index_near's rule: round((t - t0) * rate),
+ * half to even, clamped to [0, n - 1] while still a double, so any t, +-inf
+ * and NaN too, gives an index inside the series. Returns 0, or -1 with a
+ * Python error set if the series is empty. */
+static int sample(const sampled_series *buffers, int k, double t, double *out)
 {
-    if (buffers == NULL) {
-        PyObject *args[2] = {series_names[k], t_obj};
-        PyObject *r = PyObject_Vectorcall(sampler, args, 2, NULL);
-        if (r == NULL)
-            return -1;
-        *out = PyFloat_AsDouble(r);
-        Py_DECREF(r);
-        return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
-    }
     const sampled_series *s = &buffers[k];
     if (s->n == 0) {
-        PyErr_Format(PyExc_IndexError, "segment samples %U, which is empty", series_names[k]);
+        PyErr_Format(PyExc_IndexError, "segment samples %s, which is empty", series_names[k]);
         return -1;
     }
     double r = nearbyint((t - s->t0) * s->rate);
@@ -442,14 +431,13 @@ static int append_built(PyObject *list, const char *format, ...)
  * StepSegmenter's rule, line for line the Python loop's. A completed step
  * appends (count, front side, alpha_f, beta_f, alpha_b, beta_b, t_front,
  * t_back) to rows, and a discarded or ignored event a diagnostic tuple of
- * its code and the values its message prints to diags. The sampler is read
- * for a knee event and for a hip event that completes a step, nowhere
- * else. Returns 0, or -1 with a Python error set: an event that is not a
- * tuple of four fields with a str series and numbers for t and value, a
- * sampler that fails, or an append that fails. */
-static int segment_event(segment_state *st, PyObject *ev, PyObject *sampler,
-                         const sampled_series *buffers, double timeout, PyObject *timeout_obj,
-                         PyObject *rows, PyObject *diags)
+ * its code and the values its message prints to diags. The series are
+ * sampled for a knee event and for a hip event that completes a step,
+ * nowhere else. Returns 0, or -1 with a Python error set: an event that is
+ * not a tuple of four fields with a str series and numbers for t and
+ * value, an empty series sampled, or an append that fails. */
+static int segment_event(segment_state *st, PyObject *ev, const sampled_series *buffers,
+                         double timeout, PyObject *timeout_obj, PyObject *rows, PyObject *diags)
 {
     if (!PyTuple_Check(ev)) {
         PyErr_Format(PyExc_TypeError, "segment needs (series, index, t, value) tuples, got %s",
@@ -461,13 +449,13 @@ static int segment_event(segment_state *st, PyObject *ev, PyObject *sampler,
                      PyTuple_GET_SIZE(ev));
         return -1;
     }
-    PyObject *series = PyTuple_GET_ITEM(ev, 0), *t_obj = PyTuple_GET_ITEM(ev, 2);
+    PyObject *series = PyTuple_GET_ITEM(ev, 0);
     if (!PyUnicode_Check(series)) {
         PyErr_Format(PyExc_TypeError, "segment needs a str series, got %s",
                      Py_TYPE(series)->tp_name);
         return -1;
     }
-    double t = PyFloat_AsDouble(t_obj);
+    double t = PyFloat_AsDouble(PyTuple_GET_ITEM(ev, 2));
     if (t == -1.0 && PyErr_Occurred())
         return -1;
     double value = PyFloat_AsDouble(PyTuple_GET_ITEM(ev, 3));
@@ -491,7 +479,7 @@ static int segment_event(segment_state *st, PyObject *ev, PyObject *sampler,
                                         st->t, side_names[side]) < 0)
             return -1;
         double alpha_f;
-        if (sample(sampler, buffers, 2 * side, t_obj, t, &alpha_f) < 0)
+        if (sample(buffers, 2 * side, t, &alpha_f) < 0)
             return -1;
         st->pending = 1;
         st->side = side;
@@ -512,7 +500,7 @@ static int segment_event(segment_state *st, PyObject *ev, PyObject *sampler,
         return append_built(diags, "(iOd)", DIAG_NOT_ALTERNATE, side_names[st->side], st->t);
     }
     double beta_b;
-    if (sample(sampler, buffers, 2 * side + 1, t_obj, t, &beta_b) < 0
+    if (sample(buffers, 2 * side + 1, t, &beta_b) < 0
         || append_built(rows, "(nOdddddd)", st->count, side_names[st->side], st->alpha_f,
                         st->beta_f, value, beta_b, st->t, t) < 0)
         return -1;
@@ -525,27 +513,27 @@ static int segment_event(segment_state *st, PyObject *ev, PyObject *sampler,
 /* segment(events, sampler, state, timeout)
  *
  * events is a list of minimum events in MinimumEvent.sort_key order. The
- * sampler is a callable sampler(series_id, t) -> float, or a tuple of four
- * (values, t0, rate) series in series_names' order, each values a read-only
- * C-contiguous buffer of doubles; the caller guarantees the double format,
- * this function checks the lengths. state is (pending, side, t, beta_f,
+ * sampler is a tuple of four (values, t0, rate) series in series_names'
+ * order, each values a read-only C-contiguous buffer of doubles; the
+ * caller guarantees the double format (StepSegmenter checks it), this
+ * function checks the lengths. state is (pending, side, t, beta_f,
  * alpha_f, last_front, count) as in segment_state, and timeout the
  * back-event timeout in seconds. Returns (state, rows, diags): the state
  * after the events, one row per completed step and one tuple per
- * diagnostic (see segment_event). A callable sampler may change the events
- * list: each event is held while it runs, and the loop reads the list's
- * length anew each time.
+ * diagnostic (see segment_event). An event's t or value may be an object
+ * whose __float__ changes the events list: each event is held while it
+ * runs, and the loop reads the list's length anew each time.
  */
 static PyObject *segment(PyObject *self, PyObject *args)
 {
     PyObject *events, *sampler, *timeout_obj, *rows = NULL, *diags = NULL, *result = NULL;
     segment_state st;
     Py_buffer views[4];
-    sampled_series series[4], *buffers = NULL;
+    sampled_series series[4];
     (void)self;
 
-    if (!PyArg_ParseTuple(args, "O!O(pidddin)O:segment", &PyList_Type, &events, &sampler,
-                          &st.pending, &st.side, &st.t, &st.beta_f, &st.alpha_f,
+    if (!PyArg_ParseTuple(args, "O!O!(pidddin)O:segment", &PyList_Type, &events, &PyTuple_Type,
+                          &sampler, &st.pending, &st.side, &st.t, &st.beta_f, &st.alpha_f,
                           &st.last_front, &st.count, &timeout_obj))
         return NULL;
     double timeout = PyFloat_AsDouble(timeout_obj);
@@ -557,27 +545,18 @@ static PyObject *segment(PyObject *self, PyObject *args)
                      st.last_front);
         return NULL;
     }
-    if (!PyCallable_Check(sampler)) {
-        if (!PyTuple_Check(sampler)) {
-            PyErr_Format(PyExc_TypeError,
-                         "segment needs a callable sampler or four (values, t0, rate) "
-                         "series, got %s", Py_TYPE(sampler)->tp_name);
-            return NULL;
-        }
-        if (!PyArg_ParseTuple(sampler, "(y*dd)(y*dd)(y*dd)(y*dd):segment", &views[0],
-                              &series[0].t0, &series[0].rate, &views[1], &series[1].t0,
-                              &series[1].rate, &views[2], &series[2].t0, &series[2].rate,
-                              &views[3], &series[3].t0, &series[3].rate))
-            return NULL;
-        buffers = series;
-        for (int k = 0; k < 4; k++) {
-            series[k].values = views[k].buf;
-            series[k].n = views[k].len / (Py_ssize_t)sizeof(double);
-            if (views[k].len % sizeof(double) != 0) {
-                PyErr_Format(PyExc_ValueError, "segment needs whole doubles, got %zd bytes",
-                             views[k].len);
-                goto done;
-            }
+    if (!PyArg_ParseTuple(sampler, "(y*dd)(y*dd)(y*dd)(y*dd):segment", &views[0],
+                          &series[0].t0, &series[0].rate, &views[1], &series[1].t0,
+                          &series[1].rate, &views[2], &series[2].t0, &series[2].rate, &views[3],
+                          &series[3].t0, &series[3].rate))
+        return NULL;
+    for (int k = 0; k < 4; k++) {
+        series[k].values = views[k].buf;
+        series[k].n = views[k].len / (Py_ssize_t)sizeof(double);
+        if (views[k].len % sizeof(double) != 0) {
+            PyErr_Format(PyExc_ValueError, "segment needs whole doubles, got %zd bytes",
+                         views[k].len);
+            goto done;
         }
     }
     rows = PyList_New(0);
@@ -586,7 +565,7 @@ static PyObject *segment(PyObject *self, PyObject *args)
         goto done;
     for (Py_ssize_t k = 0; k < PyList_GET_SIZE(events); k++) {
         PyObject *ev = Py_NewRef(PyList_GET_ITEM(events, k));
-        int failed = segment_event(&st, ev, sampler, buffers, timeout, timeout_obj, rows, diags);
+        int failed = segment_event(&st, ev, series, timeout, timeout_obj, rows, diags);
         Py_DECREF(ev);
         if (failed)
             goto done;
@@ -596,9 +575,8 @@ static PyObject *segment(PyObject *self, PyObject *args)
 done:
     Py_XDECREF(rows);
     Py_XDECREF(diags);
-    if (buffers != NULL)
-        for (int k = 0; k < 4; k++)
-            PyBuffer_Release(&views[k]);
+    for (int k = 0; k < 4; k++)
+        PyBuffer_Release(&views[k]);
     return result;
 }
 
@@ -1088,11 +1066,6 @@ static struct PyModuleDef module = {
 /* Interns the names segment reads and writes, once per process. */
 static int intern_names(void)
 {
-    static const char *series[4] = {"hip_L", "knee_L", "hip_R", "knee_R"};
-    for (int k = 0; k < 4; k++)
-        if (series_names[k] == NULL
-            && (series_names[k] = PyUnicode_InternFromString(series[k])) == NULL)
-            return -1;
     if (side_names[0] == NULL && (side_names[0] = PyUnicode_InternFromString("L")) == NULL)
         return -1;
     if (side_names[1] == NULL && (side_names[1] = PyUnicode_InternFromString("R")) == NULL)

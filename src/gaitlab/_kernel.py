@@ -59,10 +59,11 @@ degrees: each loop multiplies per sample by `DEG` and by `_DEG_PER_RAD`, the
 multiplies numpy's `gyro * DEG` and `np.degrees` would do, so
 `madgwick_batch` allocates nothing but its output. The detector's state is
 five plain numbers in both languages, and the segmenter's seven. The
-segmenter reads each paired angle through a callable or from four
-`(values, t0, rate)` buffers at `UniformSeries.index_near`'s sample,
-rounded half to even and clamped as a float. The kernel's boxcar sums each
-window in the order of numpy's contiguous add reduction, so its means are
+segmenter reads each paired angle from four `(values, t0, rate)` buffers at
+`UniformSeries.index_near`'s sample, rounded half to even and clamped as a
+float; only its Python loop also takes a callable, so the kernel calls no
+function of its caller's. The kernel's boxcar sums each window in the
+order of numpy's contiguous add reduction, so its means are
 `np.add.reduce`'s bits. `offset` subtracts once per element, as numpy
 does, and `rotate` sums each output as ((0.0 + x m0j) + y m1j) + z m2j,
 which for the mounts' signed permutations gives numpy's `@` bits.
@@ -237,15 +238,16 @@ def _segment_loop(events, sampler, state, timeout):
 
     Takes the minimum events in `sort_key` order, the sampler, the
     segmenter's state (pending, side, t, beta_f, alpha_f, last_front,
-    count) and the back-event timeout. The sampler is a callable
-    `sampler(series_id, t)`, called for each knee event and for each hip
-    event that completes a step, or four `(values, t0, rate)` series in
-    SEGMENT_SERIES order, read at `UniformSeries.index_near`'s sample:
-    round((t - t0) * rate) half to even, clamped to the series while still
-    a float. Returns the state after the events, one row (count, front
-    side, alpha_f, beta_f, alpha_b, beta_b, t_front, t_back) per completed
-    step and one tuple per diagnostic: its code, the index of its message
-    in `events._DIAGNOSTICS`, and the values the message prints.
+    count) and the back-event timeout. The sampler is four `(values, t0,
+    rate)` series in SEGMENT_SERIES order, read at
+    `UniformSeries.index_near`'s sample: round((t - t0) * rate) half to
+    even, clamped to the series while still a float. This loop alone also
+    takes a callable `sampler(series_id, t)`, as the benchmark's own live
+    session passes, called for each knee event and each hip event that
+    completes a step. Returns the state after the events, one row (count,
+    front side, alpha_f, beta_f, alpha_b, beta_b, t_front, t_back) per
+    completed step and one tuple per diagnostic: its code, the index of its
+    message in `events._DIAGNOSTICS`, and the values the message prints.
     """
     pending, p_side, p_t, beta_f, alpha_f, last_front, count = state
     sides = SEGMENT_SIDES

@@ -19,10 +19,10 @@ segmenter call its loop `segment`, in C where the kernel loads and in
 Python where it does not. Live, the segmenter takes one event at a time;
 `segment_steps` hands it all the sorted events of a quad in one call. Both
 pass the four series as buffers that the loop reads in place (the live
-detectors' series, or the quad's); a callable sampler is taken too. The
-loop reports each discarded or ignored event as a code and the values its
-message prints, and the segmenter formats every diagnostic through one
-table, `_DIAGNOSTICS`.
+detectors' series, or the quad's); a callable sampler is taken too, and
+runs on the Python loop alone. The loop reports each discarded or ignored
+event as a code and the values its message prints, and the segmenter
+formats every diagnostic through one table, `_DIAGNOSTICS`.
 
 A `MinimumEvent` is a NamedTuple rather than a frozen dataclass: a
 one-minute walk yields a few hundred of them, each built, sorted and read
@@ -351,6 +351,24 @@ _STREAM_ENDED = 5
 _SEGMENTER_START = (False, 0, 0.0, 0.0, 0.0, -1, 0)
 
 
+def _check_buffers(sampler) -> None:
+    """Raise GaitInputError unless `sampler` is four `(values, t0, rate)` whose
+    values are C-contiguous buffers of native float64: the kernel reads any
+    buffer's bytes as doubles. Each view is released at once, so a live
+    detector's `array("d")` can still grow."""
+    if not (isinstance(sampler, tuple) and len(sampler) == 4):
+        raise GaitInputError(f"the segmenter needs a callable or four series, got {sampler!r:.50}")
+    for name, entry in zip(_TIE_ORDER, sampler):
+        try:
+            values, _, _ = entry
+            with memoryview(values) as view:
+                if view.format == "d" and view.c_contiguous:
+                    continue
+        except (TypeError, ValueError):
+            pass
+        raise GaitInputError(f"{name}: values must be a C-contiguous buffer of native float64")
+
+
 def _steps(rows) -> list[StepMeasurement]:
     """The steps, lengths unset, of the kernel's `segment` rows."""
     # Positional arguments: a frozen dataclass matches keywords slowly.
@@ -365,15 +383,17 @@ class StepSegmenter:
 
     Phase alternates between awaiting a front knee minimum and awaiting the
     other leg's hip minimum. The paired angle of each event is read through
-    the sampler: a callable `sampler(series_id, t)`, or the four series as
-    `(values, t0, rate)` buffers in `_kernel.SEGMENT_SERIES` order. Steps
-    whose back event does not arrive within the timeout are discarded with
-    a diagnostic, as are repeated same-side detections.
+    the sampler: the four series as a tuple of `(values, t0, rate)` in
+    `_kernel.SEGMENT_SERIES` order (`_check_buffers`), or a callable
+    `sampler(series_id, t)`. Steps whose back event does not arrive within
+    the timeout are discarded with a diagnostic, as are repeated same-side
+    detections.
 
     The rule is the kernel's `segment` loop (`_kernel.loops().segment`, in C
-    or in Python), which takes the state as plain numbers and gives each
-    diagnostic as a code; the segmenter holds that state and formats the
-    diagnostics through `_DIAGNOSTICS` into `diagnostics`.
+    or in Python; `_kernel.PYTHON.segment` for a callable sampler), which
+    takes the state as plain numbers and gives each diagnostic as a code;
+    the segmenter holds that state and formats the diagnostics through
+    `_DIAGNOSTICS` into `diagnostics`.
     """
 
     def __init__(
@@ -382,6 +402,8 @@ class StepSegmenter:
         sampler: Callable[[str, float], float] | tuple,
         diagnostics: list[str] | None = None,
     ):
+        if not callable(sampler):
+            _check_buffers(sampler)
         self.config = config
         self.sampler = sampler
         self.diagnostics = diagnostics if diagnostics is not None else []
@@ -408,7 +430,8 @@ class StepSegmenter:
         One call of the kernel's `segment` over the list. Its diagnostics
         are appended to `diagnostics`; `_steps` builds the rows' steps.
         """
-        self._state, rows, diags = _kernel.loops().segment(
+        loops = _kernel.PYTHON if callable(self.sampler) else _kernel.loops()
+        self._state, rows, diags = loops.segment(
             events, self.sampler, self._state, self.config.back_event_timeout_s
         )
         if diags:

@@ -53,6 +53,19 @@ def loops(request):
         request.getfixturevalue("python_loops")()
 
 
+@pytest.fixture(scope="module", params=["kernel", "python_loops"])
+def loops_module(request):
+    """The C kernel (skipped where it cannot be built), then the Python loops,
+    `_kernel.PYTHON`: the module whose entry points the test calls.
+
+    Module-scoped, unlike `loops`, so that hypothesis tests can take it; a
+    test patches `_kernel.loops` with it where it needs to.
+    """
+    if request.param == "kernel":
+        return request.getfixturevalue("compiled_kernel")
+    return _kernel.PYTHON
+
+
 @pytest.fixture
 def each_path(request, python_loops):
     """Call it for the paths to run a test's body on, in turn, under the

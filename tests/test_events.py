@@ -715,18 +715,6 @@ class TestTieBreaks:
         assert fed == sorted(found, key=MinimumEvent.sort_key)
 
 
-@pytest.fixture(scope="module", params=["kernel", "python_loops"])
-def segment_loops(request):
-    """The C kernel (skipped where it cannot be built), then the Python loops.
-
-    Module-scoped, unlike conftest's `loops`, so that hypothesis tests can
-    take it; a test patches `_kernel.loops` with it where it needs to.
-    """
-    if request.param == "kernel":
-        return request.getfixturevalue("compiled_kernel")
-    return _kernel.PYTHON
-
-
 def both_loops():
     """The Python loops, then the C kernel where it loads: for the tests
     that run on both in one body."""
@@ -792,7 +780,7 @@ class TestQuadSampler:
         quad = AngleQuad(*(series(rng.normal(0, 20, 300), t0=0.36) for _ in range(4)))
         self.check(quad, rng.uniform(-1.0, 14.0, 500).tolist())
 
-    def test_infinite_and_nan_times_read_the_ends(self, segment_loops):
+    def test_infinite_and_nan_times_read_the_ends(self, loops_module):
         # index_near raises on these; the loop clamps them as floats: -inf
         # and NaN read the first sample, +inf the last.
         # (No step completes at t = -inf, so only a hip series is read there.)
@@ -802,19 +790,19 @@ class TestQuadSampler:
             values = quad.series(name).values
             for t, want in ((-math.inf, values[0]), (math.nan, values[0]), (math.inf, values[-1])):
                 if name.startswith("hip") or t != -math.inf:
-                    assert loop_sample(segment_loops.segment, buffers, name, t) == want, (name, t)
+                    assert loop_sample(loops_module.segment, buffers, name, t) == want, (name, t)
 
-    def test_an_empty_series_raises_only_when_sampled(self, segment_loops):
+    def test_an_empty_series_raises_only_when_sampled(self, loops_module):
         quad = quad_buffers(cosine_quad())
         empty = (np.empty(0), 0.0, RATE)
         buffers = (empty, *quad[1:])  # hip_L
         # A knee_R event samples hip_R, which is there.
-        state, _, _ = segment_loops.segment(
+        state, _, _ = loops_module.segment(
             [MinimumEvent("knee_R", 0, 0.5, 0.0)], buffers, _SEGMENTER_START, 1.0)
         assert state[0] is True
         with pytest.raises(IndexError):
-            segment_loops.segment([MinimumEvent("knee_L", 0, 0.5, 0.0)], buffers,
-                                  _SEGMENTER_START, 1.0)
+            loops_module.segment([MinimumEvent("knee_L", 0, 0.5, 0.0)], buffers,
+                                 _SEGMENTER_START, 1.0)
 
 
 class SegmenterOracle:
@@ -921,6 +909,9 @@ def hip_sampler(name, t):
     return float(len(name)) + t / 3.0 if name.startswith("hip") else 5.0 - t / 7.0
 
 
+QUAD_BUFFERS = quad_buffers(cosine_quad())
+
+
 class TestStepSegmenter:
     @PROPERTY
     @given(event_stream(), st.sampled_from([0.125, 0.5, 2.0]))
@@ -951,8 +942,8 @@ class TestStepSegmenter:
         assert seg.diagnostics == oracle.diagnostics and seg.pending is None
 
     @pytest.mark.parametrize("kind", ["knee_R", "hip_L"])
-    def test_finalize_with_a_step_pending(self, segment_loops, kind, monkeypatch):
-        monkeypatch.setattr(_kernel, "loops", lambda: segment_loops)
+    def test_finalize_with_a_step_pending(self, loops_module, kind, monkeypatch):
+        monkeypatch.setattr(_kernel, "loops", lambda: loops_module)
         diags = ["earlier"]
         seg = StepSegmenter(EventConfig(), hip_sampler, diags)
         seg.process(MinimumEvent("knee_L", 3, 0.125, 12.5))
@@ -967,8 +958,8 @@ class TestStepSegmenter:
         seg.finalize()  # nothing left to discard
         assert len(diags) == 3  # "earlier", the second event's and the finalize's
 
-    def test_a_raising_sampler_propagates_and_changes_nothing(self, segment_loops, monkeypatch):
-        monkeypatch.setattr(_kernel, "loops", lambda: segment_loops)
+    def test_a_raising_sampler_propagates_and_changes_nothing(self, loops_module, monkeypatch):
+        monkeypatch.setattr(_kernel, "loops", lambda: loops_module)
 
         def sampler(name, t):
             raise KeyError(name)
@@ -986,11 +977,13 @@ class TestSegmentKernel:
     @PROPERTY
     @given(event_stream(), st.sampled_from([0.125, 0.5, 2.0]), st.booleans(),
            st.integers(0, 2**32 - 1), st.lists(st.integers(0, 60), max_size=5))
-    def test_kernel_twin_and_oracle_agree(self, segment_loops, events, timeout, buffered,
+    def test_kernel_twin_and_oracle_agree(self, loops_module, events, timeout, buffered,
                                           seed, cuts):
-        """Over any cut of the events into calls, the state passed along."""
+        """Over any cut of the events into calls, the state passed along. A
+        callable sampler is the Python loop's alone, so it runs there."""
         quad = offset_quad(np.random.default_rng(seed))
         sampler = quad_buffers(quad) if buffered else hip_sampler
+        segment = loops_module.segment if buffered else _segment_loop
         oracle = SegmenterOracle(EventConfig(back_event_timeout_s=timeout),
                                  index_near_sampler(quad) if buffered else hip_sampler)
         want_rows = [r for ev in events if (r := oracle.process(ev)) is not None]
@@ -998,7 +991,7 @@ class TestSegmentKernel:
         bounds = sorted({0, len(events), *(c for c in cuts if c < len(events))})
         for start, stop in zip(bounds, bounds[1:]):
             args = (events[start:stop], sampler, state, timeout)
-            got, want = segment_loops.segment(*args), _segment_loop(*args)
+            got, want = segment(*args), _segment_loop(*args)
             assert bits(got) == bits(want)
             state = want[0]
             rows += want[1]
@@ -1009,12 +1002,12 @@ class TestSegmentKernel:
             oracle_pending(oracle), oracle.last_front_side, oracle.count
         )
 
-    def test_empty_list_returns_the_state(self, segment_loops):
+    def test_empty_list_returns_the_state(self, loops_module):
         state = (True, 1, 0.5, 10.0, -4.0, 0, 7)
-        for sampler in (hip_sampler, quad_buffers(cosine_quad())):
-            assert segment_loops.segment([], sampler, state, 2.0) == (state, [], [])
+        assert loops_module.segment([], quad_buffers(cosine_quad()), state, 2.0) == (state, [], [])
+        assert _segment_loop([], hip_sampler, state, 2.0) == (state, [], [])
 
-    def test_every_diagnostic_code(self, segment_loops):
+    def test_every_diagnostic_code(self, loops_module):
         events = [
             MinimumEvent("knee_L", 0, 0.0, 1.0),
             MinimumEvent("knee_R", 0, 0.5, 1.0),  # 1: L discarded, R pending
@@ -1028,20 +1021,19 @@ class TestSegmentKernel:
             MinimumEvent("knee_L", 0, 5.0, 1.0),
             MinimumEvent("hip_R", 0, 5.25, 1.0),  # step 1 (front L again, after the resync)
         ]
-        want = _segment_loop(events, hip_sampler, _SEGMENTER_START, 2.0)
-        assert segment_loops.segment(events, hip_sampler, _SEGMENTER_START, 2.0) == want
-        state, rows, diags = want
+        state, rows, diags = _segment_loop(events, hip_sampler, _SEGMENTER_START, 2.0)
         assert [d[0] for d in diags] == [1, 2, 0, 3, 4]
         assert [(r[0], r[1], r[6], r[7]) for r in rows] == [(0, "L", 3.0, 3.25), (1, "L", 5.0, 5.25)]
         assert state == (False, 0, 5.0, 1.0, hip_sampler("hip_L", 5.0), 0, 2)
-        # The same codes with the paired angles read from four buffers.
+        # The same codes with the paired angles read from four buffers, on
+        # the loop under test.
         buffers = quad_buffers(cosine_quad())
         want = _segment_loop(events, buffers, _SEGMENTER_START, 2.0)
-        assert segment_loops.segment(events, buffers, _SEGMENTER_START, 2.0) == want
+        assert loops_module.segment(events, buffers, _SEGMENTER_START, 2.0) == want
         assert [d[0] for d in want[2]] == [1, 2, 0, 3, 4]
 
-    def test_diagnostic_strings_print_the_timeout_as_given(self, segment_loops, monkeypatch):
-        monkeypatch.setattr(_kernel, "loops", lambda: segment_loops)
+    def test_diagnostic_strings_print_the_timeout_as_given(self, loops_module, monkeypatch):
+        monkeypatch.setattr(_kernel, "loops", lambda: loops_module)
         for timeout, text in ((2, "2"), (0.5, "0.5")):
             seg = StepSegmenter(EventConfig(back_event_timeout_s=timeout), hip_sampler)
             seg.process(MinimumEvent("knee_L", 0, 0.0, 1.0))
@@ -1050,15 +1042,32 @@ class TestSegmentKernel:
                 f"discarded front event (L at 0.000 s): no back-limb hip minimum within {text} s"
             ]
 
-    def test_a_sampler_may_empty_the_list(self, segment_loops):
+    # A callable sampler runs on the Python loop alone.
+    @pytest.mark.parametrize("loops_module", ["python_loops"], indirect=True)
+    def test_a_sampler_may_empty_the_list(self, loops_module):
         events = [MinimumEvent("knee_L", 0, 0.0, 1.0), MinimumEvent("knee_R", 0, 0.5, 1.0)]
 
         def sampler(name, t):
             events.clear()
             return 1.5
 
-        state, rows, diags = segment_loops.segment(events, sampler, _SEGMENTER_START, 2.0)
+        state, rows, diags = loops_module.segment(events, sampler, _SEGMENTER_START, 2.0)
         assert state == (True, 0, 0.0, 1.0, 1.5, -1, 0) and rows == [] and diags == []
+
+    def test_an_event_field_may_empty_the_list(self, compiled_kernel):
+        """The kernel reads an event's numbers through their __float__, which
+        may change the list: each event is held while it runs."""
+
+        class Clears:
+            def __float__(self):
+                events.clear()
+                return 1.0
+
+        # A series name built at run time, so the event is its only holder.
+        events = [("".join(("knee", "_L")), 0, 0.0, Clears()), ("knee_R", 0, 0.5, 1.0)]
+        state, rows, diags = compiled_kernel.segment(events, QUAD_BUFFERS, _SEGMENTER_START, 2.0)
+        alpha_f = QUAD_BUFFERS[0][0][0]  # hip_L at t = 0
+        assert state == (True, 0, 0.0, 1.0, alpha_f, -1, 0) and rows == [] and diags == []
 
     @pytest.mark.parametrize("event, error", [
         (("knee_L", 0, 0.5), ValueError),
@@ -1070,7 +1079,7 @@ class TestSegmentKernel:
     ])
     def test_malformed_events_raise(self, compiled_kernel, event, error):
         with pytest.raises(error):
-            compiled_kernel.segment([event], hip_sampler, _SEGMENTER_START, 2.0)
+            compiled_kernel.segment([event], QUAD_BUFFERS, _SEGMENTER_START, 2.0)
 
     @pytest.mark.parametrize("sampler, state, error", [
         (None, _SEGMENTER_START, TypeError),
@@ -1078,9 +1087,10 @@ class TestSegmentKernel:
         (((b"12345678", 0.0, 25.0),) * 3, _SEGMENTER_START, TypeError),
         (((b"123456789", 0.0, 25.0),) * 4, _SEGMENTER_START, ValueError),
         (((np.zeros(4)[::2], 0.0, 25.0),) * 4, _SEGMENTER_START, ValueError),  # not contiguous
-        (hip_sampler, (False, 2, 0.0, 0.0, 0.0, -1, 0), ValueError),
-        (hip_sampler, (False, 0, 0.0, 0.0, 0.0, -2, 0), ValueError),
-        (hip_sampler, (False, 0, 0.0, 0.0, 0.0, -1), TypeError),
+        (QUAD_BUFFERS, (False, 2, 0.0, 0.0, 0.0, -1, 0), ValueError),
+        (QUAD_BUFFERS, (False, 0, 0.0, 0.0, 0.0, -2, 0), ValueError),
+        (QUAD_BUFFERS, (False, 0, 0.0, 0.0, 0.0, -1), TypeError),
+        (hip_sampler, _SEGMENTER_START, TypeError),  # the kernel takes no callable
     ])
     def test_bad_samplers_and_states_raise(self, compiled_kernel, sampler, state, error):
         with pytest.raises(error):
@@ -1090,3 +1100,64 @@ class TestSegmentKernel:
         with pytest.raises(TypeError):
             compiled_kernel.segment((MinimumEvent("knee_L", 0, 0.5, 1.0),), hip_sampler,
                                     _SEGMENTER_START, 2.0)
+
+
+def step_bits(step):
+    """A step's fields, each float as its hex bits (its length is NaN), or None."""
+    return None if step is None else bits(dataclasses.astuple(step))
+
+
+class TestSamplerForms:
+    """Buffers go to `_kernel.loops().segment` and a callable to the Python
+    loop; the segmenter checks buffers once, at construction."""
+
+    @PROPERTY
+    @given(event_stream(), st.sampled_from([0.125, 0.5, 2.0]), st.integers(0, 2**32 - 1))
+    def test_a_callable_and_the_buffers_give_the_same_steps(self, loops_module, events, timeout,
+                                                             seed):
+        quad = offset_quad(np.random.default_rng(seed))
+        config = EventConfig(back_event_timeout_s=timeout)
+        with mock.patch.object(_kernel, "loops", lambda: loops_module):
+            by_call = StepSegmenter(config, index_near_sampler(quad))
+            by_buffers = StepSegmenter(config, quad_buffers(quad))
+            for ev in events:
+                assert step_bits(by_call.process(ev)) == step_bits(by_buffers.process(ev))
+                assert bits(by_call._state) == bits(by_buffers._state)
+            assert by_call.diagnostics == by_buffers.diagnostics
+            by_call = StepSegmenter(config, index_near_sampler(quad))
+            by_buffers = StepSegmenter(config, quad_buffers(quad))
+            assert bits(by_call.run(events)) == bits(by_buffers.run(events))
+            assert bits(by_call._state) == bits(by_buffers._state)
+            assert by_call.diagnostics == by_buffers.diagnostics
+
+    @pytest.mark.parametrize("values", [
+        np.arange(40),
+        np.arange(40, dtype=np.float32),
+        np.arange(40.0).astype(">f8"),
+        np.arange(80.0)[::2],
+        list(np.arange(40.0)),
+    ], ids=["int64", "float32", "big-endian", "strided", "list"])
+    def test_buffers_must_be_native_doubles(self, loops, values):
+        # The kernel would read any buffer's bytes as doubles: int64 as
+        # denormals, float32 pairs as one wild angle.
+        good = (np.arange(40.0), 0.0, 25.0)
+        buffers = [good] * 4
+        buffers[2] = (values, 0.0, 25.0)  # hip_R
+        with pytest.raises(GaitInputError, match="hip_R"):
+            StepSegmenter(EventConfig(), tuple(buffers))
+
+    @pytest.mark.parametrize("sampler", [None, [(np.arange(4.0), 0.0, 25.0)] * 4,
+                                         ((np.arange(4.0), 0.0, 25.0),) * 3,
+                                         ((np.arange(4.0), 0.0),) * 4])
+    def test_other_samplers_rejected(self, sampler):
+        with pytest.raises(GaitInputError):
+            StepSegmenter(EventConfig(), sampler)
+
+    def test_checked_buffers_stay_resizable(self, loops):
+        series = [array("d", np.arange(40.0)) for _ in SEGMENT_SERIES]
+        seg = StepSegmenter(EventConfig(), tuple((s, 0.0, 25.0) for s in series))
+        for s in series:
+            s.extend([40.0, 41.0])  # a live export still held would raise BufferError
+        seg.process(MinimumEvent("knee_L", 0, 0.2, 1.0))
+        step = seg.process(MinimumEvent("hip_R", 0, 1.64, 1.0))
+        assert (step.angles.alpha_f, step.angles.beta_b) == (5.0, 41.0)

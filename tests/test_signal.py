@@ -869,15 +869,6 @@ def test_synth_standing_windows_give_the_np_median_offsets(loops, seed):
         assert hex_offsets(got) == oracle_offsets(leg.standing_imu, leg.standing_bend)
 
 
-@pytest.fixture(scope="module", params=["kernel", "python_loops"])
-def medians_loops(request):
-    """The C kernel (skipped where it cannot be built), then the Python loops:
-    module-scoped, unlike conftest's `loops`, so hypothesis tests can take it."""
-    if request.param == "kernel":
-        return request.getfixturevalue("compiled_kernel")
-    return _kernel.PYTHON
-
-
 @st.composite
 def standing_window(draw):
     """A window of MIN_CALIB_SAMPLES to 2000 samples of one or three channels,
@@ -911,9 +902,9 @@ class TestMediansProperties:
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(standing_window())
     @example(np.random.default_rng(4).permutation(400).astype(float))
-    def test_middle_pair_and_spread_are_np_medians(self, medians_loops, window):
+    def test_middle_pair_and_spread_are_np_medians(self, loops_module, window):
         before = window.copy()
-        lo, hi, mad = medians_loops.medians(window)
+        lo, hi, mad = loops_module.medians(window)
         assert window.tobytes() == before.tobytes()
         rows = np.sort(window.reshape(len(window), -1), axis=0)
         n = len(window)
@@ -927,11 +918,11 @@ class TestMediansProperties:
         assert [x.hex() for x in mad] == [float(x).hex() for x in spread]
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (), (4, 3, 1)])
-    def test_shapes_checked(self, medians_loops, shape):
+    def test_shapes_checked(self, loops_module, shape):
         with pytest.raises(ValueError, match="medians needs"):
-            medians_loops.medians(np.zeros(shape))
+            loops_module.medians(np.zeros(shape))
 
-    def test_non_finite_sample_gives_none(self, medians_loops):
+    def test_non_finite_sample_gives_none(self, loops_module):
         window = np.zeros((40, 3))
         window[39, 2] = np.nan
-        assert medians_loops.medians(window) is None
+        assert loops_module.medians(window) is None

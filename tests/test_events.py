@@ -909,21 +909,26 @@ def hip_sampler(name, t):
     return float(len(name)) + t / 3.0 if name.startswith("hip") else 5.0 - t / 7.0
 
 
-QUAD_BUFFERS = quad_buffers(cosine_quad())
+QUAD = cosine_quad()
+QUAD_BUFFERS = quad_buffers(QUAD)
 
 
 class TestStepSegmenter:
     @PROPERTY
     @given(event_stream(), st.sampled_from([0.125, 0.5, 2.0]))
     def test_equals_the_oracle(self, events, timeout):
+        # A callable sampler runs on the Python loop alone; both loops read
+        # the quad's buffers.
+        self.check_against_the_oracle(_kernel.PYTHON, hip_sampler, hip_sampler, events, timeout)
         for loops in both_loops():
-            self.check_against_the_oracle(loops, events, timeout)
+            self.check_against_the_oracle(loops, QUAD_BUFFERS, index_near_sampler(QUAD),
+                                          events, timeout)
 
     @staticmethod
-    def check_against_the_oracle(loops, events, timeout):
+    def check_against_the_oracle(loops, sampler, oracle_sampler, events, timeout):
         config = EventConfig(back_event_timeout_s=timeout)
-        seg = StepSegmenter(config, hip_sampler)
-        oracle = SegmenterOracle(config, hip_sampler)
+        seg = StepSegmenter(config, sampler)
+        oracle = SegmenterOracle(config, oracle_sampler)
         with mock.patch.object(_kernel, "loops", lambda: loops):
             for ev in events:
                 got, want = seg.process(ev), oracle.process(ev)
@@ -945,7 +950,7 @@ class TestStepSegmenter:
     def test_finalize_with_a_step_pending(self, loops_module, kind, monkeypatch):
         monkeypatch.setattr(_kernel, "loops", lambda: loops_module)
         diags = ["earlier"]
-        seg = StepSegmenter(EventConfig(), hip_sampler, diags)
+        seg = StepSegmenter(EventConfig(), QUAD_BUFFERS, diags)
         seg.process(MinimumEvent("knee_L", 3, 0.125, 12.5))
         assert seg.process(MinimumEvent(kind, 4, 0.25, -2.0)) is None
         seg.finalize()
@@ -958,6 +963,8 @@ class TestStepSegmenter:
         seg.finalize()  # nothing left to discard
         assert len(diags) == 3  # "earlier", the second event's and the finalize's
 
+    # A callable sampler runs on the Python loop alone.
+    @pytest.mark.parametrize("loops_module", ["python_loops"], indirect=True)
     def test_a_raising_sampler_propagates_and_changes_nothing(self, loops_module, monkeypatch):
         monkeypatch.setattr(_kernel, "loops", lambda: loops_module)
 
@@ -1035,7 +1042,7 @@ class TestSegmentKernel:
     def test_diagnostic_strings_print_the_timeout_as_given(self, loops_module, monkeypatch):
         monkeypatch.setattr(_kernel, "loops", lambda: loops_module)
         for timeout, text in ((2, "2"), (0.5, "0.5")):
-            seg = StepSegmenter(EventConfig(back_event_timeout_s=timeout), hip_sampler)
+            seg = StepSegmenter(EventConfig(back_event_timeout_s=timeout), QUAD_BUFFERS)
             seg.process(MinimumEvent("knee_L", 0, 0.0, 1.0))
             seg.process(MinimumEvent("hip_R", 0, 9.0, 1.0))
             assert seg.diagnostics == [
@@ -1098,7 +1105,7 @@ class TestSegmentKernel:
 
     def test_events_must_be_a_list(self, compiled_kernel):
         with pytest.raises(TypeError):
-            compiled_kernel.segment((MinimumEvent("knee_L", 0, 0.5, 1.0),), hip_sampler,
+            compiled_kernel.segment((MinimumEvent("knee_L", 0, 0.5, 1.0),), QUAD_BUFFERS,
                                     _SEGMENTER_START, 2.0)
 
 

@@ -246,7 +246,7 @@ def _components(params: StaticParams, angles: EventAngles) -> tuple[float, ...]:
 
 def angle_matrix(steps: Sequence[StepMeasurement]) -> np.ndarray:
     """(N, 4) event angles of the steps: [alpha_f, beta_f, alpha_b, beta_b]."""
-    rows = [(s.angles.alpha_f, s.angles.beta_f, s.angles.alpha_b, s.angles.beta_b) for s in steps]
+    rows = [(a.alpha_f, a.beta_f, a.alpha_b, a.beta_b) for a in (s.angles for s in steps)]
     return np.array(rows, dtype=float).reshape(-1, 4)
 
 
@@ -258,9 +258,11 @@ def step_features(angles_deg: np.ndarray) -> np.ndarray:
     """
     a = np.radians(angles_deg)
     af, bf, ab, bb = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    return np.column_stack(
-        [np.sin(af) - np.sin(ab), np.sin(af - bf) + np.sin(bb - ab), np.ones(len(a))]
-    )
+    out = np.empty((len(a), 3))
+    np.subtract(np.sin(af), np.sin(ab), out=out[:, 0])
+    np.add(np.sin(af - bf), np.sin(bb - ab), out=out[:, 1])
+    out[:, 2] = 1.0
+    return out
 
 
 def attach_lengths(

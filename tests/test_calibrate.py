@@ -100,8 +100,8 @@ class TestFeatureVector:
         assert np.all(np.abs(rows - model_lengths(NOMINAL, steps)) < 1e-12)
 
     def test_bit_identical_to_step_length(self):
-        # feature_vector reads the model's components directly; the sums are
-        # those of the step_length breakdown at unit parameters, bit for bit.
+        # feature_vector's sums are those of the step_length breakdown at
+        # unit parameters, bit for bit.
         unit = StaticParams(1.0, 1.0, 1.0)
         for a in np.random.default_rng(23).uniform(-90, 90, size=(20_000, 4)).tolist():
             angles = EventAngles(*a)
@@ -555,6 +555,52 @@ class TestBiasSolver:
         for J, r, lo, hi in problems:
             assert _box_step(J, r, lo, hi).tobytes() == box_step_oracle(J, r, lo, hi).tobytes()
 
+    def test_bias_problem_bit_identical_on_a_cohort(self, monkeypatch):
+        """Every residual and Jacobian evaluated while fitting 32 users'
+        parameters and biases, and every feature matrix behind them, give
+        the bits of their `@` and `column_stack` forms."""
+        from gaitbench.synth import make_cohort
+
+        problems = []
+
+        def recorded(A, y, w, free):
+            residuals, jacobian = _bias_problem(A, y, w, free)
+            points = []
+            problems.append((A, y, w, free, points))
+
+            def recording(fn, kind):
+                def call(b):
+                    points.append((kind, b.copy()))
+                    return fn(b)
+
+                return call
+
+            return recording(residuals, "r"), recording(jacobian, "J")
+
+        monkeypatch.setattr(calibrate, "_bias_problem", recorded)
+        for user in make_cohort(4646, 32, 80):
+            train, _ = split_train_test(len(user.steps))
+            steps, refs = user.steps[train], user.refs[train]
+            assert feature_matrix(steps).tobytes() == step_features_oracle(
+                angle_matrix(steps)
+            ).tobytes()
+            batch_fit_biases(steps, refs, batch_fit_params(steps, refs, user.nominal).params)
+        assert len(problems) == 32
+        kinds = []
+        for A, y, w, free, points in problems:
+            residuals, jacobian = _bias_problem(A, y, w, free)
+            for kind, b in points:
+                kinds.append(kind)
+                full = np.zeros(4)
+                full[free] = b
+                assert step_features(A + full).tobytes() == step_features_oracle(
+                    A + full
+                ).tobytes()
+                want = bias_problem_oracle(A, y, w, free, b)
+                got = residuals(b) if kind == "r" else jacobian(b)
+                assert got.tobytes() == want[kind].tobytes()
+        assert kinds.count("r") > 64 and kinds.count("J") > 64
+
     @pytest.mark.parametrize("cap", [1, 3])
     def test_evaluation_cap(self, monkeypatch, cap):
         """`BIAS_MAX_NFEV` bounds the residual evaluations; a capped fit is
@@ -586,6 +632,30 @@ class TestBiasSolver:
         assert training_sse(A, y, w, got) <= training_sse(A, y, w, np.zeros(4))
         if cap == 1:
             assert np.all(got == 0.0)
+
+
+def step_features_oracle(angles_deg):
+    """`core.step_features` as first written, through `column_stack`."""
+    a = np.radians(angles_deg)
+    af, bf, ab, bb = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    return np.column_stack(
+        [np.sin(af) - np.sin(ab), np.sin(af - bf) + np.sin(bb - ab), np.ones(len(a))]
+    )
+
+
+def bias_problem_oracle(A, y, w, free, b):
+    """`_bias_problem`'s residuals ("r") and Jacobian ("J") at the free
+    biases b, in their `@` form."""
+    full = np.zeros(4)
+    full[free] = b
+    l1, l2 = w[0], w[1]
+    args = np.array([[1, 0, 1, 0], [0, 0, -1, 0], [0, 1, 0, -1], [0, 0, 0, 1]], dtype=float)
+    cols = np.array([[-l1, 0, 0, 0], [0, 0, l1, 0], [-l2, l2, 0, 0], [0, 0, l2, -l2]])
+    cols = math.pi / 180.0 * cols[:, free]
+    return {
+        "r": y - step_features_oracle(A + full) @ w,
+        "J": np.cos(np.radians(A + full) @ args) @ cols,
+    }
 
 
 def box_step_oracle(J, r, lo, hi):
@@ -789,6 +859,75 @@ class TestRls:
             got, want = rls_update(got, h, d_ref), rls_update_oracle(want, h, d_ref)
             assert np.array_equal(got.w, want.w) and np.array_equal(got.P, want.P)
             assert (got.n_updates, got.n_resets) == (want.n_updates, want.n_resets)
+
+    def test_bit_identical_to_numpy_oracle_on_a_cohort(self):
+        """Each user's whole RLS pass over its 80 real feature vectors, from
+        the nominal parameters, shifted users (every second) included."""
+        from gaitbench.synth import make_cohort
+
+        resets = []
+        for user in make_cohort(4646, 32, 80):
+            got = want = rls_init(user.nominal)
+            for step, ref in zip(user.steps, user.refs):
+                h = feature_vector(step.angles)
+                got = rls_update(got, h, ref.length_cm)
+                want = rls_update_oracle(want, h, ref.length_cm)
+                assert got.w.tobytes() == want.w.tobytes()
+                assert got.P.tobytes() == want.P.tobytes()
+                assert (got.n_updates, got.n_resets) == (want.n_updates, want.n_resets)
+            resets.append(got.n_resets)
+        assert all(resets[1::2])  # every shifted user's pass resets P
+
+
+def _operands(left, right):
+    """Random operand pairs of `left` . `right` shapes, each a function of
+    (n, k), for n in 1..80 and k in 1..4."""
+    def draw(rng, n, k):
+        a = rng.normal(size=left(n, k)) * rng.uniform(0.1, 100.0)
+        return a, rng.normal(size=right(n, k)) * rng.uniform(0.1, 100.0)
+
+    return draw
+
+
+def _transposed(rng, n, k):
+    J = rng.normal(size=(n, k)) * rng.uniform(0.1, 100.0)
+    assert J.T.flags.f_contiguous
+    return J.T, rng.normal(size=n)
+
+
+# The products `calibrate` takes with ndarray.dot, by call site and shape.
+DOT_SITES = {
+    "rls_update: hv . w, hv . Ph": _operands(lambda n, k: 3, lambda n, k: 3),
+    "rls_update: P . hv": _operands(lambda n, k: (3, 3), lambda n, k: 3),
+    "batch_fit_params: H . w; _bias_problem: features . w": _operands(
+        lambda n, k: (n, 3), lambda n, k: 3
+    ),
+    "_bias_problem: radians . args": _operands(lambda n, k: (n, 4), lambda n, k: (4, 4)),
+    "_bias_problem: cosines . cols": _operands(lambda n, k: (n, 4), lambda n, k: (4, k)),
+    "_fit_box, _box_step: J . d": _operands(lambda n, k: (n, k), lambda n, k: k),
+    "_box_step: J[:, fixed] . d[fixed], none to three fixed": _operands(
+        lambda n, k: (n, k - 1), lambda n, k: k - 1
+    ),
+    "_box_step: J.T . (r + J d)": _transposed,
+    # n * k: the raveled Jacobian's norm too.
+    "_fit_box: r . r, r . Jd, Jd . Jd; _box_step: the norms": _operands(
+        lambda n, k: n * k, lambda n, k: n * k
+    ),
+}
+
+
+@pytest.mark.parametrize("site", list(DOT_SITES))
+def test_dot_gives_matmuls_bits(site):
+    """`calibrate` takes its small products with `ndarray.dot`, which costs
+    about half of `@`'s dispatch; both send float64 operands to the same
+    BLAS routine. A numpy or BLAS that splits the two fails here, at the
+    call site's name."""
+    rng = np.random.default_rng(sorted(DOT_SITES).index(site))
+    for n in range(1, 81):
+        for k in range(1, 5):
+            for _ in range(4):
+                a, b = DOT_SITES[site](rng, n, k)
+                assert np.asarray(a.dot(b)).tobytes() == np.asarray(a @ b).tobytes(), (n, k)
 
 
 class TestMetricsHelpers:

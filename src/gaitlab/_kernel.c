@@ -30,16 +30,11 @@
  * returns, and calls no function of its caller's: the segmenter's callable
  * sampler runs on the Python loop alone.
  *
- * On a call of at least THREADED_MIN_SAMPLES samples in a process that may
- * run on two or more CPUs, `madgwick_loop` takes the hip angle's atan2 on a
- * worker thread while it runs the recurrence: the main thread publishes
- * each finished block of ANGLE_BLOCK samples through one atomic index
- * (release), the worker reads it (acquire) and converts that block in
- * place, and the main thread joins the worker before it returns. Each
- * atan2 reads the two doubles the recurrence stored and nothing else, so
- * which thread runs it, and when, cannot change a bit. The call keeps the
- * GIL, the worker touches no Python object, and no thread outlives the
- * call, so a fork between calls finds none.
+ * `madgwick_loop` runs the hip angle's atan2 ANGLE_LAG samples behind the
+ * quaternion recurrence, in the same loop: the CPU overlaps the atan2 of an
+ * earlier sample with the recurrence's latency-bound chain (software
+ * pipelining; Lam, PLDI 1988). Each atan2 reads the two doubles the
+ * recurrence stored and nothing else, so when it runs cannot change a bit.
  *
  * `block(nbytes)` returns a writable buffer of exactly nbytes, which
  * gaitlab._kernel.empty wraps as the float64 output of a whole-recording
@@ -52,63 +47,20 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
-#include <pthread.h>
-#include <sched.h>
 #include <stdarg.h>
-#include <stdatomic.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Samples per atan2 pass: in the serial pass den[] is 2 KiB of stack, and
- * out[] is still in cache when the pass reads it back. */
-#define ANGLE_BLOCK 256
-
-/* The fewest samples whose atan2 pass goes to a worker thread. Starting and
- * joining the thread costs about 25 us, which the pass run alongside the
- * recurrence pays back from about 1536 samples on. Median call times on a
- * 2-vCPU x86-64 VM, serial against threaded, 400 alternating calls each:
- * 89 against 99 us at 1024 samples, 133 against 133 at 1536, 179 against
- * 165 at 2048, 356 against 292 at 4096 and 1329 against 998 at 15000 (a
- * 60 s leg at 250 Hz). A live chunk of about 10 samples stays serial. */
-#define THREADED_MIN_SAMPLES 2048
+/* Samples the hip angle's atan2 runs behind the recurrence: den[] is
+ * 512 bytes of stack, and out[i - ANGLE_LAG] is still in cache when the
+ * loop reads it back. From 16 to 256 the lag made no measurable difference
+ * to a 15000-sample call. */
+#define ANGLE_LAG 64
 
 /* Python's math.pi / 180.0 and 180.0 / math.pi: M_PI is the same double as
  * math.pi, and the compiler folds each divide with IEEE rounding. */
 #define DEG (M_PI / 180.0)
 #define DEG_PER_RAD (180.0 / M_PI)
-
-/* The hip angles' atan2 pass handed to a worker thread: out[i] and den[i]
- * hold the numerator and denominator for every i below `ready`. */
-typedef struct {
-    double *out;
-    const double *den;
-    long n;
-    atomic_long ready;
-} angle_pass;
-
-static void *angle_worker(void *arg)
-{
-    angle_pass *p = arg;
-    for (long i = 0; i < p->n;) {
-        long ready = atomic_load_explicit(&p->ready, memory_order_acquire);
-        if (ready == i)
-            sched_yield();
-        for (; i < ready; i++)
-            p->out[i] = atan2(p->out[i], p->den[i]) * DEG_PER_RAD;
-    }
-    return NULL;
-}
-
-/* Whether the process may run on two or more CPUs at once. */
-static int several_cpus(void)
-{
-#ifdef __linux__
-    cpu_set_t cpus;
-    return sched_getaffinity(0, sizeof cpus, &cpus) == 0 && CPU_COUNT(&cpus) >= 2;
-#else
-    return 0;
-#endif
-}
 
 /* `q` is read and written as (w, x, y, z); accel (g) and gyro (deg/s) are
  * C-contiguous (n, 3); `out` receives the hip angle in degrees after each
@@ -123,11 +75,11 @@ static int several_cpus(void)
  * gradient norm exceeds gradient_ref: each is the Python loop's divide on
  * the same operands, and a predicted branch lets the CPU run ahead without
  * waiting on the sqrt and the divide. The hip angle's atan2, which reads
- * the quaternion but feeds nothing back, runs per block of samples after
- * the recurrence, on the numerator and denominator stored as they were
- * computed: on this thread from den_block, or on the worker thread from
- * den_all, which holds all n denominators. When the buffer or the thread
- * cannot be had, the call takes the serial pass.
+ * the quaternion but feeds nothing back, runs ANGLE_LAG samples behind the
+ * recurrence on the numerator and denominator stored as they were
+ * computed: sample i stores its numerator in out[i] and its denominator in
+ * the ring den[i % ANGLE_LAG], whose slot held sample i - ANGLE_LAG's until
+ * that sample's angle was taken, and a tail loop takes the last angles.
  */
 static int madgwick_loop(double *q, const double *accel, const double *gyro, long n,
                          double dt, double beta, double gradient_ref,
@@ -135,80 +87,62 @@ static int madgwick_loop(double *q, const double *accel, const double *gyro, lon
 {
     double w = q[0], x = q[1], y = q[2], z = q[3];
     double k_ref = beta / gradient_ref;
-    double den_block[ANGLE_BLOCK];
-    angle_pass pass = {out, NULL, n, 0};
-    pthread_t worker;
-    double *den_all = NULL;
-    if (n >= THREADED_MIN_SAMPLES && several_cpus() && (den_all = malloc(n * sizeof *den_all))) {
-        pass.den = den_all;
-        if (pthread_create(&worker, NULL, angle_worker, &pass) != 0) {
-            free(den_all);
-            den_all = NULL;
-        }
-    }
-    for (long b = 0; b < n; b += ANGLE_BLOCK) {
-        long e = n - b < ANGLE_BLOCK ? n : b + ANGLE_BLOCK;
-        double *den = den_all ? den_all + b : den_block;
-        for (long i = b; i < e; i++) {
-            double ax = accel[3 * i], ay = accel[3 * i + 1], az = accel[3 * i + 2];
-            double gx = gyro[3 * i] * DEG, gy = gyro[3 * i + 1] * DEG;
-            double gz = gyro[3 * i + 2] * DEG;
-            double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-            if (!(isfinite(gx) && isfinite(gy) && isfinite(gz)))
-                gx = gy = gz = 0.0;
-            double an = sqrt(ax * ax + ay * ay + az * az);
-            accel_rejected = !(an > 0.0 && isfinite(ax) && isfinite(ay) && isfinite(az));
-            if (!accel_rejected) {
-                double axn = ax / an, ayn = ay / an, azn = az / an;
-                double _2w = 2.0 * w, _2x = 2.0 * x, _2y = 2.0 * y, _2z = 2.0 * z;
-                /* Objective: predicted gravity in the sensor frame minus measurement. */
-                double f1 = _2x * z - _2w * y - axn;
-                double f2 = _2w * x + _2y * z - ayn;
-                double f3 = 1.0 - _2x * x - _2y * y - azn;
-                double s0 = -_2y * f1 + _2x * f2;
-                double s1 = _2z * f1 + _2w * f2 - 2.0 * _2x * f3;
-                double s2 = -_2w * f1 + _2z * f2 - 2.0 * _2y * f3;
-                double s3 = _2x * f1 + _2y * f2;
-                double ns = sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3);
-                if (ns > 0.0) {
-                    double k = k_ref;
-                    if (ns > gradient_ref)
-                        k = beta / ns;
-                    c0 = k * s0;
-                    c1 = k * s1;
-                    c2 = k * s2;
-                    c3 = k * s3;
-                }
+    double den[ANGLE_LAG];
+    for (long i = 0; i < n; i++) {
+        double ax = accel[3 * i], ay = accel[3 * i + 1], az = accel[3 * i + 2];
+        double gx = gyro[3 * i] * DEG, gy = gyro[3 * i + 1] * DEG;
+        double gz = gyro[3 * i + 2] * DEG;
+        double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
+        if (!(isfinite(gx) && isfinite(gy) && isfinite(gz)))
+            gx = gy = gz = 0.0;
+        double an = sqrt(ax * ax + ay * ay + az * az);
+        accel_rejected = !(an > 0.0 && isfinite(ax) && isfinite(ay) && isfinite(az));
+        if (!accel_rejected) {
+            double axn = ax / an, ayn = ay / an, azn = az / an;
+            double _2w = 2.0 * w, _2x = 2.0 * x, _2y = 2.0 * y, _2z = 2.0 * z;
+            /* Objective: predicted gravity in the sensor frame minus measurement. */
+            double f1 = _2x * z - _2w * y - axn;
+            double f2 = _2w * x + _2y * z - ayn;
+            double f3 = 1.0 - _2x * x - _2y * y - azn;
+            double s0 = -_2y * f1 + _2x * f2;
+            double s1 = _2z * f1 + _2w * f2 - 2.0 * _2x * f3;
+            double s2 = -_2w * f1 + _2z * f2 - 2.0 * _2y * f3;
+            double s3 = _2x * f1 + _2y * f2;
+            double ns = sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3);
+            if (ns > 0.0) {
+                double k = k_ref;
+                if (ns > gradient_ref)
+                    k = beta / ns;
+                c0 = k * s0;
+                c1 = k * s1;
+                c2 = k * s2;
+                c3 = k * s3;
             }
-
-            double qdw = 0.5 * (-x * gx - y * gy - z * gz) - c0;
-            double qdx = 0.5 * (w * gx + y * gz - z * gy) - c1;
-            double qdy = 0.5 * (w * gy - x * gz + z * gx) - c2;
-            double qdz = 0.5 * (w * gz + x * gy - y * gx) - c3;
-
-            w += qdw * dt;
-            x += qdx * dt;
-            y += qdy * dt;
-            z += qdz * dt;
-            double inv = 1.0 / sqrt(w * w + x * x + y * y + z * z);
-            w *= inv;
-            x *= inv;
-            y *= inv;
-            z *= inv;
-            /* The hip angle is atan2(out[i], den[i - b]), taken below. */
-            out[i] = 2.0 * (x * z - w * y);
-            den[i - b] = 1.0 - 2.0 * (x * x + y * y);
         }
-        if (den_all)
-            atomic_store_explicit(&pass.ready, e, memory_order_release);
-        else
-            for (long i = b; i < e; i++)
-                out[i] = atan2(out[i], den[i - b]) * DEG_PER_RAD;
+
+        double qdw = 0.5 * (-x * gx - y * gy - z * gz) - c0;
+        double qdx = 0.5 * (w * gx + y * gz - z * gy) - c1;
+        double qdy = 0.5 * (w * gy - x * gz + z * gx) - c2;
+        double qdz = 0.5 * (w * gz + x * gy - y * gx) - c3;
+
+        w += qdw * dt;
+        x += qdx * dt;
+        y += qdy * dt;
+        z += qdz * dt;
+        double inv = 1.0 / sqrt(w * w + x * x + y * y + z * z);
+        w *= inv;
+        x *= inv;
+        y *= inv;
+        z *= inv;
+        out[i] = 2.0 * (x * z - w * y);
+        double d = 1.0 - 2.0 * (x * x + y * y);
+        long slot = i % ANGLE_LAG;
+        if (i >= ANGLE_LAG)
+            out[i - ANGLE_LAG] = atan2(out[i - ANGLE_LAG], den[slot]) * DEG_PER_RAD;
+        den[slot] = d;
     }
-    if (den_all) {
-        pthread_join(worker, NULL);
-        free(den_all);
-    }
+    for (long j = n > ANGLE_LAG ? n - ANGLE_LAG : 0; j < n; j++)
+        out[j] = atan2(out[j], den[j % ANGLE_LAG]) * DEG_PER_RAD;
     q[0] = w;
     q[1] = x;
     q[2] = y;

@@ -41,18 +41,11 @@ keep them off the per-sample quaternion recurrence:
   call and `beta / ns` only on a sample whose gradient norm exceeds
   `gradient_ref`, the same operands as the twin's
   `beta / (ns if ns > gradient_ref else gradient_ref)`.
-- The hip angle's `atan2` runs per block of 256 samples on the numerator
-  and denominator the recurrence stored, which it reads and never feeds back.
-  On a call of at least 2048 samples (`THREADED_MIN_SAMPLES` in `_kernel.c`)
-  in a process that may run on two or more CPUs (its affinity mask; Linux
-  only), a worker thread takes that pass while the recurrence runs: the
-  recurrence publishes each finished block through one atomic index, the
-  worker converts the blocks published, and the call joins the worker
-  before it returns. Each `atan2` reads only the two stored doubles, so which thread
-  runs it cannot change its bits. The call holds the GIL throughout, the
-  worker touches no Python object, and no thread outlives the call. A
-  live chunk, a process pinned to one CPU, and a call whose buffer or
-  thread cannot be had take the serial pass.
+- The hip angle's `atan2` runs a fixed lag of samples (`ANGLE_LAG` in
+  `_kernel.c`) behind the recurrence, in the same loop, on the numerator
+  and denominator the recurrence stored, which it reads and never feeds
+  back. So the CPU runs it in the shadow of the recurrence's latency-bound
+  chain, on one thread.
 
 The filter takes accel in g and gyro in deg/s and writes the hip angles in
 degrees: each loop multiplies per sample by `DEG` and by `_DEG_PER_RAD`, the
@@ -437,9 +430,8 @@ def empty(shape) -> np.ndarray:
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 # Contraction into fused multiply-adds or any reordering would change the
-# bits, so the flags hold neither -ffast-math nor -march=native. -pthread
-# links the filter's worker thread where libc does not hold pthreads.
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
+# bits, so the flags hold neither -ffast-math nor -march=native.
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 
 # Why the last kernel load failed, or None after one that succeeded.

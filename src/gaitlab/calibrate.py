@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    EventAngles, StaticParams, StepMeasurement, angle_matrix, step_features
+    EventAngles, StaticParams, StepMeasurement, _components, angle_matrix, step_features
 )
 from .errors import CalibrationError, GaitInputError
 
@@ -69,6 +69,10 @@ DEFAULT_RLS_P0 = 1000.0
 # RLS resets P when e^2 > this * (lambda + h'Ph): a 3 cm innovation once the
 # estimate has settled (h'Ph near 0).
 RLS_RESET_INNOVATION_CM2 = 9.0
+
+# Unit parameters: the model's components at these are the features, since
+# each multiply by 1.0 is exact.
+UNIT = StaticParams(1.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -100,12 +104,8 @@ class FeatureVector:
 def feature_vector(angles: EventAngles) -> FeatureVector:
     """Linear-model features of one step; h . (l1, l2, d5) equals the model."""
     # Scalar on purpose: a one-row step_features call costs several times more.
-    # `_components` at unit parameters, without its exact multiplies by 1.0.
-    af = math.radians(angles.alpha_f)
-    bf = math.radians(angles.beta_f)
-    ab = math.radians(angles.alpha_b)
-    bb = math.radians(angles.beta_b)
-    return FeatureVector(math.sin(af) + math.sin(-ab), math.sin(af - bf) + math.sin(bb - ab))
+    d1, d2, d3, d4, _ = _components(UNIT, angles)
+    return FeatureVector(d2 + d3, d1 + d4)
 
 
 def feature_matrix(steps: Sequence[StepMeasurement]) -> np.ndarray:

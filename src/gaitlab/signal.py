@@ -118,10 +118,15 @@ class UniformSeries:
         return self.t0 + np.arange(len(self.values)) / self.rate_hz
 
     def index_near(self, t: float) -> int:
-        i = int(round((t - self.t0) * self.rate_hz))
+        """The sample nearest t, rounded half to even and clamped to the series.
+
+        The segment loops' rule for any t: -inf and NaN give sample 0 and
+        +inf the last. Clamping the unrounded position as a float gives the
+        same index as rounding first, and leaves round() only finite values.
+        """
+        x = (t - self.t0) * self.rate_hz
         last = len(self.values) - 1
-        i = i if i > 0 else 0  # min(max(i, 0), last) without two calls
-        return i if i < last else last
+        return (round(x) if x < last else last) if x > 0.0 else 0
 
 
 @dataclass

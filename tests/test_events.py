@@ -740,8 +740,9 @@ def loop_sample(segment, buffers, name, t):
         state, _, _ = segment([MinimumEvent(f"knee_{side}", 0, t, 0.0)], buffers,
                               _SEGMENTER_START, 1.0)
         return state[4]
-    # A front event of the other side pending before t, and no timeout.
-    state = (True, 1 if side == "L" else 0, t - 1.0 if math.isfinite(t) else 0.0, 0.0, 0.0, -1, 0)
+    # A front event of the other side pending at -inf, and no timeout, so
+    # any t but -inf completes a step.
+    state = (True, 1 if side == "L" else 0, -math.inf, 0.0, 0.0, -1, 0)
     _, rows, _ = segment([MinimumEvent(f"hip_{side}", 0, t, 0.0)], buffers, state, math.inf)
     return rows[0][5]
 
@@ -780,17 +781,30 @@ class TestQuadSampler:
         quad = AngleQuad(*(series(rng.normal(0, 20, 300), t0=0.36) for _ in range(4)))
         self.check(quad, rng.uniform(-1.0, 14.0, 500).tolist())
 
-    def test_infinite_and_nan_times_read_the_ends(self, loops_module):
-        # index_near raises on these; the loop clamps them as floats: -inf
-        # and NaN read the first sample, +inf the last.
-        # (No step completes at t = -inf, so only a hip series is read there.)
+    @pytest.mark.parametrize("t", [-math.inf, math.inf, math.nan, -1e300, 1e300])
+    def test_index_near_reads_the_loops_sample_at_any_time(self, loops_module, t):
+        # The loops clamp these as floats: -inf and NaN read the first
+        # sample, +inf the last; index_near used to raise OverflowError at
+        # +-inf and ValueError at NaN. (No step completes at t = -inf, so
+        # only a hip series is read there.)
         quad = cosine_quad()
         buffers = quad_buffers(quad)
         for name in SEGMENT_SERIES:
-            values = quad.series(name).values
-            for t, want in ((-math.inf, values[0]), (math.nan, values[0]), (math.inf, values[-1])):
-                if name.startswith("hip") or t != -math.inf:
-                    assert loop_sample(loops_module.segment, buffers, name, t) == want, (name, t)
+            s = quad.series(name)
+            i = s.index_near(t)
+            assert type(i) is int and i == (0 if not t > 0.0 else len(s) - 1)
+            if name.startswith("hip") or t != -math.inf:
+                assert loop_sample(loops_module.segment, buffers, name, t) == s.values[i], (name, t)
+
+    def test_index_near_reads_the_loops_sample_on_the_grid(self, loops_module):
+        rng = np.random.default_rng(2)
+        quad = AngleQuad(*(series(rng.normal(0, 20, 40), t0=0.36) for _ in range(4)))
+        buffers = quad_buffers(quad)
+        for name in SEGMENT_SERIES:
+            s = quad.series(name)
+            for k, t in enumerate(s.t.tolist()):
+                assert s.index_near(t) == k
+                assert loop_sample(loops_module.segment, buffers, name, t) == s.values[k], (name, t)
 
     def test_an_empty_series_raises_only_when_sampled(self, loops_module):
         quad = quad_buffers(cosine_quad())

@@ -3,11 +3,9 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import os
 import re
-import subprocess
-import sys
 import sysconfig
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,11 +29,9 @@ from gaitlab.orientation import (
 
 DT = 0.04  # 25 Hz
 
-# From this many samples on, the kernel takes the hip angles' atan2 pass on
-# a worker thread where the process may run on two or more CPUs.
-THREADED = int(
-    re.search(r"#define THREADED_MIN_SAMPLES (\d+)", _kernel._KERNEL_SOURCE.read_text()).group(1)
-)
+# The kernel takes each hip angle's atan2 this many samples behind the
+# recurrence, and the last ones after the loop.
+LAG = int(re.search(r"#define ANGLE_LAG (\d+)", _kernel._KERNEL_SOURCE.read_text()).group(1))
 
 
 def gravity_for(tilt_deg):
@@ -213,33 +209,6 @@ def assert_same_bits(got, want):
     assert got[1][4] == want[1][4]
 
 
-def run_python(body):
-    """Run `body` in a fresh interpreter, within two minutes, after a prelude.
-
-    The prelude imports os and numpy, loads the kernel as `kernel` (it must
-    load) and `_madgwick_loop`, and defines `rng` and the filter arguments
-    `ARGS`. The process must exit cleanly.
-    """
-    prelude = """
-import os
-import numpy as np
-from gaitlab import _kernel, orientation
-from gaitlab._kernel import _madgwick_loop, _rotate_loop
-
-kernel = _kernel.loops()
-assert kernel is not _kernel.PYTHON, _kernel._kernel_error
-rng = np.random.default_rng(7)
-ARGS = (0.004, 1.0, 0.0, 0.0, 0.0, False, orientation.BETA, orientation.GRADIENT_REF)
-"""
-    src = str(Path(orientation.__file__).parents[1])
-    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = os.environ | {"PYTHONPATH": os.pathsep.join(path)}
-    done = subprocess.run(
-        [sys.executable, "-c", prelude + body], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-
-
 def gradient_norms(accel, states):
     """The filter's objective-gradient norm at each sample, from the state before it."""
     w, x, y, z = np.array([s[:4] for s in states]).T
@@ -345,12 +314,9 @@ class TestKernel:
             for loop in (kernel, _madgwick_loop):
                 assert_same_bits(run_chunks(loop, accel, gyro, state, chunk), want)
 
-    # The kernel takes atan2 per block of 256 samples, after the recurrence,
-    # and from THREADED samples on, on a worker thread.
-    @pytest.mark.parametrize(
-        "n",
-        [0, 1, 255, 256, 257, 513, 15000, THREADED - 1, THREADED, THREADED + 1, THREADED + 257],
-    )
+    # The kernel takes atan2 LAG samples behind the recurrence, and the last
+    # min(n, LAG) angles after the loop.
+    @pytest.mark.parametrize("n", [0, 1, LAG - 1, LAG, LAG + 1, 2 * LAG + 1, 15000])
     def test_every_length_around_the_angle_block(self, kernel, n):
         rng = np.random.default_rng(n)
         accel, gyro = random_recording(rng, max(n, 6))
@@ -361,43 +327,48 @@ class TestKernel:
         assert len(got[0]) == n
         assert_same_bits(got, want)
 
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity on this platform"
-    )
-    def test_one_cpu_takes_the_serial_pass_with_the_same_bits(self, kernel):
-        # A process pinned to one CPU runs the atan2 pass on its own thread.
-        run_python(f"""
-os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
-assert len(os.sched_getaffinity(0)) == 1
-for n in ({THREADED}, 15000):
-    accel, gyro = rng.normal([0, 0, 1], 0.5, (n, 3)), rng.normal(0, 200, (n, 3))
-    got, want = np.empty(n), np.empty(n)
-    assert kernel.loop(accel, gyro, got, *ARGS) == _madgwick_loop(accel, gyro, want, *ARGS)
-    assert got.tobytes() == want.tobytes(), n
-""")
+    def test_prefix_calls_give_the_oracle_prefix(self, kernel):
+        # The filter is causal, so a call on the first m samples gives the
+        # first m angles of the whole; m ends at every offset of two lag
+        # windows, short of the lag and well past it.
+        rng = np.random.default_rng(7)
+        n = 10 * LAG
+        accel, gyro = rng.normal([0, 0, 1], 0.5, (n, 3)), rng.normal(0, 200, (n, 3))
+        state = random_state(rng)
+        want = run(_madgwick_loop, accel, gyro, state)[0]
+        for m in [*range(2 * LAG + 1), *range(n - 2 * LAG, n + 1)]:
+            got = run(kernel, accel[:m], gyro[:m], state)[0]
+            assert got.tobytes() == want[:m].tobytes(), m
 
-    def test_repeated_threaded_calls_give_the_oracle_bits(self, kernel):
-        # 300 calls that hand the pass to the worker, at lengths ending at
-        # every offset in a block; the filter is causal, so a call on the
-        # first m samples gives the first m angles of the whole.
-        run_python(f"""
-n = {THREADED} + 600
-accel, gyro = rng.normal([0, 0, 1], 0.5, (n, 3)), rng.normal(0, 200, (n, 3))
-want = np.empty(n)
-_madgwick_loop(accel, gyro, want, *ARGS)
-for m in range({THREADED}, n, 2):
-    got = np.empty(m)
-    kernel.loop(accel[:m], gyro[:m], got, *ARGS)
-    assert got.tobytes() == want[:m].tobytes(), m
-""")
-
-    @pytest.mark.parametrize("chunk", [100, 255, 257, 300])
+    @pytest.mark.parametrize("chunk", [LAG - 1, LAG, LAG + 1])
     def test_chunks_that_split_an_angle_block(self, kernel, chunk):
         rng = np.random.default_rng(chunk)
         accel, gyro = random_recording(rng, 1000)
+        accel[LAG - 1, 0] = np.nan
+        gyro[LAG - 1, 2] = np.inf
+        accel[LAG] = np.inf
+        gyro[LAG, 1] = np.nan
         state = random_state(rng)
         want = run(_madgwick_loop, accel, gyro, state)
+        assert np.isfinite(want[0]).all()
         assert_same_bits(run_chunks(kernel, accel, gyro, state, chunk), want)
+
+    def test_a_long_call_takes_no_more_cpu_than_wall_time(self, kernel):
+        # One thread: the process's CPU time over 50 calls of a 60 s leg at
+        # 250 Hz stays within its wall time, give or take the clocks. The
+        # best of five rounds, so that another thread of the process still
+        # busy from an earlier test (a BLAS pool's spin-wait) cannot fail it.
+        rng = np.random.default_rng(9)
+        accel, gyro = rng.normal([0, 0, 1], 0.5, (15000, 3)), rng.normal(0, 200, (15000, 3))
+        out = np.empty(15000)
+        args = (DT, *filter_init(), BETA, GRADIENT_REF)
+        rounds = []
+        for _ in range(5):
+            wall, cpu = time.perf_counter(), time.process_time()
+            for _ in range(50):
+                kernel(accel, gyro, out, *args)
+            rounds.append((time.process_time() - cpu, time.perf_counter() - wall))
+        assert min(cpu / wall for cpu, wall in rounds) <= 1.2, rounds
 
     def test_gradient_norm_crossing_the_reference_both_ways(self, kernel):
         # Settled on gravity the gradient norm is small and the gain

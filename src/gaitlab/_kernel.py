@@ -1,5 +1,5 @@
 """The chain's compiled loops, their Python twins, the loader that picks one,
-and the recycler that whole-recording outputs take their memory from.
+and the free list that whole-recording outputs take their memory from.
 
 The loops of the chain that run once per sample or once per event run in C
 wherever a C compiler is found: the Madgwick filter of
@@ -71,17 +71,19 @@ A whole recording's stage outputs, from `signal.apply_offsets`,
 hundreds of kilobytes, and a process analysing one recording after another
 would free them and then fault fresh pages in for the next (malloc hands
 the top of its heap back to the system). `empty(shape)` gives such an
-output, from BLOCK_MIN_BYTES (64 KiB) on, the memory of a `block`: the
-kernel's `block(nbytes)` returns a buffer whose memory, once the last array,
-view or memoryview of it has gone, goes back to a free list of at most 16
-blocks and 64 MiB (BLOCK_POOL_COUNT and BLOCK_POOL_BYTES in `_kernel.c`)
-rather than to malloc, and the next block of about its size reuses it. The
-first call that takes a block loads the kernel, as the loops' first call
-does; `PYTHON.block` is `bytearray`. A live chunk's arrays, about ten rows,
-stay far below the threshold and stay `np.empty`'s. A block is handed out
-again only once nothing refers to it, so no live array shares memory with
-a new one, and each stage writes every element of its output before
-returning it, so which memory an output takes cannot change its bits.
+output, from BLOCK_MIN_BYTES (64 KiB) on, memory from a free list of
+released blocks (a slab cache; Bonwick, USENIX Summer 1994): the array's
+`.base` is a `_Block` holder whose `__del__`, once no array, view or
+memoryview of it is left, puts the memory back on the list, which keeps at
+most BLOCK_POOL_COUNT (16) blocks of BLOCK_POOL_BYTES (64 MiB) together,
+and the next output of about its size takes it. It is the same list
+whichever loops run: `empty` never loads the kernel. A live chunk's arrays,
+about ten rows, stay far below the threshold and stay `np.empty`'s. A block
+is handed out again only once nothing refers to it, and a take is atomic
+(it holds the list's lock, which a release never takes), so no live array
+shares memory with a new one, on any thread; each stage writes every
+element of its output before returning it, so which memory an output takes
+cannot change its bits.
 """
 
 from __future__ import annotations
@@ -90,10 +92,12 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import shutil
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -385,8 +389,7 @@ def _medians_loop(window):
     return lo.tolist(), hi.tolist(), pair_median(*_middle_pair(deviations), n).tolist()
 
 
-# The twins under the kernel's entry-point names; a bytearray is a block
-# whose memory goes back to the allocator.
+# The twins under the kernel's entry-point names.
 PYTHON = SimpleNamespace(
     loop=_madgwick_loop,
     minima=_minima_loop,
@@ -395,25 +398,74 @@ PYTHON = SimpleNamespace(
     offset=_offset_loop,
     rotate=_rotate_loop,
     medians=_medians_loop,
-    block=bytearray,
 )
 
-# From this many bytes on, `empty` takes its memory from `block`. On the
-# batch chain (seed 101, getrusage around each stage) any threshold from 4 to
-# 256 KiB took the stages' minor faults from about 210 per recording to 0;
-# 64 KiB takes a 60 s leg's 120 KB hip angles too, while a live chunk's
-# 240-byte arrays keep np.empty, about 0.25 us a call against 1.7 us for an
-# array on a block (timeit, best of 7, 2-vCPU VM).
+# From this many bytes on, `empty` takes its memory from the free list. On
+# the batch chain (seed 101, getrusage around each stage) any threshold from
+# 4 to 256 KiB took the stages' minor faults from about 210 per recording to
+# 0; 64 KiB takes a 60 s leg's 120 KB hip angles too, while a live chunk's
+# 240-byte arrays keep np.empty, about 0.3 us a call against about 3 us for
+# an array on a recycled block, taken and released (timeit, 2-vCPU VM).
 BLOCK_MIN_BYTES = 64 * 1024
+
+# The free list holds at most BLOCK_POOL_COUNT blocks of at most
+# BLOCK_POOL_BYTES together. A 60 s two-leg recording takes ten blocks,
+# eight (15000, 3) arrays and two hip angles, but a stage's output is
+# released while the next leg runs, so eight blocks of 2.4 MB in all serve
+# it (measured on the batch chain). The caps hold twice that count, and
+# every block of a recording of up to about 28 minutes.
+BLOCK_POOL_COUNT = 16
+BLOCK_POOL_BYTES = 64 << 20
+
+# The free list: released blocks as (capacity in bytes, (address, False),
+# np.uint8 memory), most recently released last. A release appends, which
+# is atomic; a take scans and pops under _pool_lock, and nothing else
+# removes, so an append during a scan moves no block the scan has yet to
+# check.
+_pool: list[tuple] = []
+_pool_lock = threading.Lock()
+
+
+class _Block:
+    """The holder of one output's memory, a block of the free list.
+
+    `np.asarray` makes an array of `shape` float64s over the start of the
+    block from `__array_interface__` and keeps the holder as its `.base`,
+    so the holder lives as long as any array, view or memoryview of it.
+    """
+
+    __slots__ = ("__array_interface__", "_block")
+
+    def __init__(self, block, shape):
+        self._block = block
+        self.__array_interface__ = {
+            "shape": shape, "typestr": F64.str, "data": block[1], "version": 3,
+        }
+
+    # The defaults bind what a release at interpreter exit needs, after the
+    # module's globals may have been set to None.
+    def __del__(
+        self, pool=_pool, max_count=BLOCK_POOL_COUNT, max_bytes=BLOCK_POOL_BYTES,
+        capacity=operator.itemgetter(0),
+    ):
+        # Takes no lock, so a release inside `empty` (a collection run
+        # there) cannot wait for it. Releases in several threads at once can
+        # each pass the caps before the others append, so the list can pass
+        # a cap by a block per such thread; one thread keeps to them.
+        block = self._block
+        if len(pool) < max_count and block[0] + sum(map(capacity, pool)) <= max_bytes:
+            pool.append(block)
 
 
 def empty(shape) -> np.ndarray:
     """An uninitialised C-contiguous float64 array of `shape` (an int or a tuple).
 
-    From BLOCK_MIN_BYTES on, its memory is a `loops().block`, reused from an
-    output released before: the array's `.base` chain ends at a memoryview
-    of the block, which it holds until the array and every view of it have
-    gone. A smaller array is `np.empty(shape)`.
+    From BLOCK_MIN_BYTES on, its memory is a block of the free list: the
+    most recently released one whose capacity is at least the request and
+    under twice it, or else a new `np.empty` of uint8. The array's `.base`
+    is the block's `_Block` holder, which puts the block back on the list
+    once the array and every view of it have gone. A smaller array is
+    `np.empty(shape)`.
     """
     # A class test, not isinstance, and no math.prod for the stages' int, (N,)
     # and (N, 3) shapes: 0.1 us of a live chunk's 0.3 us call, a dozen a chunk.
@@ -423,9 +475,20 @@ def empty(shape) -> np.ndarray:
         n = shape[0]
     else:
         n = shape[0] * shape[1] if len(shape) == 2 else math.prod(shape)
-    if 8 * n < BLOCK_MIN_BYTES:
+    nbytes = 8 * n
+    if nbytes < BLOCK_MIN_BYTES:
         return np.empty(shape)
-    return np.frombuffer(loops().block(8 * n), np.float64).reshape(shape)
+    block = None
+    with _pool_lock:
+        for k in range(len(_pool) - 1, -1, -1):
+            cap = _pool[k][0]
+            if nbytes <= cap < 2 * nbytes:
+                block = _pool.pop(k)
+                break
+    if block is None:
+        memory = np.empty(nbytes, np.uint8)
+        block = nbytes, (memory.ctypes.data, False), memory
+    return np.asarray(_Block(block, (n,) if shape.__class__ is int else tuple(shape)))
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")

@@ -84,9 +84,7 @@ def madgwick_batch(
 
     The loop is `_kernel.loops().loop`, which takes the arguments prepared
     here and gives the same bits in C and in Python. The returned angles
-    are `_kernel.empty`'s: from `_kernel.BLOCK_MIN_BYTES` on (a whole
-    recording), memory an earlier output released, so the array does not
-    own it but is writable, C-contiguous and pickles as any other. The loop
+    are `_kernel.empty`'s, recycled memory for a whole recording; the loop
     writes every element, so the bits are those of a new array.
     """
     a = np.asarray(accel, dtype=_F64, order="C")
@@ -130,10 +128,8 @@ def remap_mounting(vectors: np.ndarray, mounting_axis: str) -> np.ndarray:
     The vectors are converted once to a C-contiguous float64 array, and the
     kernel's row loop `rotate` writes `v @ M` into `_kernel.empty`, with
     numpy's bits and without its warning where an inf meets a zero of M
-    (the row comes out with NaN, as from numpy). From
-    `_kernel.BLOCK_MIN_BYTES` on (a whole recording) the output is memory
-    an earlier output released: it does not own it but is writable,
-    C-contiguous and pickles as any other.
+    (the row comes out with NaN, as from numpy). A whole recording's
+    output takes recycled memory, as `_kernel.empty` says.
     """
     matrix = _MOUNT_MATRICES_T.get(mounting_axis)
     if matrix is None:

@@ -242,12 +242,9 @@ def apply_offsets(
     chain passes; a float offset, the bend's, is passed as it is), and one
     call of the kernel's row loop `offset` writes `values - offset` into
     `_kernel.empty`: numpy's broadcast's bits, one subtraction per element.
-    An offset not of one row's shape raises the loop's ValueError. From
-    `_kernel.BLOCK_MIN_BYTES` on (a whole recording's accel, gyro and, if
-    long enough, bend), an output is memory an earlier output released: it
-    does not own it, its `.base` chain ending at a recycled block, but it
-    is writable, C-contiguous and pickles as any other, and every element
-    is written, so its bits are those of a new array.
+    An offset not of one row's shape raises the loop's ValueError. A whole
+    recording's outputs take recycled memory, as `_kernel.empty` says;
+    every element is written, so their bits are those of new arrays.
     """
     # One frame for all three: a live chunk's subtractions cost less than a call.
     loop = _kernel.loops().offset

@@ -100,13 +100,18 @@ class TestFeatureVector:
         assert np.all(np.abs(rows - model_lengths(NOMINAL, steps)) < 1e-12)
 
     def test_bit_identical_to_step_length(self):
-        # feature_vector's sums are those of the step_length breakdown at
-        # unit parameters, bit for bit.
+        # feature_vector's sums, and those of the step_length breakdown at
+        # unit parameters, are the model's operations restated here, bit for
+        # bit: math.sin on math.radians of each angle, in the model's order.
         unit = StaticParams(1.0, 1.0, 1.0)
+        sin, rad = math.sin, math.radians
         for a in np.random.default_rng(23).uniform(-90, 90, size=(20_000, 4)).tolist():
+            af, bf, ab, bb = map(rad, a)
+            want = (sin(af) + sin(-ab), sin(af - bf) + sin(bb - ab))
             angles = EventAngles(*a)
             h, d = feature_vector(angles), step_length(unit, angles)
-            assert (h.h1, h.h2) == (d.d2 + d.d3, d.d1 + d.d4)
+            assert (h.h1, h.h2) == want
+            assert (d.d2 + d.d3, d.d1 + d.d4) == want
 
     def test_features_bounded(self):
         rng = np.random.default_rng(1)

@@ -7,11 +7,13 @@ user's calibration loads it. The C kernel is built and loaded by
 the first call that runs one of its loops (`compute_offsets`,
 `apply_offsets`, `remap_mounting`, `madgwick_batch`, `smoothed_block`,
 `MinimaDetector.feed_derivative` or `StepSegmenter.process`, which
-`gaitlab.pipeline`'s `analyze` and `StreamingAnalyzer` call) or takes a
-recycled output block (`_kernel.empty` from `BLOCK_MIN_BYTES` on), never by the import.
-Only a build imports `subprocess` and `sysconfig`, and no load imports
-`hashlib`, so a process that loads a cached kernel pays for neither.
-`import gaitlab` alone loads none of the modules.
+`gaitlab.pipeline`'s `analyze` and `StreamingAnalyzer` call), never by the
+import, nor by `_kernel.empty`, whose free list of recycled output memory
+is Python's. Only a build imports `subprocess` and `sysconfig`, and no load
+imports `hashlib`, so a process that loads a cached kernel pays for neither.
+`import gaitlab` alone loads none of the modules. A process that exits
+while it holds recycled outputs exits quietly: a release at interpreter
+exit still finds the free list.
 """
 
 import os
@@ -25,8 +27,9 @@ PACKAGE = Path(gaitlab.__file__).parent
 MODULES = ("calibrate", "core", "events", "orientation", "pipeline", "signal")
 
 
-def run_fresh(*lines):
-    """Run `lines` in a new interpreter that writes no bytecode; returns its stdout lines."""
+def run_process(*lines):
+    """Run `lines` in a new interpreter that writes no bytecode; returns the
+    finished process, which must have exited 0."""
     # -B writes no bytecode, so a new file in __pycache__ can only be a build.
     done = subprocess.run(
         [sys.executable, "-B", "-c", "\n".join(lines)],
@@ -36,7 +39,12 @@ def run_fresh(*lines):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
+    return done
+
+
+def run_fresh(*lines):
+    """Run `lines` as `run_process` does; returns its stdout lines."""
+    return run_process(*lines).stdout.splitlines()
 
 
 def test_import_loads_no_optimizer_and_builds_no_kernel():
@@ -110,3 +118,34 @@ def test_cached_kernel_loads_without_the_build_modules(compiled_kernel):
     )
     assert loaded_c == "True" and "gaitlab._kernel_c" in loaded
     assert not {"subprocess", "sysconfig", "hashlib"} & set(loaded)
+
+
+def test_a_recycled_output_loads_no_kernel():
+    # A whole recording's (15000, 3) output, taken and released twice.
+    currsize, pooled = run_fresh(
+        "from gaitlab import _kernel",
+        "for _ in range(2):",
+        "    out = _kernel.empty((15000, 3))",
+        "    del out",
+        "print(_kernel.loops.cache_info().currsize)",
+        "print(len(_kernel._pool))",
+    )
+    assert currsize == "0" and pooled == "1"
+
+
+def test_exit_while_holding_recycled_outputs_is_quiet():
+    # `os`, imported before `_kernel`, keeps both until after exit has set
+    # `_kernel`'s globals to None; then its list releases the output.
+    done = run_process(
+        "import os",
+        "from gaitlab import _kernel",
+        "out = _kernel.empty((15000, 3))",
+        "view, mem, column = out[::7], memoryview(out), out[:, 1]",
+        "del out",
+        "angles = _kernel.empty(15000)[10:]",
+        "cycle = [_kernel.empty(20000)]",
+        "cycle.append(cycle)",
+        "_kernel.empty(30000)",
+        "os.kept = [_kernel, _kernel.empty((20000, 3))[5:]]",
+    )
+    assert done.stdout == "" and done.stderr == ""

@@ -16,13 +16,14 @@ The detector and segmenter are incremental; the batch operations feed them
 a whole series at once and produce identical results. Every feed, live or
 batch, runs the detector loop `minima` of `gaitlab._kernel`, and every
 segmenter call its loop `segment`, in C where the kernel loads and in
-Python where it does not. Live, the segmenter takes one event at a time;
-`segment_steps` hands it all the sorted events of a quad in one call. Both
-pass the four series as buffers that the loop reads in place (the live
-detectors' series, or the quad's); a callable sampler is taken too, and
-runs on the Python loop alone. The loop reports each discarded or ignored
-event as a code and the values its message prints, and the segmenter
-formats every diagnostic through one table, `_DIAGNOSTICS`.
+Python where it does not. `gaitlab.pipeline`'s analyzer hands the
+segmenter each release's sorted events in one call, `segment_steps` all
+the events of a quad. Both pass the four series as buffers that the loop
+reads in place (the live detectors' series, or the quad's); a callable
+sampler is taken too, and runs on the Python loop alone. The loop
+reports each discarded or ignored event as a code and the values its
+message prints, and the segmenter formats every diagnostic through one
+table, `_DIAGNOSTICS`.
 
 A `MinimumEvent` is a NamedTuple rather than a frozen dataclass: a
 one-minute walk yields a few hundred of them, each built, sorted and read

@@ -1,29 +1,29 @@
-"""The whole chain over one two-leg recording, at once or chunk by chunk.
+"""The whole chain over one two-leg recording, in one composition.
 
-The one place that composes the stages. Per leg: offsets from the standing
-windows (`signal.compute_offsets`), then `signal.apply_offsets`,
-`orientation.remap_mounting` of accel and gyro and
-`orientation.madgwick_batch` to the 250 Hz hip angle, and
-`signal.downsample_smooth` of the hip (M = 10) and of the 100 Hz knee angle
-(M = 4) to the four 25 Hz series. Then steps (`events`), their lengths
-(`core.attach_lengths`), strides and asymmetry (`core`).
+`StreamingAnalyzer` takes the recording chunk by chunk. Per leg: offsets
+from the standing windows (`signal.compute_offsets`); per chunk,
+`signal.apply_offsets`, `orientation.remap_mounting` of accel and gyro and
+`orientation.madgwick_batch` to the 250 Hz hip angle, the filter state
+carried between chunks. `signal.smoothed_block` decimates the hip (M = 10)
+and the 100 Hz knee angle (M = 4) to the four 25 Hz series; per series the
+analyzer holds the raw samples from the next 25 Hz window's start on (fewer
+than 2M once a chunk is decimated), a `DerivativeStream`, a
+`MinimaDetector` and the minima not yet released. A minimum is released
+once it is earlier than every detector's frontier, so no event still to
+come can sort before it. Each feed releases in one batch: one
+`StepSegmenter.run`, which reads the paired angles from the detectors'
+series in place, over the events in `MinimumEvent.sort_key` order; one
+`core.attach_lengths` over the steps they complete; one
+`core.stride_metrics` window over the strides those confirm. A stride is
+confirmed by the front event of the step after it, or by the end of the
+stream.
 
-- `analyze` runs each stage once over the whole recording and segments the
-  four series with `events.segment_steps`.
-- `StreamingAnalyzer` takes the same recording in chunks through the
-  incremental APIs. Per series it holds the raw samples from the next
-  25 Hz window's start on, fewer than 2M once a chunk is decimated by
-  `signal.smoothed_block`, a `DerivativeStream` and a `MinimaDetector`.
-  One `StepSegmenter` reads the paired angles from the detectors' series
-  in place. Minimum events are released to the segmenter in
-  `MinimumEvent.sort_key` order, and only once they are earlier than every
-  detector's frontier, so no event still to come can sort before them.
-  Steps, strides and asymmetry are emitted as soon as they are confirmed; a
-  stride is confirmed by the front event of the step after it, or by the
-  end of the stream.
-
-The two are independent compositions of the same stages and give the same
-bits: `StreamingAnalyzer(legs, params).finish(t) == analyze(legs, params)`.
+`analyze` is the analyzer fed each leg's whole streams as one chunk and
+finished, with the four 25 Hz series kept as `Analysis.quad`. So a
+recording gives the same bits however it is chunked:
+`StreamingAnalyzer(legs, params)`, fed and finished, `== analyze(legs,
+params)`. A recording with fewer than two steps gives those steps and no
+stride.
 
 `legs` maps "L" and "R" to objects with `standing_imu`, `standing_bend`
 (the standing windows), `imu`, `bend` (the walking streams) and
@@ -35,17 +35,16 @@ Every stage call goes through the probe, `probe.call(name, fn, *args)`,
 under the name `<module>.<call>` ("signal.apply_offsets", ...), and sample
 counts through `probe.count(name, n)`. `NULL_PROBE` calls straight through.
 """
-
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._kernel import SEGMENT_SERIES
-from .core import attach_lengths, gait_asymmetry, stride_metrics
+from .core import VELOCITY_WINDOW_STRIDES, attach_lengths, gait_asymmetry, stride_metrics
 from .errors import GaitInputError
 from .events import (
     AngleQuad,
@@ -53,16 +52,11 @@ from .events import (
     EventConfig,
     MinimaDetector,
     StepSegmenter,
-    segment_steps,
+    _event_t,
+    _steps,
 )
 from .orientation import filter_init, madgwick_batch, remap_mounting
-from .signal import (
-    apply_offsets,
-    compute_offsets,
-    downsample_smooth,
-    smoothed_block,
-    smoothed_t0,
-)
+from .signal import UniformSeries, apply_offsets, compute_offsets, smoothed_block, smoothed_t0
 
 IMU_HZ = 250.0
 BEND_HZ = 100.0
@@ -89,8 +83,9 @@ NULL_PROBE = _NullProbe()
 class Analysis:
     """One recording's steps, strides, asymmetry and diagnostics.
 
-    `quad`, the four 25 Hz series, is kept by `analyze` only and takes no
-    part in `==`.
+    `quad`, the four 25 Hz series as the detectors hold them at the end
+    (`signal.downsample_smooth`'s values and start times for the whole
+    streams), is kept by `analyze` only and takes no part in `==`.
     """
 
     steps: list
@@ -101,37 +96,16 @@ class Analysis:
 
 
 def analyze(legs, params, probe=NULL_PROBE) -> Analysis:
-    """offsets -> remap -> Madgwick -> downsample-smooth -> segment -> lengths
-    -> strides -> asymmetry, each stage over the whole recording."""
-    hips, knees = {}, {}
-    for side, leg in legs.items():
-        offsets = probe.call(
-            "signal.compute_offsets", compute_offsets, leg.standing_imu, leg.standing_bend
-        )
-        imu, bend = probe.call("signal.apply_offsets", apply_offsets, leg.imu, leg.bend, offsets)
-        accel = probe.call(
-            "orientation.remap_mounting", remap_mounting, imu.accel, leg.mounting_axis
-        )
-        gyro = probe.call("orientation.remap_mounting", remap_mounting, imu.gyro, leg.mounting_axis)
-        state = probe.call("orientation.filter_init", filter_init)
-        hip, _ = probe.call("orientation.madgwick_batch", madgwick_batch, accel, gyro, DT, state)
-        probe.count("orientation.imu_samples", len(accel))
-        hips[side] = probe.call(
-            "signal.downsample_smooth", downsample_smooth, hip, M_IMU, IMU_HZ, float(imu.t[0])
-        )
-        knees[side] = probe.call(
-            "signal.downsample_smooth", downsample_smooth,
-            bend.angle_deg, M_BEND, BEND_HZ, float(bend.t[0]),
-        )
-        probe.count("signal.samples_in", len(hip) + len(bend))
-        probe.count("signal.samples_out", len(hips[side]) + len(knees[side]))
-    quad = probe.call("events.AngleQuad", AngleQuad, knees["L"], knees["R"], hips["L"], hips["R"])
-    diagnostics: list[str] = []
-    steps = probe.call("events.segment_steps", segment_steps, quad, None, diagnostics)
-    steps = probe.call("events.attach_lengths", attach_lengths, steps, params)
-    strides = probe.call("core.stride_metrics", stride_metrics, steps)
-    asymmetry = [probe.call("core.gait_asymmetry", gait_asymmetry, s) for s in strides]
-    return Analysis(steps, strides, asymmetry, diagnostics, quad)
+    """The recording through `StreamingAnalyzer`: each leg's whole streams in
+    one feed, then `finish`; the detectors' 25 Hz series become `quad`."""
+    analyzer = StreamingAnalyzer(legs, params, probe)
+    # The one chunk ends after the recording; no caller sees `emitted_at`.
+    analyzer.feed({side: (leg.imu, leg.bend) for side, leg in legs.items()}, math.inf)
+    result = analyzer.finish(math.inf)
+    dets = [analyzer.series[name].detector for name in ("knee_L", "knee_R", "hip_L", "hip_R")]
+    series = [UniformSeries(d.t0, d.rate_hz, np.frombuffer(d.values)) for d in dets]
+    result.quad = probe.call("events.AngleQuad", AngleQuad, *series)
+    return result
 
 
 @dataclass
@@ -147,6 +121,7 @@ class _LiveSeries:
     m: int
     derivative: DerivativeStream
     detector: MinimaDetector
+    pending: list = field(default_factory=list)  # the detector's minima not yet released
 
 
 class StreamingAnalyzer:
@@ -158,7 +133,8 @@ class StreamingAnalyzer:
     `finish(end_t)` ends the stream and returns the `Analysis`; a `feed` or
     a second `finish` after it raises `GaitInputError` and changes nothing.
     `steps`, `strides` and `asymmetry` grow as they are confirmed; `series`
-    holds each 25 Hz series' decimator, derivative and detector by name.
+    holds each 25 Hz series' decimator, derivative, detector and pending
+    minima by name.
     """
 
     def __init__(self, legs, params, probe=NULL_PROBE):
@@ -184,14 +160,13 @@ class StreamingAnalyzer:
                     MinimaDetector(name, smoothed_t0(t0, m, rate), SERIES_HZ, self.config),
                 )
         self.diagnostics: list[str] = []
-        # The detectors' series in place, as `segment_steps` passes the quad's.
+        # In `sort_key`'s tie order, which is also the order in which the
+        # segmenter reads the detectors' series in place.
+        self._tie_order = [self.series[name] for name in SEGMENT_SERIES]
         buffers = tuple(
-            (det.values, det.t0, det.rate_hz)
-            for det in (self.series[name].detector for name in SEGMENT_SERIES)
+            (s.detector.values, s.detector.t0, s.detector.rate_hz) for s in self._tie_order
         )
         self.segmenter = StepSegmenter(self.config, buffers, self.diagnostics)
-        self._heap: list = []
-        self._seq = 0
         self.steps: list = []
         self.emitted_at: list[float] = []  # chunk end time that emitted each step
         self.strides: list = []
@@ -202,22 +177,19 @@ class StreamingAnalyzer:
         if self._finished:
             raise GaitInputError(f"StreamingAnalyzer.{call} called after finish")
 
-    def _push(self, events) -> None:
-        for ev in events:
-            heapq.heappush(self._heap, (ev.sort_key(), self._seq, ev))
-            self._seq += 1
-
     def _smooth(self, name: str, samples: np.ndarray) -> None:
         """Append samples to the series' raw tail and decimate every window it completes.
 
         Output k of the series averages raw samples [k M, k M + 2M). The tail
         starts at the next output's window, so the windows are the ones
         `downsample_smooth` sums over the whole recording, in the same order.
+        An empty tail takes the samples as they are, with no copy: they are
+        a stage's own fresh output.
         """
         probe = self.probe
         s = self.series[name]
         m = s.m
-        raw = s.raw = np.concatenate((s.raw, samples))
+        raw = s.raw = np.concatenate((s.raw, samples)) if len(s.raw) else samples
         if len(raw) < 2 * m:
             return
         k_stop = (len(raw) - 2 * m) // m + 1
@@ -227,7 +199,7 @@ class StreamingAnalyzer:
         det = s.detector
         probe.call("events.MinimaDetector.extend_series", det.extend_series, out)
         d = probe.call("events.DerivativeStream.feed", s.derivative.feed, out)
-        self._push(probe.call("events.MinimaDetector.feed_derivative", det.feed_derivative, d))
+        s.pending += probe.call("events.MinimaDetector.feed_derivative", det.feed_derivative, d)
 
     def feed(self, chunk_legs, end_t: float) -> None:
         self._check_open("feed")
@@ -246,6 +218,8 @@ class StreamingAnalyzer:
             self._smooth(f"hip_{side}", hip)
             self._smooth(f"knee_{side}", bend.angle_deg)
         self._release(min(s.detector.frontier_t for s in self.series.values()), end_t)
+        # Step 2i+2 fixes the time of stride i.
+        self._emit_strides((len(self.steps) - 1) // 2)
 
     def finish(self, end_t: float) -> Analysis:
         self._check_open("finish")
@@ -254,38 +228,56 @@ class StreamingAnalyzer:
         for s in self.series.values():
             d = probe.call("events.DerivativeStream.finalize", s.derivative.finalize)
             det = s.detector
-            self._push(probe.call("events.MinimaDetector.feed_derivative", det.feed_derivative, d))
-            self._push(probe.call("events.MinimaDetector.finalize", det.finalize))
+            s.pending += probe.call("events.MinimaDetector.feed_derivative", det.feed_derivative, d)
+            s.pending += probe.call("events.MinimaDetector.finalize", det.finalize)
         self._release(math.inf, end_t)
         probe.call("events.StepSegmenter.finalize", self.segmenter.finalize)
-        n = len(self.steps)
-        if n >= 2 and len(self.strides) < n // 2:
-            self._emit_stride(n // 2 - 1, self.steps[: 2 * (n // 2)])
+        # The end of the stream fixes the time of the last stride.
+        self._emit_strides(len(self.steps) // 2)
         return Analysis(self.steps, self.strides, self.asymmetry, self.diagnostics)
 
     def _release(self, frontier: float, now_t: float) -> None:
+        """Segment every pending event earlier than `frontier` in one `run`
+        and keep the steps they complete. Each series' events come in time
+        order; taken in the tie order and sorted stably by time alone, as
+        `segment_steps` sorts them, they fall in `sort_key` order."""
+        ready = []
+        for s in self._tie_order:
+            pending = s.pending
+            if pending and pending[0].t < frontier:
+                k = bisect_left(pending, frontier, key=_event_t)
+                ready += pending[:k]
+                del pending[:k]
+        if not ready:
+            return
+        ready.sort(key=_event_t)
         probe = self.probe
-        heap = self._heap
-        while heap and heap[0][2].t < frontier:
-            ev = heapq.heappop(heap)[2]
-            step = probe.call("events.StepSegmenter.process", self.segmenter.process, ev)
-            if step is None:
-                continue
-            step = probe.call("events.attach_lengths", attach_lengths, [step], self.params)[0]
-            self.steps.append(step)
-            self.emitted_at.append(now_t)
-            n = len(self.steps)
-            if n >= 3 and n % 2 == 1:
-                # Step 2i+2 fixes the time of stride i.
-                i = (n - 3) // 2
-                self._emit_stride(i, self.steps)
+        rows = probe.call("events.StepSegmenter.run", self.segmenter.run, ready)
+        # Freed before the steps are built: fewer objects alive at once, so
+        # a whole recording's release seldom starts a garbage collection.
+        del ready
+        if rows:
+            steps = probe.call("events.attach_lengths", attach_lengths, _steps(rows), self.params)
+            self.steps += steps
+            self.emitted_at += [now_t] * len(steps)
 
-    def _emit_stride(self, i: int, steps: list) -> None:
+    def _emit_strides(self, stop: int) -> None:
+        """Emit strides len(strides) .. stop - 1 from one `stride_metrics` window.
+
+        Stride i pairs steps 2i and 2i+1; step 2i+2, where there is one,
+        fixes its time. Its velocity averages up to VELOCITY_WINDOW_STRIDES
+        strides ending at i, so the window opens that many strides, less
+        one, before the first new stride.
+        """
+        start = len(self.strides)
+        if stop <= start:
+            return
         probe = self.probe
-        # The velocity window spans at most five strides, so stride i needs
-        # only the steps from stride i-4 on (plus the next step, if known).
-        lo = 2 * max(0, i - 4)
-        window = probe.call("core.stride_metrics", stride_metrics, steps[lo : 2 * i + 3])
-        stride = replace(window[-1], index=i)
-        self.strides.append(stride)
-        self.asymmetry.append(probe.call("core.gait_asymmetry", gait_asymmetry, stride))
+        lo = max(0, start - VELOCITY_WINDOW_STRIDES + 1)
+        window = probe.call(
+            "core.stride_metrics", stride_metrics, self.steps[2 * lo : 2 * stop + 1]
+        )[start - lo :]
+        if lo:
+            window = [replace(s, index=s.index + lo) for s in window]
+        self.strides += window
+        self.asymmetry += [probe.call("core.gait_asymmetry", gait_asymmetry, s) for s in window]

@@ -1,10 +1,13 @@
 """The whole chain, batch and in live chunks, with and without the C kernel.
 
-A hand-built two-leg recording goes through `gaitlab.pipeline.analyze` and
+A hand-built two-leg recording goes through `gaitlab.pipeline.analyze`,
+which feeds `StreamingAnalyzer` each leg's whole streams at once, and
 through `StreamingAnalyzer` fed 10 IMU rows (40 ms) at a time. The live
 25 Hz series, minima, filter end states, steps, strides and asymmetry equal
-the batch ones, and the kernel's loops and the Python loops give every
-output bit for bit.
+the whole recording's. On the series of `Analysis.quad`, the batch
+operations `detect_minima`, `segment_steps` and `stride_metrics` give the
+same minima, steps and strides. The kernel's loops and the Python loops
+give every output bit for bit.
 """
 
 import math
@@ -14,8 +17,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gaitlab.core import StaticParams
-from gaitlab.events import AngleQuad, detect_minima
+from gaitlab.core import StaticParams, attach_lengths, stride_metrics
+from gaitlab.events import AngleQuad, detect_minima, segment_steps
 from gaitlab.orientation import remap_mounting
 from gaitlab.pipeline import BEND_HZ, IMU_HZ, StreamingAnalyzer, analyze
 from gaitlab.signal import BendStream, ImuStream, UniformSeries
@@ -151,6 +154,8 @@ def test_live_chunks_equal_batch(recording):
     assert bits(*outputs) == bits(*want)
     quad, steps = want[0], want[1]
     assert len(steps) >= 12
+    assert repr(steps) == repr(attach_lengths(segment_steps(quad), PARAMS))
+    assert repr(want[2]) == repr(stride_metrics(steps))
     for name, got in events.items():
         assert repr(got) == repr(detect_minima(quad.series(name), series_id=name))
 

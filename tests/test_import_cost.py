@@ -6,8 +6,8 @@ the package's own bounded-variable least squares, so not even a whole
 user's calibration loads it. The C kernel is built and loaded by
 the first call that runs one of its loops (`compute_offsets`,
 `apply_offsets`, `remap_mounting`, `madgwick_batch`, `smoothed_block`,
-`MinimaDetector.feed_derivative` or `StepSegmenter.process`, which
-`gaitlab.pipeline`'s `analyze` and `StreamingAnalyzer` call), never by the
+`MinimaDetector.feed_derivative` or `StepSegmenter.run`, which
+`gaitlab.pipeline.StreamingAnalyzer` calls, `analyze` too), never by the
 import, nor by `_kernel.empty`, whose free list of recycled output memory
 is Python's. Only a build imports `subprocess` and `sysconfig`, and no load
 imports `hashlib`, so a process that loads a cached kernel pays for neither.

@@ -1,35 +1,72 @@
-"""gaitlab.pipeline gives the bits and the calls of the benchmark's compositions.
+"""gaitlab.pipeline gives the benchmark's bits, whole and in any chunks.
 
-`analyze` is checked against `gaitbench.workloads.batch_chain` and
-`StreamingAnalyzer` against `gaitbench.workloads.LiveSession`, emit times
-included, on short synthetic walks of two seeds, fed in chunks of 10, 40,
-130 and 1000 ms, once with the C kernel and once on the Python loops. The
-outputs are compared by the sha256 of their pickles, and the calls by the
-span names, in order, and the counts that a `gaitbench.tracing.Tracer`
-records. After `finish`, the analyzer refuses more input and leaves its
-state as it was. An inf and NaN rows in the raw IMU streams go through
-both compositions without a warning. Fed a ten-minute walk, the analyzer
-holds fewer than one 25 Hz window of raw samples per series.
+`analyze` is `StreamingAnalyzer` fed each leg's whole streams and finished.
+It is checked against `gaitbench.workloads.batch_chain`, the benchmark's
+stage-by-stage composition, with the 25 Hz series of `Analysis.quad`; the
+analyzer fed in chunks of 10, 40, 130 and 1000 ms against
+`gaitbench.workloads.LiveSession`, emit times included, on short synthetic
+walks of two seeds, once with the C kernel and once on the Python loops.
+The outputs are compared by the sha256 of their pickles, and the sample
+counts that a `gaitbench.tracing.Tracer` records too. The calls of a whole
+recording are stated by name and count, each name a `<module>.<call>` of
+gaitlab. Fed any chunking of the four streams, empty pieces and either leg
+first included, the analyzer gives `analyze`'s result; a release hands
+simultaneous minima to the segmenter in `MinimumEvent.sort_key` order. A
+recording with fewer than two steps gives those steps and no stride, the
+ones `segment_steps` finds in the quad. After `finish`, the
+analyzer refuses more input and leaves its state as it was. An inf and NaN
+rows in the raw IMU streams go through both compositions without a warning.
+Fed a ten-minute walk, the analyzer holds fewer than one 25 Hz window of
+raw samples per series.
 """
 
 import dataclasses
 import hashlib
+import importlib
 import math
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitbench import synth
 from gaitbench import workloads as W
 from gaitbench.tracing import Tracer
+from gaitlab._kernel import SEGMENT_SERIES
 from gaitlab.errors import GaitInputError
+from gaitlab.events import MinimumEvent, attach_lengths, segment_steps
 from gaitlab.pipeline import StreamingAnalyzer, analyze
 from gaitlab.signal import BendStream, ImuStream
 
 SEEDS = (2929, 8383)
 CHUNK_MS = (10, 40, 130, 1000)
 WALK_S = 10.0
+
+# Each call a whole recording makes, and how often: per leg, per stream fed
+# to the filter, per 25 Hz series (the detector's derivatives twice: the
+# feed's and the end's), or once.
+WHOLE_RECORDING_CALLS = {
+    "signal.compute_offsets": 2,
+    "orientation.filter_init": 2,
+    "signal.apply_offsets": 2,
+    "orientation.remap_mounting": 4,
+    "orientation.madgwick_batch": 2,
+    "signal.smoothed_block": 4,
+    "events.MinimaDetector.extend_series": 4,
+    "events.DerivativeStream.feed": 4,
+    "events.MinimaDetector.feed_derivative": 8,
+    "events.DerivativeStream.finalize": 4,
+    "events.MinimaDetector.finalize": 4,
+    "events.StepSegmenter.finalize": 1,
+    "events.AngleQuad": 1,
+}
+# At most one each per release, the feed's and the finish's: one segmenter
+# run over the released events, one `attach_lengths` over the steps they
+# complete and one `stride_metrics` window over the strides those confirm.
+RELEASE_CALLS = ("events.StepSegmenter.run", "events.attach_lengths", "core.stride_metrics")
 
 
 @pytest.fixture(scope="module", params=SEEDS)
@@ -56,15 +93,29 @@ def traced(run):
     return out, [s.name for s in tr.spans], dict(tr.counts)
 
 
+def resolve(name):
+    """The gaitlab object that a call name `<module>.<call>` names."""
+    module, call = name.split(".", 1)
+    obj = importlib.import_module(f"gaitlab.{module}")
+    for part in call.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
 def test_analyze_equals_batch_chain(walk, loops):
-    want, want_spans, want_counts = traced(lambda tr: W.batch_chain(walk, tr))
+    want, _, want_counts = traced(lambda tr: W.batch_chain(walk, tr))
     got, spans, counts = traced(lambda tr: analyze(walk.legs, walk.params, tr))
     assert len(got.steps) >= 10
     assert digest(got.steps, got.strides, got.asymmetry, got.diagnostics, got.quad) == digest(
         want.steps, want.strides, want.asymmetry, want.diagnostics, want.quad
     )
-    assert spans == want_spans
     assert counts == want_counts
+    calls = Counter(spans)
+    assert all(callable(resolve(name)) for name in calls)
+    released = {name: calls.pop(name, 0) for name in RELEASE_CALLS}
+    assert all(1 <= n <= 2 for n in released.values()), released
+    assert calls.pop("core.gait_asymmetry") == len(got.strides)
+    assert calls == WHOLE_RECORDING_CALLS
 
 
 @pytest.mark.parametrize("chunk_ms", CHUNK_MS)
@@ -84,14 +135,15 @@ def test_streaming_analyzer_equals_live_session(walk, loops, chunk_ms):
             assert a.feed(chunk.legs, chunk.end_t) is None
         return a, a.finish(chunks[-1].end_t)
 
-    (s, want), want_spans, want_counts = traced(session)
+    (s, want), _, want_counts = traced(session)
     (a, got), spans, counts = traced(analyzer)
     assert len(got.steps) >= 10
     assert digest(
         got.steps, got.strides, got.asymmetry, got.diagnostics, emitted_at=a.emitted_at
     ) == digest(want.steps, want.strides, want.asymmetry, want.diagnostics, emitted_at=s.emitted_at)
-    assert spans == want_spans
     assert counts == want_counts
+    calls = Counter(spans)
+    assert all(calls[name] <= len(chunks) + 1 for name in RELEASE_CALLS)
     assert got == analyze(walk.legs, walk.params)
 
 
@@ -108,6 +160,100 @@ def test_raw_buffers_stay_bounded_on_a_long_walk():
     assert a.finish(chunks[-1].end_t) == analyze(walk.legs, walk.params)
 
 
+def fed(walk, chunk_legs):
+    """The analyzer's result, fed `chunk_legs` in order."""
+    a = StreamingAnalyzer(walk.legs, walk.params)
+    for k, legs in enumerate(chunk_legs):
+        a.feed(legs, 0.04 * (k + 1))
+    return a.finish(0.04 * (len(chunk_legs) + 1))
+
+
+def segmented(got, params):
+    """The steps and diagnostics that the batch `segment_steps` gives for the
+    quad of `analyze`'s result, with their lengths."""
+    diagnostics = []
+    steps = attach_lengths(segment_steps(got.quad, None, diagnostics), params)
+    return steps, diagnostics
+
+
+@pytest.mark.parametrize("seconds, n_steps", [(0.6, 0), (1.0, 1)])
+def test_fewer_than_two_steps_give_no_stride(seconds, n_steps):
+    """Whole and in 40 ms chunks: the steps that `segment_steps` finds in the
+    quad, with their lengths, and no stride or asymmetry."""
+    walk = synth.make_walks(101, 1, seconds)[0]
+    got = analyze(walk.legs, walk.params)
+    assert (got.steps, got.diagnostics) == segmented(got, walk.params)
+    assert len(got.steps) == n_steps
+    assert got.strides == [] and got.asymmetry == []
+    assert fed(walk, [chunk.legs for chunk in W.make_chunks(walk, 40)]) == got
+
+
+@pytest.fixture(scope="module")
+def walk_12s():
+    walk = synth.make_walks(3131, 1, 12.0)[0]
+    return walk, analyze(walk.legs, walk.params)
+
+
+def pieces(stream, cuts):
+    """`stream` cut at the sorted sample indices `cuts`; equal cuts give empty pieces."""
+    edges = [0, *cuts, len(stream)]
+    if isinstance(stream, ImuStream):
+        return [ImuStream(stream.t[a:b], stream.accel[a:b], stream.gyro[a:b])
+                for a, b in zip(edges, edges[1:])]
+    return [BendStream(stream.t[a:b], stream.angle_deg[a:b]) for a, b in zip(edges, edges[1:])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n_chunks=st.integers(1, 12), right_first=st.booleans())
+def test_any_chunking_gives_analyze(walk_12s, data, n_chunks, right_first):
+    """Each of the four streams cut at its own points, empty pieces allowed,
+    with either leg first in each chunk: the analyzer finishes with
+    `analyze`'s result."""
+    walk, want = walk_12s
+    cut = {}
+    for side, leg in walk.legs.items():
+        for stream in (leg.imu, leg.bend):
+            cuts = st.lists(st.integers(0, len(stream)), min_size=n_chunks - 1,
+                            max_size=n_chunks - 1).map(sorted)
+            cut[side, type(stream)] = pieces(stream, data.draw(cuts))
+    sides = ("R", "L") if right_first else ("L", "R")
+    chunk_legs = [
+        {side: (cut[side, ImuStream][k], cut[side, BendStream][k]) for side in sides}
+        for k in range(n_chunks)
+    ]
+    assert fed(walk, chunk_legs) == want
+
+
+class HeldRuns:
+    """A probe that keeps the events of each segmenter run and segments none."""
+
+    def __init__(self):
+        self.runs = []
+
+    def call(self, name, fn, *args):
+        if name == "events.StepSegmenter.run":
+            self.runs.append(list(args[0]))
+            return []
+        return fn(*args)
+
+    def count(self, name, n=1):
+        pass
+
+
+def test_a_release_takes_simultaneous_minima_in_sort_key_order(walk):
+    """Minima of all four series at 1.0 s and at 2.0 s, pending in each
+    series: a release up to 1.5 s hands the segmenter the four at 1.0 s in
+    one run, left before right and hip before knee, and keeps the rest."""
+    probe = HeldRuns()
+    a = StreamingAnalyzer(walk.legs, walk.params, probe)
+    for name, s in a.series.items():
+        s.pending = [MinimumEvent(name, j, t, 0.0) for j, t in enumerate((1.0, 2.0))]
+    a._release(1.5, 0.0)
+    assert probe.runs == [[MinimumEvent(name, 0, 1.0, 0.0) for name in SEGMENT_SERIES]]
+    assert probe.runs == [sorted(probe.runs[0], key=MinimumEvent.sort_key)]
+    assert all(s.pending == [MinimumEvent(name, 1, 2.0, 0.0)] for name, s in a.series.items())
+
+
 def finished_analyzer(walk):
     chunks = W.make_chunks(walk, 40)
     a = StreamingAnalyzer(walk.legs, walk.params)
@@ -119,7 +265,7 @@ def finished_analyzer(walk):
 def state(a):
     """The pickled buffers, filter states, detectors, pending events and outputs."""
     return pickle.dumps((
-        a.legs, a.series, a._heap, a.steps, a.emitted_at, a.strides, a.asymmetry, a.diagnostics
+        a.legs, a.series, a.steps, a.emitted_at, a.strides, a.asymmetry, a.diagnostics
     ))
 
 

@@ -18,7 +18,10 @@ the line:
   each leg's `madgwick_batch` angles and end state (after the offsets and
   the mounting remap), and of the steps, the strides and the asymmetry of
   the benchmark's `batch_chain` and of its `LiveSession` fed in 40 ms
-  chunks, every float hashed as its hex.
+  chunks; then of `gaitlab.pipeline.analyze`'s steps, strides, asymmetry,
+  diagnostics and 25 Hz series (`Analysis.quad`), and of the same outputs
+  of `pipeline.StreamingAnalyzer` fed in 40 ms chunks, with the emit time
+  of each step. Every float is hashed as its hex.
 
     python tools/bits.py --dump SEED [--workload W]
 
@@ -88,6 +91,7 @@ def dump_walks(seed: int, workload: str) -> None:
     from gaitbench.tracing import NullTracer
     from gaitbench.workloads import DT, LiveSession, batch_chain, make_chunks
     from gaitlab.orientation import filter_init, madgwick_batch, remap_mounting
+    from gaitlab.pipeline import StreamingAnalyzer, analyze
     from gaitlab.signal import apply_offsets, compute_offsets
 
     tr = NullTracer()
@@ -107,11 +111,18 @@ def dump_walks(seed: int, workload: str) -> None:
             session.feed(chunk)
         session.finish(chunks[-1].end_t)
         live = session.result()
+        whole = analyze(walk.legs, walk.params)
+        analyzer = StreamingAnalyzer(walk.legs, walk.params)
+        for chunk in chunks:
+            analyzer.feed(chunk.legs, chunk.end_t)
+        fed = analyzer.finish(chunks[-1].end_t)
         print(
             seed, k, *legs,
             *(digest(r.steps) for r in (batch, live)),
             *(digest(r.strides) for r in (batch, live)),
             *(digest(r.asymmetry) for r in (batch, live)),
+            digest(whole.steps, whole.strides, whole.asymmetry, whole.diagnostics, whole.quad),
+            digest(fed.steps, fed.strides, fed.asymmetry, fed.diagnostics, analyzer.emitted_at),
         )
 
 

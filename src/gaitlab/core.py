@@ -299,18 +299,83 @@ def attach_lengths(
     return out
 
 
-def stride_metrics(steps: Sequence[StepMeasurement]) -> list[Stride]:
-    """Pair consecutive steps into strides and derive timing and velocity.
+class StridePairer:
+    """Pairs steps into strides as they arrive, in runs of alternating steps.
 
-    Strides pair steps disjointly: stride i is (steps[2i], steps[2i+1]).
-    Stride time spans one full gait cycle of the tracked (step_a front) leg,
-    i.e. from step_a's front event to the next stride's step_a front event;
-    the final stride extrapolates from its half-cycle. Stance time runs from
-    the tracked leg's initial contact (front knee minimum) to its foot-off
-    (its hip minimum, which is the back event of step_b); swing is the rest
-    of the cycle. Velocity is averaged over a sliding window of up to
-    VELOCITY_WINDOW_STRIDES strides ending at the current stride; windows
-    shorter than that are flagged partial.
+    The stride rule, which `stride_metrics` applies to a whole list: within
+    a run, stride i pairs the run's steps 2i and 2i+1 (step_a and step_b).
+    Its time spans one full gait cycle of the tracked (step_a front) leg,
+    from step_a's front event to the next step's; at the end of the run it
+    is twice the half-cycle from step_a's front event to step_b's. Stance
+    runs from the tracked leg's initial contact (step_a's front knee
+    minimum) to its foot-off (its hip minimum, step_b's back event); swing
+    is the rest of the cycle. Velocity averages the lengths over the times
+    of up to VELOCITY_WINDOW_STRIDES strides of the run, ending at the
+    current one; a shorter window is flagged partial.
+
+    A step whose front side repeats the previous step's ends the run and
+    starts the next one: the open stride, if it has both steps, is timed
+    as at the end, a lone open step pairs with nothing, and the velocity
+    window starts again. Stride indices run on across runs.
+
+    `add(steps)` returns the strides those steps confirm (each by the step
+    after it) and `finish()` the last one, if the open stride has both
+    steps. The pairer holds only the open stride's steps and the lengths
+    and times of the run's last VELOCITY_WINDOW_STRIDES strides.
+    """
+
+    def __init__(self):
+        self._index = 0  # the next stride's
+        self._open: list[StepMeasurement] = []
+        self._lengths: list[float] = []
+        self._times: list[float] = []
+
+    def add(self, steps: Sequence[StepMeasurement]) -> list[Stride]:
+        out = []
+        open_ = self._open
+        for s in steps:
+            if open_ and open_[-1].front_side == s.front_side:
+                out += self.finish()
+            elif len(open_) == 2:
+                out.append(self._stride(s))
+                open_.clear()
+            open_.append(s)
+        return out
+
+    def finish(self) -> list[Stride]:
+        """End the run: its open stride, if it has both steps, and no other."""
+        out = [self._stride(None)] if len(self._open) == 2 else []
+        del self._open[:], self._lengths[:], self._times[:]
+        return out
+
+    def _stride(self, next_step: StepMeasurement | None) -> Stride:
+        """The open stride, timed by `next_step`, or at the end of its run if None."""
+        a, b = self._open
+        t_a = a.t_front_event
+        time = 2.0 * (b.t_front_event - t_a) if next_step is None else next_step.t_front_event - t_a
+        stance = b.t_back_event - t_a
+        length = a.length_cm + b.length_cm
+        self._lengths.append(length)
+        self._times.append(time)
+        if len(self._times) > VELOCITY_WINDOW_STRIDES:
+            del self._lengths[0], self._times[0]
+        span_time = sum(self._times)
+        if span_time <= 0:
+            raise SegmentationError(f"stride {self._index}: non-positive window time {span_time}")
+        self._index += 1
+        # Positional arguments, in field order: a frozen dataclass matches
+        # keywords slowly.
+        return Stride(
+            self._index - 1, a, b, length, time, stance, time - stance,
+            (sum(self._lengths) / 100.0) / span_time, len(self._lengths) < VELOCITY_WINDOW_STRIDES,
+        )
+
+
+def stride_metrics(steps: Sequence[StepMeasurement]) -> list[Stride]:
+    """The strides of one run of alternating steps, by `StridePairer`'s rule.
+
+    Raises `SegmentationError` on fewer than two steps, or on two
+    consecutive steps with the same front side.
     """
     if len(steps) < 2:
         raise SegmentationError(f"need at least 2 steps, got {len(steps)}")
@@ -320,36 +385,8 @@ def stride_metrics(steps: Sequence[StepMeasurement]) -> list[Stride]:
                 f"steps {prev.index} and {cur.index} both have front side "
                 f"{cur.front_side}; segmentation is inconsistent"
             )
-
-    # One pass: stride i needs the lengths and times of strides i-4..i only.
-    lengths = []
-    times = []
-    strides = []
-    for i in range(len(steps) // 2):
-        a, b = steps[2 * i], steps[2 * i + 1]
-        length = a.length_cm + b.length_cm
-        stance = b.t_back_event - a.t_front_event
-        if 2 * i + 2 < len(steps):
-            time = steps[2 * i + 2].t_front_event - a.t_front_event
-        else:
-            time = 2.0 * (b.t_front_event - a.t_front_event)
-        lengths.append(length)
-        times.append(time)
-        lo = max(0, i - VELOCITY_WINDOW_STRIDES + 1)
-        span_len = sum(lengths[lo:])
-        span_time = sum(times[lo:])
-        if span_time <= 0:
-            raise SegmentationError(f"stride {i}: non-positive window time {span_time}")
-        # Positional arguments, in field order: a frozen dataclass matches
-        # keywords slowly.
-        strides.append(
-            Stride(
-                i, a, b, length, time, stance, time - stance,
-                (span_len / 100.0) / span_time,
-                (i - lo + 1) < VELOCITY_WINDOW_STRIDES,
-            )
-        )
-    return strides
+    pairer = StridePairer()
+    return pairer.add(steps) + pairer.finish()
 
 
 def gait_asymmetry(stride: Stride) -> GaitAsymmetry:

@@ -14,9 +14,13 @@ come can sort before it. Each feed releases in one batch: one
 `StepSegmenter.run`, which reads the paired angles from the detectors'
 series in place, over the events in `MinimumEvent.sort_key` order; one
 `core.attach_lengths` over the steps they complete; one
-`core.stride_metrics` window over the strides those confirm. A stride is
-confirmed by the front event of the step after it, or by the end of the
-stream.
+`core.StridePairer.add` of those steps, which returns the strides they
+confirm. The pairer's rule makes the strides, in runs of alternating
+steps: a stride is confirmed by the front event of the step after it, or
+by the end of its run, which a step with the previous step's front side or
+the end of the stream marks. So a lost step costs the stride it falls in,
+not the recording; the segmenter's "front side did not alternate" line
+marks the break.
 
 `analyze` is the analyzer fed each leg's whole streams as one chunk and
 finished, with the four 25 Hz series kept as `Analysis.quad`. So a
@@ -39,12 +43,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernel import SEGMENT_SERIES
-from .core import VELOCITY_WINDOW_STRIDES, attach_lengths, gait_asymmetry, stride_metrics
+from .core import StridePairer, attach_lengths, gait_asymmetry
 from .errors import GaitInputError
 from .events import (
     AngleQuad,
@@ -143,7 +147,12 @@ class StreamingAnalyzer:
         self.config = EventConfig()  # the batch chain's segment_steps default
         self.legs: dict[str, _LiveLeg] = {}
         self.series: dict[str, _LiveSeries] = {}
+        if legs.keys() != {"L", "R"}:
+            raise GaitInputError(f"legs must map sides L and R only, got {list(legs)}")
         for side, leg in legs.items():
+            for stream in ("imu", "bend"):
+                if not len(getattr(leg, stream).t):
+                    raise GaitInputError(f"leg {side}: walking {stream} stream holds no sample")
             offsets = probe.call(
                 "signal.compute_offsets", compute_offsets, leg.standing_imu, leg.standing_bend
             )
@@ -167,6 +176,7 @@ class StreamingAnalyzer:
             (s.detector.values, s.detector.t0, s.detector.rate_hz) for s in self._tie_order
         )
         self.segmenter = StepSegmenter(self.config, buffers, self.diagnostics)
+        self.pairer = StridePairer()
         self.steps: list = []
         self.emitted_at: list[float] = []  # chunk end time that emitted each step
         self.strides: list = []
@@ -203,6 +213,9 @@ class StreamingAnalyzer:
 
     def feed(self, chunk_legs, end_t: float) -> None:
         self._check_open("feed")
+        # Checked before any leg is fed, so a bad chunk changes nothing.
+        if not chunk_legs.keys() <= self.legs.keys():
+            raise GaitInputError(f"StreamingAnalyzer.feed: no leg {chunk_legs.keys() - self.legs}")
         probe = self.probe
         for side, (imu, bend) in chunk_legs.items():
             leg = self.legs[side]
@@ -218,8 +231,6 @@ class StreamingAnalyzer:
             self._smooth(f"hip_{side}", hip)
             self._smooth(f"knee_{side}", bend.angle_deg)
         self._release(min(s.detector.frontier_t for s in self.series.values()), end_t)
-        # Step 2i+2 fixes the time of stride i.
-        self._emit_strides((len(self.steps) - 1) // 2)
 
     def finish(self, end_t: float) -> Analysis:
         self._check_open("finish")
@@ -229,18 +240,17 @@ class StreamingAnalyzer:
             d = probe.call("events.DerivativeStream.finalize", s.derivative.finalize)
             det = s.detector
             s.pending += probe.call("events.MinimaDetector.feed_derivative", det.feed_derivative, d)
-            s.pending += probe.call("events.MinimaDetector.finalize", det.finalize)
         self._release(math.inf, end_t)
         probe.call("events.StepSegmenter.finalize", self.segmenter.finalize)
-        # The end of the stream fixes the time of the last stride.
-        self._emit_strides(len(self.steps) // 2)
+        self._keep_strides(probe.call("core.StridePairer.finish", self.pairer.finish))
         return Analysis(self.steps, self.strides, self.asymmetry, self.diagnostics)
 
     def _release(self, frontier: float, now_t: float) -> None:
         """Segment every pending event earlier than `frontier` in one `run`
-        and keep the steps they complete. Each series' events come in time
-        order; taken in the tie order and sorted stably by time alone, as
-        `segment_steps` sorts them, they fall in `sort_key` order."""
+        and keep the steps they complete and the strides those confirm. Each
+        series' events come in time order; taken in the tie order and sorted
+        stably by time alone, as `segment_steps` sorts them, they fall in
+        `sort_key` order."""
         ready = []
         for s in self._tie_order:
             pending = s.pending
@@ -260,24 +270,8 @@ class StreamingAnalyzer:
             steps = probe.call("events.attach_lengths", attach_lengths, _steps(rows), self.params)
             self.steps += steps
             self.emitted_at += [now_t] * len(steps)
+            self._keep_strides(probe.call("core.StridePairer.add", self.pairer.add, steps))
 
-    def _emit_strides(self, stop: int) -> None:
-        """Emit strides len(strides) .. stop - 1 from one `stride_metrics` window.
-
-        Stride i pairs steps 2i and 2i+1; step 2i+2, where there is one,
-        fixes its time. Its velocity averages up to VELOCITY_WINDOW_STRIDES
-        strides ending at i, so the window opens that many strides, less
-        one, before the first new stride.
-        """
-        start = len(self.strides)
-        if stop <= start:
-            return
-        probe = self.probe
-        lo = max(0, start - VELOCITY_WINDOW_STRIDES + 1)
-        window = probe.call(
-            "core.stride_metrics", stride_metrics, self.steps[2 * lo : 2 * stop + 1]
-        )[start - lo :]
-        if lo:
-            window = [replace(s, index=s.index + lo) for s in window]
-        self.strides += window
-        self.asymmetry += [probe.call("core.gait_asymmetry", gait_asymmetry, s) for s in window]
+    def _keep_strides(self, new: list) -> None:
+        self.strides += new
+        self.asymmetry += [self.probe.call("core.gait_asymmetry", gait_asymmetry, s) for s in new]

@@ -106,8 +106,8 @@ def batch(recording):
 
 def live(recording):
     """The live outputs, each leg's filter end state and each series' minima."""
-    names = ("events.MinimaDetector.feed_derivative", "events.MinimaDetector.finalize")
-    probe = Recorder(*names)
+    call = "events.MinimaDetector.feed_derivative"
+    probe = Recorder(call)
     analyzer = StreamingAnalyzer(recording, PARAMS, probe)
     n = len(recording["L"].imu)
     for a in range(0, n, ROWS):
@@ -129,7 +129,7 @@ def live(recording):
 
     quad = AngleQuad(series("knee_L"), series("knee_R"), series("hip_L"), series("hip_R"))
     events = {name: [] for name in SERIES}
-    for found in (*probe.returns[names[0]], *probe.returns[names[1]]):
+    for found in probe.returns[call]:
         for ev in found:
             events[ev.series].append(ev)
     states = {side: leg.state for side, leg in analyzer.legs.items()}

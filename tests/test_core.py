@@ -5,7 +5,10 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gaitbench import synth
 from gaitlab.calibrate import AngleBias
 from gaitlab.core import (
     EventAngles,
@@ -13,6 +16,7 @@ from gaitlab.core import (
     StaticParams,
     StepMeasurement,
     Stride,
+    StridePairer,
     angle_matrix,
     attach_lengths,
     gait_asymmetry,
@@ -20,6 +24,7 @@ from gaitlab.core import (
     stride_metrics,
 )
 from gaitlab.errors import GaitInputError, SegmentationError
+from gaitlab.pipeline import analyze
 
 
 def oracle_step_length(l1, l2, d5, alpha_f, beta_f, alpha_b, beta_b):
@@ -201,6 +206,146 @@ class TestStrideMetrics:
     def test_too_few_steps_rejected(self):
         with pytest.raises(SegmentationError):
             stride_metrics([make_step(0, "L", 60.0, 0.0)])
+
+
+def oracle_strides(steps):
+    """The stride rule over one run, restated as an index loop: stride i
+    pairs steps 2i and 2i+1 and is timed by step 2i+2's front event, the
+    last by twice its half cycle; its velocity spans strides i-4..i."""
+    strides = []
+    for i in range(len(steps) // 2):
+        a, b = steps[2 * i], steps[2 * i + 1]
+        if 2 * i + 2 < len(steps):
+            time = steps[2 * i + 2].t_front_event - a.t_front_event
+        else:
+            time = 2.0 * (b.t_front_event - a.t_front_event)
+        length = a.length_cm + b.length_cm
+        stance = b.t_back_event - a.t_front_event
+        window = strides[max(0, i - 4) :]
+        span_len = sum([s.length_cm for s in window] + [length])
+        span_time = sum([s.stride_time_s for s in window] + [time])
+        if span_time <= 0:
+            raise SegmentationError(f"stride {i}: non-positive window time {span_time}")
+        strides.append(
+            Stride(i, a, b, length, time, stance, time - stance,
+                   (span_len / 100.0) / span_time, len(window) + 1 < 5)
+        )
+    return strides
+
+
+def outcome(pair, steps):
+    """repr of the strides `pair(steps)` gives, or of the error it raises."""
+    try:
+        return repr(pair(steps))
+    except SegmentationError as e:
+        return repr(e)
+
+
+def steps_at(sides, t_front, lengths=None, lags=None):
+    n = len(sides)
+    lengths = lengths or [50.0 + 3.0 * k for k in range(n)]
+    lags = lags or [0.1 + 0.01 * k for k in range(n)]
+    return [
+        make_step(k, side, length, t, t + lag)
+        for k, (side, t, length, lag) in enumerate(zip(sides, t_front, lengths, lags))
+    ]
+
+
+@st.composite
+def alternating_steps(draw, min_gap):
+    """2-40 steps of alternating front sides; consecutive front events
+    `min_gap` to 1 s apart (a negative gap puts a step before the last)."""
+    n = draw(st.integers(2, 40))
+    sides = draw(st.sampled_from(["LR", "RL"]))
+    gaps = draw(st.lists(st.floats(min_gap, 1.0), min_size=n, max_size=n))
+    lengths = draw(st.lists(st.floats(-10.0, 90.0), min_size=n, max_size=n))
+    lags = draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n))
+    return steps_at([sides[k % 2] for k in range(n)], np.cumsum(gaps).tolist(), lengths, lags)
+
+
+@pytest.fixture(scope="module")
+def walk_steps():
+    walk = synth.make_walks(5151, 1, 20.0)[0]
+    return analyze(walk.legs, walk.params).steps
+
+
+def paired(steps):
+    """Every batch of `steps` through one `StridePairer`, then its finish."""
+    pairer = StridePairer()
+    strides = []
+    for batch in steps:
+        strides += pairer.add(batch)
+    return strides + pairer.finish()
+
+
+class TestStridePairer:
+    """One stride rule: `stride_metrics` is the index loop over one run, and
+    the pairer gives its strides whatever batches the steps come in, run by
+    run where a front side repeats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=alternating_steps(min_gap=-0.3))
+    def test_stride_metrics_is_the_index_loop(self, steps):
+        assert outcome(stride_metrics, steps) == outcome(oracle_strides, steps)
+
+    def test_non_positive_window_time_raises_as_the_loop_does(self):
+        # Strides 0 and 1 take 1 s each; step 6 comes 7 s before step 4.
+        steps = steps_at("LRLRLRLR", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, -5.0, -4.5])
+        want = outcome(oracle_strides, steps)
+        assert "stride 2: non-positive window time" in want
+        assert outcome(stride_metrics, steps) == want
+        assert outcome(lambda s: paired([s]), steps) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=alternating_steps(min_gap=0.05))
+    def test_live_session_windows_give_the_loops_strides(self, steps):
+        """The benchmark's `LiveSession` takes stride i as the last stride of
+        the window steps[2 max(0, i-4) : 2i+3], renumbered."""
+        for i, want in enumerate(oracle_strides(steps)):
+            window = stride_metrics(steps[2 * max(0, i - 4) : 2 * i + 3])
+            assert repr(dataclasses.replace(window[-1], index=i)) == repr(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_batching_gives_stride_metrics(self, walk_steps, data):
+        n = len(walk_steps)
+        cuts = data.draw(st.lists(st.integers(0, n), max_size=30).map(sorted))
+        edges = [0, *cuts, n]
+        batches = [walk_steps[a:b] for a, b in zip(edges, edges[1:])]
+        assert repr(paired(batches)) == repr(stride_metrics(walk_steps))
+
+    @pytest.mark.parametrize(
+        "sides, pairs",
+        [
+            pytest.param("LLRLR", [(1, 2), (3, 4)], id="repeat_at_start"),
+            pytest.param("LRLRRLRL", [(0, 1), (2, 3), (4, 5), (6, 7)], id="repeat_in_middle"),
+            pytest.param("LRLRR", [(0, 1), (2, 3)], id="repeat_at_end"),
+            pytest.param("LRRRL", [(0, 1), (3, 4)], id="lone_step_between_repeats"),
+        ],
+    )
+    def test_a_repeated_front_side_starts_a_new_run(self, sides, pairs):
+        """Each run gives the index loop's strides, the last timed by its half
+        cycle and each velocity window inside the run; a lone step pairs with
+        nothing, and stride indices run on."""
+        steps = steps_at(sides, [0.5 * k + 0.02 * k * k for k in range(len(sides))])
+        with pytest.raises(SegmentationError, match="both have front side"):
+            stride_metrics(steps)
+        runs, run = [], []
+        for s in steps:
+            if run and run[-1].front_side == s.front_side:
+                runs.append(run)
+                run = []
+            run.append(s)
+        want = []
+        for run in runs + [run]:
+            want += [dataclasses.replace(s, index=len(want) + k)
+                     for k, s in enumerate(oracle_strides(run))]
+        got = paired([steps])
+        assert [(s.index, s.step_a.index, s.step_b.index) for s in got] == [
+            (k, a, b) for k, (a, b) in enumerate(pairs)
+        ]
+        assert repr(got) == repr(want)
+        assert repr(paired([[s] for s in steps])) == repr(want)
 
 
 class TestGaitAsymmetry:

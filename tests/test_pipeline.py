@@ -13,8 +13,11 @@ gaitlab. Fed any chunking of the four streams, empty pieces and either leg
 first included, the analyzer gives `analyze`'s result; a release hands
 simultaneous minima to the segmenter in `MinimumEvent.sort_key` order. A
 recording with fewer than two steps gives those steps and no stride, the
-ones `segment_steps` finds in the quad. After `finish`, the
-analyzer refuses more input and leaves its state as it was. An inf and NaN
+ones `segment_steps` finds in the quad. On a short-step walk that loses a
+step, the strides run on from the next step, whole and in chunks alike.
+An empty walking stream, legs other than L and R, or a chunk for an
+unknown leg is a `GaitInputError`. After `finish`, the analyzer refuses
+more input and leaves its state as it was. An inf and NaN
 rows in the raw IMU streams go through both compositions without a warning.
 Fed a ten-minute walk, the analyzer holds fewer than one 25 Hz window of
 raw samples per series.
@@ -36,7 +39,8 @@ from gaitbench import synth
 from gaitbench import workloads as W
 from gaitbench.tracing import Tracer
 from gaitlab._kernel import SEGMENT_SERIES
-from gaitlab.errors import GaitInputError
+from gaitlab.core import stride_metrics
+from gaitlab.errors import GaitInputError, SegmentationError
 from gaitlab.events import MinimumEvent, attach_lengths, segment_steps
 from gaitlab.pipeline import StreamingAnalyzer, analyze
 from gaitlab.signal import BendStream, ImuStream
@@ -59,14 +63,14 @@ WHOLE_RECORDING_CALLS = {
     "events.DerivativeStream.feed": 4,
     "events.MinimaDetector.feed_derivative": 8,
     "events.DerivativeStream.finalize": 4,
-    "events.MinimaDetector.finalize": 4,
     "events.StepSegmenter.finalize": 1,
+    "core.StridePairer.finish": 1,
     "events.AngleQuad": 1,
 }
 # At most one each per release, the feed's and the finish's: one segmenter
 # run over the released events, one `attach_lengths` over the steps they
-# complete and one `stride_metrics` window over the strides those confirm.
-RELEASE_CALLS = ("events.StepSegmenter.run", "events.attach_lengths", "core.stride_metrics")
+# complete and one `StridePairer.add` of those steps.
+RELEASE_CALLS = ("events.StepSegmenter.run", "events.attach_lengths", "core.StridePairer.add")
 
 
 @pytest.fixture(scope="module", params=SEEDS)
@@ -252,6 +256,95 @@ def test_a_release_takes_simultaneous_minima_in_sort_key_order(walk):
     assert probe.runs == [[MinimumEvent(name, 0, 1.0, 0.0) for name in SEGMENT_SERIES]]
     assert probe.runs == [sorted(probe.runs[0], key=MinimumEvent.sort_key)]
     assert all(s.pending == [MinimumEvent(name, 1, 2.0, 0.0)] for name, s in a.series.items())
+
+
+def scaled_walks(seed, count, seconds, scale, n):
+    """The first n of `synth.make_walks(seed, count, seconds)`'s walks, from
+    the same draws, with each leg's hip_min, hip_amp and knee_amp scaled:
+    the short steps of Parkinsonian gait."""
+    rng = np.random.default_rng(seed)
+    lo, hi = synth.CADENCE_RANGE_SPM
+    cadences = lo + (np.arange(count) + rng.uniform(0.0, 1.0, count)) * (hi - lo) / count
+    pattern = synth.LegPattern
+
+    def scaled(**kw):
+        p = pattern(**kw)
+        return dataclasses.replace(
+            p, hip_min=p.hip_min * scale, hip_amp=p.hip_amp * scale, knee_amp=p.knee_amp * scale
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "LegPattern", scaled)
+        return [synth.make_walk(rng, seconds, float(c)) for c in cadences[:n]]
+
+
+@pytest.fixture(scope="module")
+def lost_step_walk():
+    """Seed 101's walk 1 of twelve 60 s walks (94.1 steps/min) at a quarter
+    of the excursions: the segmenter loses the step after step 18."""
+    walk = scaled_walks(101, 12, 60.0, 0.25, 2)[1]
+    return walk, analyze(walk.legs, walk.params)
+
+
+def test_a_lost_step_costs_one_stride(lost_step_walk):
+    """Steps 18 and 19 both lead with L, so `stride_metrics` refuses the
+    list; the analyzer leaves step 18 unpaired and starts a new run of
+    strides at step 19, after the segmenter's line for the lost step."""
+    walk, got = lost_step_walk
+    assert round(walk.cadence_spm, 1) == 94.1
+    assert (len(got.steps), len(got.strides)) == (78, 38)
+    with pytest.raises(SegmentationError, match="steps 18 and 19 both have front side L"):
+        stride_metrics(got.steps)
+    s18, s19 = got.steps[18:20]
+    assert (round(s18.t_front_event, 3), round(s19.t_front_event, 3)) == (14.27, 16.75)
+    assert "discarded front event (L at 15.510 s): front side did not alternate" in got.diagnostics
+    runs = stride_metrics(got.steps[:19]), stride_metrics(got.steps[19:])
+    want = [*runs[0], *(dataclasses.replace(s, index=s.index + len(runs[0])) for s in runs[1])]
+    assert repr(got.strides) == repr(want)
+
+
+@pytest.mark.parametrize("chunk_ms", CHUNK_MS)
+def test_a_lost_step_in_chunks_gives_analyze(lost_step_walk, chunk_ms):
+    walk, want = lost_step_walk
+    chunks = W.make_chunks(walk, chunk_ms)
+    a = StreamingAnalyzer(walk.legs, walk.params)
+    for chunk in chunks:
+        a.feed(chunk.legs, chunk.end_t)
+    assert a.finish(chunks[-1].end_t) == want
+
+
+@pytest.fixture(scope="module")
+def walk_5s():
+    return synth.make_walks(101, 1, 5.0)[0]
+
+
+@pytest.mark.parametrize("stream", ["imu", "bend"])
+def test_an_empty_walking_stream_is_a_gait_input_error(walk_5s, stream):
+    leg = walk_5s.legs["R"]
+    empty = pieces(getattr(leg, stream), [0])[0]
+    legs = {**walk_5s.legs, "R": dataclasses.replace(leg, **{stream: empty})}
+    with pytest.raises(GaitInputError, match=f"leg R: walking {stream} stream holds no sample"):
+        StreamingAnalyzer(legs, walk_5s.params)
+    with pytest.raises(GaitInputError, match=f"leg R: walking {stream}"):
+        analyze(legs, walk_5s.params)
+
+
+@pytest.mark.parametrize("sides", [("L",), ("L", "R", "X")])
+def test_legs_other_than_left_and_right_are_a_gait_input_error(walk_5s, sides):
+    """A missing side used to raise KeyError; an extra one was filtered and
+    its minima kept, never segmented."""
+    legs = {side: walk_5s.legs[side if side != "X" else "R"] for side in sides}
+    with pytest.raises(GaitInputError, match="legs must map sides L and R only"):
+        StreamingAnalyzer(legs, walk_5s.params)
+
+
+def test_a_chunk_for_an_unknown_leg_is_refused_before_any_leg_is_fed(walk_5s):
+    a = StreamingAnalyzer(walk_5s.legs, walk_5s.params)
+    chunk = W.make_chunks(walk_5s, 40)[0]
+    before = state(a)
+    with pytest.raises(GaitInputError, match=r"StreamingAnalyzer.feed: no leg \{'X'\}"):
+        a.feed({**chunk.legs, "X": chunk.legs["R"]}, chunk.end_t)
+    assert state(a) == before
 
 
 def finished_analyzer(walk):
